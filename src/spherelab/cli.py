@@ -39,9 +39,22 @@ _PRINT_LIMIT = 24
 
 
 def _parse_q(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+    """argparse type for norm exponents: 'inf' is allowed, nan is a usage error."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _doubling_ks(k_min: int, k_max: int) -> list:
@@ -366,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oversample(p, default=1.0):
         p.add_argument(
             "--oversample",
-            type=float,
+            type=_finite_float,
             default=default,
             help=f"grid oversampling factor (default {default})",
         )
@@ -429,11 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=64, help="degree when no sweep range is given")
     p.add_argument("--k-min", type=int, default=None, help="sweep start (doubling)")
     p.add_argument("--k-max", type=int, default=None, help="sweep end")
-    p.add_argument("--delta", action="append", type=float, help="separation angle, repeatable")
+    p.add_argument(
+        "--delta", action="append", type=_finite_float, help="separation angle, repeatable"
+    )
     p.add_argument("--j", type=int, default=None, help="fixed beam count request")
     p.add_argument(
         "--exponent",
-        type=float,
+        type=_finite_float,
         default=None,
         help="beam-count rule J = k^(1 - exponent) instead of a fixed count",
     )
@@ -458,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--c",
         action="append",
-        type=float,
+        type=_finite_float,
         help="threshold constant C (repeatable; default 0.25 0.5 1.0)",
     )
     add_oversample(p)

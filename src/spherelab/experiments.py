@@ -17,6 +17,7 @@ import numpy as np
 from ._version import __version__
 from .harmonics import (
     EigenvalueInfo,
+    _signed_orders,
     beam_field,
     ell4_sum_field,
     ell_p_profile,
@@ -29,7 +30,7 @@ from .harmonics import (
     theta_integral,
     zonal_field,
 )
-from .legendre import legendre_p, normalized_legendre_table
+from .legendre import _upward_degree_table, legendre_p, normalized_legendre_table
 from .quadrature import build_grid, lp_norm, superlevel_measure
 from .sphere import fibonacci_axes
 
@@ -505,10 +506,13 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
     * theta_identity: |2pi (ell4 norm)^4 - theta integral|, relative
     * gram_identity: max |Gram - I| over the full basis on the band-k grid
 
-    The bulk sweep drives the vectorized colatitude tables; a second pass at
-    ``spot_points`` points per degree goes through the per-point entry points
-    (ell_p_sum, eval_basis_row, theta_integral), whose Legendre recurrence
-    runs in a different direction, and folds into the same maxima.
+    The bulk sweep builds its colatitude tables with a second algorithm, the
+    upward recurrence in degree; a second pass at ``spot_points`` points per
+    degree goes through the per-point entry points (ell_p_sum,
+    eval_basis_row, theta_integral), which run the downward recurrence in
+    order, and folds into the same maxima.  The Gram check synthesizes the
+    basis on the band-k grid from ``signed_order_table``, so it checks the
+    vectorized downward table.
     """
     k_max = int(k_max)
     if k_max < 1:
@@ -525,8 +529,8 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
         diag = n / (4.0 * np.pi)
         x = _random_points(rng, points)
         y = _random_points(rng, points)
-        radial_x = signed_order_table(k, x[:, 2])
-        radial_y = signed_order_table(k, y[:, 2])
+        radial_x = _signed_orders(k, _upward_degree_table(k, x[:, 2]))
+        radial_y = _signed_orders(k, _upward_degree_table(k, y[:, 2]))
         theta_x = np.arctan2(x[:, 1], x[:, 0])
         theta_y = np.arctan2(y[:, 1], y[:, 0])
         orders = np.arange(-k, k + 1)

@@ -121,7 +121,11 @@ def signed_order_table(k: int, t) -> np.ndarray:
     Column i holds N(k, m, t) for m = i - k, with the (-1)^m factor applied to
     the negative orders, so a field synthesis only needs the theta phases.
     """
-    base = normalized_legendre_table(k, t)
+    return _signed_orders(k, normalized_legendre_table(k, t))
+
+
+def _signed_orders(k: int, base) -> np.ndarray:
+    """Spread a (len(t), k+1) table over m = -k..k with the (-1)^m sign on negative orders."""
     m = np.arange(-k, k + 1)
     sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
     return base[:, np.abs(m)] * sign[None, :]

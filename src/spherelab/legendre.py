@@ -12,10 +12,16 @@ orders satisfy ``N(k, -m, t) = (-1)^m N(k, m, t)``.
 
 Near the diagonal ``m ~ k`` the values pass through a severely subnormal
 range (below 1e-300 for k around 2000) before recovering to order one, so the
-upward recurrences here carry an explicit power-of-two exponent offset next to
-the float mantissa.  Plain double-precision recurrences silently lose mass for
-k beyond roughly 1500; the extended-range variant is exact to rounding for all
-k up to at least 2048.
+recurrences here carry an explicit power-of-two exponent offset next to the
+float mantissa.  Plain double-precision recurrences silently lose mass for
+k beyond roughly 1500; the extended-range variants are exact to rounding for
+all k up to at least 2048.
+
+``normalized_assoc_legendre`` (one order, upward in degree) costs O(k) per
+point.  ``normalized_assoc_legendre_row`` (all orders at one point) and
+``normalized_legendre_table`` (all orders at many points) run the same
+fixed-degree recurrence downward in order, O(k) per point, the table
+vectorized over the points; neither has a cap on k.
 """
 
 import numpy as np
@@ -268,25 +274,79 @@ def normalized_assoc_legendre_row(k: int, t: float) -> np.ndarray:
     return np.ldexp(mans, np.clip(offs, -_XR_CLIP, _XR_CLIP).astype(np.int32))
 
 
-_TABLE_MAX_DEGREE = 1024
-
-
 def normalized_legendre_table(k: int, t) -> np.ndarray:
     """Table of N(k, m, t_i) for m = 0..k, vectorized over the points.
 
-    Returns an array of shape ``(len(t), k + 1)``.  Uses the plain upward
-    degree sweep without extended-range bookkeeping, which is safe for
-    k <= 1024; larger degrees raise, use ``normalized_assoc_legendre``
-    column by column or ``normalized_assoc_legendre_row`` point by point.
+    Returns an array of shape ``(len(t), k + 1)``.  Runs the fixed-degree
+    downward recurrence in m of ``normalized_assoc_legendre_row`` at every
+    point at once: each point is seeded at the sectoral order in log space
+    and carries its own extended-range exponent offset, so there is no cap
+    on k and the cost is O(k * len(t)).
     """
     k = int(k)
     if k < 0:
         raise ValueError("degree must be >= 0")
-    if k > _TABLE_MAX_DEGREE:
-        raise ValueError(
-            f"normalized_legendre_table supports k <= {_TABLE_MAX_DEGREE}; "
-            "use the extended-range column or row evaluators beyond that"
-        )
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
+        raise ValueError("arguments must satisfy |t| <= 1")
+    t_arr = np.clip(t_arr, -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
+    inner = s > 0.0
+    if inner.all():
+        return _downward_orders(k, t_arr, s).T
+    # Poles: only m == 0 survives, with P_k(+-1) = (+-1)^k.
+    out = np.zeros((k + 1, t_arr.size))
+    out[:, inner] = _downward_orders(k, t_arr[inner], s[inner])
+    out[0, ~inner] = np.sign(t_arr[~inner]) ** k * np.sqrt((2 * k + 1) / (4.0 * np.pi))
+    return out.T
+
+
+def _downward_orders(k: int, t, s) -> np.ndarray:
+    """N(k, m, t_i) for m = 0..k at points with s = sin(phi) > 0, shape (k + 1, len(t)).
+
+    The arithmetic per point is that of ``normalized_assoc_legendre_row``.
+    """
+    log2_seed = (_sectoral_log(k) + k * np.log(s)) * _LOG2E
+    off_f = np.floor(log2_seed)
+    prev = (-1.0) ** k * np.exp2(log2_seed - off_f)
+    off = off_f.astype(np.int64)
+    exp = np.clip(off, -_XR_CLIP, _XR_CLIP).astype(np.int32)
+    out = np.empty((k + 1, t.size))
+    out[k] = np.ldexp(prev, exp)
+    t_over_s = t / s
+    above = np.zeros_like(t)
+    for m in range(k, 0, -1):
+        denom = np.sqrt((k + m) * (k - m + 1.0))
+        val = -(np.sqrt((k + m + 1.0) * (k - m)) * above + 2.0 * m * t_over_s * prev) / denom
+        above, prev = prev, val
+        big = np.maximum(np.abs(above), np.abs(prev))
+        if big.max(initial=0.0) > _XR_LIMIT or big.min(initial=1.0) < 1.0 / _XR_LIMIT:
+            hi = big > _XR_LIMIT
+            lo = (big > 0.0) & (big < 1.0 / _XR_LIMIT)
+            if hi.any() or lo.any():
+                scale = np.where(hi, _XR_SCALE_DOWN, np.where(lo, _XR_SCALE_UP, 1.0))
+                above = above * scale
+                prev = prev * scale
+                off = off + np.where(hi, _XR_SHIFT, 0) - np.where(lo, _XR_SHIFT, 0)
+                exp = np.clip(off, -_XR_CLIP, _XR_CLIP).astype(np.int32)
+        out[m - 1] = np.ldexp(prev, exp)
+    return out
+
+
+_UPWARD_MAX_DEGREE = 1024
+
+
+def _upward_degree_table(k: int, t) -> np.ndarray:
+    """N(k, m, t_i) for m = 0..k by the plain upward sweep in degree, shape (len(t), k + 1).
+
+    A second algorithm for cross-checks only: O(k^2 * len(t)), without
+    extended-range bookkeeping, so it is limited to k <= 1024.
+    """
+    k = int(k)
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    if k > _UPWARD_MAX_DEGREE:
+        raise ValueError(f"the upward degree sweep supports k <= {_UPWARD_MAX_DEGREE}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t_arr) > 1.0 + 1e-12):
         raise ValueError("arguments must satisfy |t| <= 1")
@@ -295,9 +355,11 @@ def normalized_legendre_table(k: int, t) -> np.ndarray:
     n_pts = t_arr.size
     prev = np.zeros((n_pts, k + 1))
     cur = np.zeros((n_pts, k + 1))
+    nxt = np.zeros((n_pts, k + 1))
     cur[:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
     for n in range(1, k + 1):
-        nxt = np.zeros((n_pts, k + 1))
+        # The reused buffer holds degree n - 3, whose nonzero columns are
+        # all rewritten here.
         if n >= 2:
             m = np.arange(0, n - 1)
             a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / ((n - m) * (n + m)))
@@ -308,5 +370,5 @@ def normalized_legendre_table(k: int, t) -> np.ndarray:
             nxt[:, : n - 1] = a * t_arr[:, None] * cur[:, : n - 1] - b * prev[:, : n - 1]
         nxt[:, n - 1] = np.sqrt(2.0 * n + 1.0) * t_arr * cur[:, n - 1]
         nxt[:, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[:, n - 1]
-        prev, cur = cur, nxt
+        prev, cur, nxt = cur, nxt, prev
     return cur

@@ -8,6 +8,7 @@ the package go through ``QuadratureGrid.integrate`` so that norm claims can
 cite one exactness certificate.
 """
 
+import functools
 import json
 import warnings
 
@@ -154,16 +155,25 @@ def build_grid(k: int, oversample: float = 1.0, max_points: int = DEFAULT_MAX_PO
     k = int(k)
     if k < 0:
         raise ValueError("band parameter must be >= 0")
-    if oversample < 1.0:
-        raise ValueError("oversample must be >= 1")
+    if not 1.0 <= oversample < np.inf:
+        raise ValueError("oversample must be finite and >= 1")
     n_phi = int(np.ceil(oversample * (2 * k + 1)))
     n_theta = int(np.ceil(oversample * (4 * k + 1)))
     if n_phi * n_theta > max_points:
         raise GridResolutionError(
             f"grid would need {n_phi * n_theta} points, cap is {max_points}"
         )
-    t, w = np.polynomial.legendre.leggauss(n_phi)
+    t, w = _gauss_legendre(n_phi)
     return QuadratureGrid(k, oversample, t, w, n_theta)
+
+
+@functools.lru_cache(maxsize=128)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights of order n, shared read-only between grids."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 class HarmonicField:

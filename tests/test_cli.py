@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -12,6 +13,8 @@ def test_parse_q():
     assert _parse_q("Infinity") == math.inf
     with pytest.raises(ValueError):
         _parse_q("two")
+    with pytest.raises(argparse.ArgumentTypeError):
+        _parse_q("nan")
 
 
 def test_doubling_ks():
@@ -130,6 +133,25 @@ def test_argparse_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["unknown-subcommand"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_float_flags_are_usage_errors(capsys, value):
+    argvs = [
+        ["norms", "--k", "2", "--oversample", value],
+        ["beams", "--k", "8", "--delta", value],
+        ["beams", "--k", "8", f"--exponent={value}"],
+        ["superlevel", "--k-min", "16", "--k-max", "16", f"--c={value}"],
+    ]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--k", "2", "--q", "nan"])
     assert exc.value.code == 2
 
 

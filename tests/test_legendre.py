@@ -6,6 +6,7 @@ import pytest
 from spherelab.legendre import (
     LogGammaTable,
     _sectoral_log,
+    _upward_degree_table,
     legendre_p,
     log_factorial,
     normalized_assoc_legendre,
@@ -182,9 +183,49 @@ def test_extreme_degree_survives_subnormal_window():
     assert np.abs(row[[0, 1, 7, 511, 2048]] - cols).max() < 1e-11
 
 
-def test_table_degree_cap():
+def test_table_beyond_old_cap_is_normalized():
+    # Every column of the k = 2048 table on the band-2048 Gauss nodes has
+    # unit L2 norm: the sectoral seeds sit far below the double range there.
+    k = 2048
+    nodes, weights = np.polynomial.legendre.leggauss(2 * k + 1)
+    table = normalized_legendre_table(k, nodes)
+    assert table.shape == (nodes.size, k + 1)
+    assert np.isfinite(table).all()
+    norms = 2 * math.pi * (weights @ table**2)
+    assert np.abs(norms - 1.0).max() <= 1e-9
+
+
+def test_table_matches_upward_degree_sweep():
+    # The second algorithm: upward in degree, plain doubles, k <= 1024.
+    k = 1024
+    nodes, _ = np.polynomial.legendre.leggauss(2 * k + 1)
+    diff = normalized_legendre_table(k, nodes) - _upward_degree_table(k, nodes)
+    assert np.abs(diff).max() <= 1e-9
     with pytest.raises(ValueError):
-        normalized_legendre_table(1025, np.array([0.0]))
+        _upward_degree_table(1025, nodes[:1])
+
+
+def test_table_pole_points():
+    for k in (0, 1, 6, 11, 2048):
+        table = normalized_legendre_table(k, np.array([1.0, 0.5, -1.0]))
+        for row, sign in ((0, 1.0), (2, -1.0)):
+            assert table[row, 0] == pytest.approx(sign**k * zonal_sup_coefficient(k), rel=1e-14)
+            assert np.all(table[row, 1:] == 0.0)
+        assert np.abs(table[1] - normalized_assoc_legendre_row(k, 0.5)).max() < 1e-12
+
+
+def test_table_degree_zero_and_scalar_argument():
+    table = normalized_legendre_table(0, np.array([-0.3, 0.0, 0.9]))
+    assert table.shape == (3, 1)
+    assert np.allclose(table, 1 / math.sqrt(4 * math.pi), rtol=1e-15, atol=0)
+    assert normalized_legendre_table(5, np.array([])).shape == (0, 6)
+    single = normalized_legendre_table(7, 0.42)
+    assert single.shape == (1, 8)
+    assert np.abs(single[0] - normalized_assoc_legendre_row(7, 0.42)).max() < 1e-15
+    with pytest.raises(ValueError):
+        normalized_legendre_table(-1, 0.0)
+    with pytest.raises(ValueError):
+        normalized_legendre_table(3, np.array([1.5]))
 
 
 def test_argument_validation():

@@ -80,6 +80,19 @@ def test_build_grid_validation():
         build_grid(4, oversample=0.5)
     with pytest.raises(GridResolutionError):
         build_grid(100, max_points=1000)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_grid(4, oversample=bad)
+
+
+def test_grids_of_one_size_share_read_only_nodes():
+    a = build_grid(12)
+    b = build_grid(12, max_points=10**6)
+    assert a.t is b.t
+    assert not a.t.flags.writeable
+    with pytest.raises(ValueError):
+        a.t[0] = 0.0
+    assert build_grid(13).t is not a.t
 
 
 def test_points_are_unit_vectors():
