@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .harmonics import beam_field, coefficient_field, signed_order_table
-from .quadrature import GridResolutionError, QuadratureGrid, build_grid, lp_norm
-from .random_bases import CoefficientBasis
+from .harmonics import analyze, beam_field
+from .quadrature import GridResolutionError, QuadratureGrid, build_grid
+from .random_bases import CoefficientBasis, quartic_norms
 from .sphere import circle_angle, fibonacci_axes
 
 __all__ = [
@@ -51,24 +51,14 @@ def beam_coefficients(k: int, axis, grid: QuadratureGrid = None) -> np.ndarray:
     """Expansion of the beam with the given axis over {Y_km}, orders m = -k..k.
 
     Projects the directly evaluated beam field onto every basis element with
-    one quadrature pass (the grid must be exact for degree-2k products; the
-    default build_grid(k) is).  The result must come out unit-norm; if it
-    does not, the grid was too coarse and a GridResolutionError is raised.
+    ``analyze`` (the grid must be exact for degree-2k products; the default
+    build_grid(k) is).  The result must come out unit-norm; if it does not,
+    the grid was too coarse and a GridResolutionError is raised.
     """
     k = int(k)
     if grid is None:
         grid = build_grid(k)
-    if grid.cos_degree_exact < 2 * k or grid.trig_degree_exact < 2 * k:
-        raise GridResolutionError(
-            f"projection needs exactness to degree {2 * k}, grid gives "
-            f"{grid.cos_degree_exact}/{grid.trig_degree_exact}"
-        )
-    field = beam_field(k, axis, grid)
-    table = signed_order_table(k, grid.t)
-    m = np.arange(-k, k + 1)
-    conj_phases = np.exp(-1j * np.outer(grid.theta, m))
-    ring_dft = field.values @ conj_phases
-    coeffs = ((grid.ring_weight[:, None] * table) * ring_dft).sum(axis=0)
+    coeffs = analyze(k, beam_field(k, axis, grid).values, grid)
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > 1e-10:
         raise GridResolutionError(
@@ -223,14 +213,6 @@ class OrthonormalizationReport:
         return float(self.retention.max())
 
 
-def _family_l44(k: int, matrix: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    out = np.empty(matrix.shape[0])
-    for i, row in enumerate(matrix):
-        field = coefficient_field(k, row, grid)
-        out[i] = lp_norm(field, 4.0) ** 4
-    return out
-
-
 def orthonormalize(
     family: BeamFamily,
     method: str = "symmetric",
@@ -270,8 +252,8 @@ def orthonormalize(
                 for p in range(i):
                     v_i = v_i - np.vdot(out[p], v_i) * out[p]
             out[i] = v_i / np.linalg.norm(v_i)
-    l44_before = _family_l44(k, m, grid)
-    l44_after = _family_l44(k, out, grid)
+    l44_before = quartic_norms(k, m, grid)
+    l44_after = quartic_norms(k, out, grid)
     fragment = CoefficientBasis(k, out, tol=1e-9)
     report = OrthonormalizationReport(
         method=method,
@@ -360,7 +342,7 @@ def beam_experiment(
         axes = place_separated_axes(j, delta, seed=config_seed)
         family = BeamFamily.build(k, axes, grid)
         if family.size == 1:
-            l44 = _family_l44(k, family.matrix, grid)
+            l44 = quartic_norms(k, family.matrix, grid)
             row = {
                 "k": k,
                 "J": 1,

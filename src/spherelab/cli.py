@@ -141,6 +141,8 @@ def cmd_norms(args) -> int:
 
 def cmd_avg_l4(args) -> int:
     ks = _doubling_ks(args.k_min, args.k_max)
+    if ks[-1] < 2:
+        raise ValueError("avg-l4 needs some k >= 2 for the A_k/log k band; raise --k-max")
     result, elapsed = xp.timed(xp.average_l4_experiment, ks, args.oversample)
     _print_rows(xp.AVERAGE_L4_COLUMNS, result.rows)
     lo, hi = result.ratio_band

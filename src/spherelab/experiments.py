@@ -26,12 +26,17 @@ from .harmonics import (
     highest_weight_field,
     pointwise_envelope,
     projection_kernel,
-    signed_order_table,
+    synthesize_rings,
     theta_integral,
     zonal_field,
 )
-from .legendre import _upward_degree_table, legendre_p, normalized_legendre_table
-from .quadrature import build_grid, lp_norm, superlevel_measure
+from .legendre import (
+    _UPWARD_MAX_DEGREE,
+    _upward_degree_table,
+    legendre_p,
+    normalized_legendre_table,
+)
+from .quadrature import arc_selections, build_grid, lp_norm, superlevel_measure
 from .sphere import fibonacci_axes
 
 __all__ = [
@@ -367,45 +372,23 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
         axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(axes_count)])
 
         table = normalized_legendre_table(k, grid.t)
-        l44 = np.array(
-            [grid.integrate_profile(table[:, m] ** 4) for m in range(k + 1)]
-        )
-        # Member densities w_i |f|^2 flattened per grid point, one row per field.
-        dens = []
-        labels = []
-        l4_norms = []
-        weight_2d = np.broadcast_to(grid.ring_weight[:, None], grid.shape)
-        for m in range(k + 1):
-            profile = table[:, m] ** 2
-            dens.append((weight_2d * profile[:, None]).ravel())
-            labels.append(f"m={m}")
-            l4_norms.append(l44[m] ** 0.25)
+        profiles = table**2
+        labels = [f"m={m}" for m in range(k + 1)] + ["beam_tilted"]
+        l4_norms = [grid.integrate_profile(table[:, m] ** 4) ** 0.25 for m in range(k + 1)]
         tilt = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         beam = beam_field(k, tilt, grid)
-        dens.append((weight_2d * np.abs(beam.values) ** 2).ravel())
-        labels.append("beam_tilted")
         l4_norms.append(lp_norm(beam, 4.0))
-        dens = np.array(dens)
+        beam_dens = grid.ring_weight[:, None] * np.abs(beam.values) ** 2
 
-        sup_mass = np.zeros(dens.shape[0])
-        xyz = grid.points().reshape(-1, 3)
+        # Standard members are longitude-independent, so an arc's mass needs
+        # only its per-ring point counts; the tilted beam is summed per point.
+        sup_mass = np.zeros(k + 2)
         for axis in axes:
-            dots = np.abs(xyz @ axis)
-            in_tube = dots <= math.sin(width)
-            if not in_tube.any():
-                continue
-            helper = np.zeros(3)
-            helper[int(np.argmin(np.abs(axis)))] = 1.0
-            u = np.cross(axis, helper)
-            u /= np.linalg.norm(u)
-            v = np.cross(axis, u)
-            ang = np.arctan2(xyz @ v, xyz @ u)
-            for c in 2.0 * np.pi * np.arange(8) / 8.0:
-                delta = np.abs((ang - c + np.pi) % (2.0 * np.pi) - np.pi)
-                sel = in_tube & (delta <= 0.5)
-                if sel.any():
-                    masses = dens[:, sel].sum(axis=1)
-                    np.maximum(sup_mass, masses, out=sup_mass)
+            sels = arc_selections(grid, axis, width)
+            masses = np.empty((sels.shape[0], k + 2))
+            masses[:, : k + 1] = (grid.ring_weight * np.count_nonzero(sels, axis=2)) @ profiles
+            masses[:, k + 1] = [beam_dens[sel].sum() for sel in sels]
+            np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
         for label, l4, mass in zip(labels, l4_norms, sup_mass):
             denom = lam**0.125 * mass ** (1.0 / 12.0) + 1.0
             ratio = float(l4 / denom)
@@ -510,13 +493,17 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
     upward recurrence in degree; a second pass at ``spot_points`` points per
     degree goes through the per-point entry points (ell_p_sum,
     eval_basis_row, theta_integral), which run the downward recurrence in
-    order, and folds into the same maxima.  The Gram check synthesizes the
-    basis on the band-k grid from ``signed_order_table``, so it checks the
-    vectorized downward table.
+    order, and folds into the same maxima.  The Gram check accumulates
+    weighted ring products over ``synthesize_rings`` of the identity basis
+    on the band-k grid, so it checks the transform that lambda4 and the beam
+    code run, one ring in memory at a time.  k_max is capped by the upward
+    sweep's range (1024).
     """
     k_max = int(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not 1 <= k_max <= _UPWARD_MAX_DEGREE:
+        raise ValueError(f"k_max must lie in 1..{_UPWARD_MAX_DEGREE}, the upward sweep's range")
+    if int(points) < 1:
+        raise ValueError("points must be >= 1")
     rng = np.random.default_rng(seed)
     worst = {name: (0.0, None) for name in IDENTITY_CHECKS}
 
@@ -569,12 +556,9 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
 
         if include_gram:
             grid = build_grid(k)
-            table = signed_order_table(k, grid.t)
-            phases = np.exp(1j * np.outer(orders, grid.theta))
-            values = table.T[:, :, None] * phases[:, None, :]
-            weights = np.broadcast_to(grid.ring_weight[:, None], grid.shape)
-            weighted = values.reshape(n, -1) * np.sqrt(weights).ravel()[None, :]
-            gram = weighted @ weighted.conj().T
+            gram = np.zeros((n, n), dtype=complex)
+            for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
+                gram += weight * (ring @ ring.conj().T)
             update("gram_identity", np.abs(gram - np.eye(n)).max(), k)
 
     checks = {}

@@ -22,7 +22,7 @@ from .legendre import (
     normalized_assoc_legendre_row,
     normalized_legendre_table,
 )
-from .quadrature import HarmonicField, QuadratureGrid
+from .quadrature import GridResolutionError, HarmonicField, QuadratureGrid
 from .sphere import SpherePoint, rotation_to_pole
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
     "eval_ykm",
     "eval_basis_row",
     "signed_order_table",
+    "synthesize_rings",
+    "analyze",
     "projection_kernel",
     "ell_p_sum",
     "ell_p_profile",
@@ -39,7 +41,6 @@ __all__ = [
     "pointwise_envelope",
     "pointwise_bound_ratio",
     "kernel_bound_ratio",
-    "make_field",
     "standard_field",
     "zonal_field",
     "highest_weight_field",
@@ -129,6 +130,46 @@ def _signed_orders(k: int, base) -> np.ndarray:
     m = np.arange(-k, k + 1)
     sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
     return base[:, np.abs(m)] * sign[None, :]
+
+
+def synthesize_rings(k: int, coefficients, grid: QuadratureGrid):
+    """Iterate over the grid rings of the fields sum_m c_jm Y_km, one per row of c.
+
+    ``coefficients`` has shape (rows, 2k+1), orders m = -k..k.  The radial
+    table and the longitude phases are built once; each step yields one
+    ring's values, shape (rows, n_theta), so memory stays at one ring
+    however many fields are synthesized.
+    """
+    k = int(k)
+    coefficients = np.asarray(coefficients, dtype=complex)
+    if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
+        raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
+    table = signed_order_table(k, grid.t)
+    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
+    return ((coefficients * radial[None, :]) @ phases for radial in table)
+
+
+def analyze(k: int, values, grid: QuadratureGrid) -> np.ndarray:
+    """Coefficients <f, Y_km>, m = -k..k, of a field f given by its grid values.
+
+    ``values`` has the grid's shape (n_phi, n_theta).  One DFT per ring,
+    then the weighted colatitude sum against the radial table.  Exact for
+    band-limited fields of degree <= k when the grid integrates degree-2k
+    products exactly (build_grid(k) does).
+    """
+    k = int(k)
+    if grid.cos_degree_exact < 2 * k or grid.trig_degree_exact < 2 * k:
+        raise GridResolutionError(
+            f"projection needs exactness to degree {2 * k}, grid gives "
+            f"{grid.cos_degree_exact}/{grid.trig_degree_exact}"
+        )
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"expected values of shape {grid.shape}, got {values.shape}")
+    table = signed_order_table(k, grid.t)
+    conj_phases = np.exp(-1j * np.outer(grid.theta, np.arange(-k, k + 1)))
+    ring_dft = values @ conj_phases
+    return ((grid.ring_weight[:, None] * table) * ring_dft).sum(axis=0)
 
 
 def projection_kernel(k: int, x, y) -> float:
@@ -287,13 +328,7 @@ def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
 def coefficient_field(k: int, coefficients, grid: QuadratureGrid, label: str = "") -> HarmonicField:
     """Synthesize sum_m c_m Y_km on the grid from a coefficient vector (m = -k..k)."""
     k = int(k)
-    coefficients = np.asarray(coefficients, dtype=complex)
-    if coefficients.shape != (2 * k + 1,):
-        raise ValueError(f"expected {2 * k + 1} coefficients for degree {k}")
-    table = signed_order_table(k, grid.t)
-    m = np.arange(-k, k + 1)
-    phases = np.exp(1j * np.outer(m, grid.theta))
-    values = (table * coefficients[None, :]) @ phases
+    values = np.concatenate(list(synthesize_rings(k, [coefficients], grid)))
     return HarmonicField(grid, values, label or f"coeff_{k}", k)
 
 
@@ -305,34 +340,3 @@ def ell4_sum_field(k: int, grid: QuadratureGrid) -> HarmonicField:
     profile = ell_p_profile(k, grid.t, 4.0)
     values = np.broadcast_to(profile[:, None], grid.shape).astype(complex)
     return HarmonicField(grid, values.copy(), f"ell4_sum_{k}", k)
-
-
-_FIELD_KINDS = ("standard", "zonal", "highest_weight", "beam", "coefficient")
-
-
-def make_field(kind: str, grid: QuadratureGrid, k: int = None, m: int = None,
-               axis=None, coefficients=None) -> HarmonicField:
-    """Field factory over the named families.
-
-    kind: "standard" (needs k, m), "zonal" (k), "highest_weight" (k),
-    "beam" (k, axis), "coefficient" (k, coefficients).
-    """
-    if kind not in _FIELD_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}; choose from {_FIELD_KINDS}")
-    if k is None:
-        raise ValueError("every field kind needs the degree k")
-    if kind == "standard":
-        if m is None:
-            raise ValueError("standard field needs the order m")
-        return standard_field(k, m, grid)
-    if kind == "zonal":
-        return zonal_field(k, grid)
-    if kind == "highest_weight":
-        return highest_weight_field(k, grid)
-    if kind == "beam":
-        if axis is None:
-            raise ValueError("beam field needs an axis")
-        return beam_field(k, axis, grid)
-    if coefficients is None:
-        raise ValueError("coefficient field needs the coefficient vector")
-    return coefficient_field(k, coefficients, grid)

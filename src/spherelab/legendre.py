@@ -28,7 +28,6 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "LogGammaTable",
     "log_factorial",
     "wallis_integral",
     "legendre_p",
@@ -50,43 +49,13 @@ _XR_SCALE_UP = 2.0**1000
 _XR_CLIP = 2400
 
 
-class LogGammaTable:
-    """Cached values of log(n!) for integer n.
-
-    The table is grown geometrically on demand; ``entry(n)`` accepts scalars
-    or integer arrays and is accurate to relative 1e-13 for n up to 1e6.
-    """
-
-    def __init__(self, max_n: int = 4096):
-        self._values = gammaln(np.arange(int(max_n) + 1, dtype=float) + 1.0)
-
-    @property
-    def max_n(self) -> int:
-        return self._values.size - 1
-
-    def _grow(self, needed: int):
-        new_max = max(needed, 2 * self.max_n)
-        self._values = gammaln(np.arange(new_max + 1, dtype=float) + 1.0)
-
-    def entry(self, n):
-        n_arr = np.asarray(n, dtype=np.int64)
-        if np.any(n_arr < 0):
-            raise ValueError("log factorial requires n >= 0")
-        top = int(n_arr.max()) if n_arr.size else 0
-        if top > self.max_n:
-            self._grow(top)
-        out = self._values[n_arr]
-        if np.isscalar(n) or n_arr.ndim == 0:
-            return float(out)
-        return out
-
-
-_TABLE = LogGammaTable()
-
-
 def log_factorial(n):
-    """log(n!) for scalar or array integer n, from the shared cached table."""
-    return _TABLE.entry(n)
+    """log(n!) for scalar or array integer n >= 0, as gammaln(n + 1)."""
+    n_arr = np.asarray(n, dtype=np.int64)
+    if np.any(n_arr < 0):
+        raise ValueError("log factorial requires n >= 0")
+    out = gammaln(n_arr + 1.0)
+    return float(out) if n_arr.ndim == 0 else out
 
 
 def wallis_integral(n) -> float:

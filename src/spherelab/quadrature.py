@@ -23,9 +23,9 @@ __all__ = [
     "lp_norm",
     "tube_mask",
     "tube_mass",
+    "arc_selections",
     "arc_tube_masses",
     "superlevel_measure",
-    "field_to_csv",
 ]
 
 DEFAULT_MAX_POINTS = 50_000_000
@@ -255,6 +255,35 @@ def tube_mass(field: HarmonicField, circle, width: float) -> float:
     return float(weighted[mask].sum())
 
 
+def arc_selections(
+    grid: QuadratureGrid,
+    circle,
+    width: float,
+    arc_length: float = 1.0,
+    n_arcs: int = 8,
+) -> np.ndarray:
+    """Masks of the arc segments of the tube around a great circle, shape (n_arcs, n_phi, n_theta).
+
+    The tube is cut into ``n_arcs`` overlapping pieces: segment j keeps the
+    tube points whose arc parameter, measured in the circle's frame, lies
+    within arc_length/2 of the center 2 pi j / n_arcs.
+    """
+    from .sphere import GreatCircle
+
+    if not isinstance(circle, GreatCircle):
+        circle = GreatCircle(circle)
+    mask = tube_mask(grid, circle, width)
+    u, v = circle.frame()
+    # Arc parameters are needed only inside the tube, a small share of the grid.
+    xyz = grid.points()[mask]
+    ang = np.arctan2(xyz @ v, xyz @ u)
+    centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
+    delta = np.abs((ang - centers[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    sels = np.zeros((n_arcs,) + grid.shape, dtype=bool)
+    sels[:, mask] = delta <= 0.5 * float(arc_length)
+    return sels
+
+
 def arc_tube_masses(
     field: HarmonicField,
     circle,
@@ -262,30 +291,15 @@ def arc_tube_masses(
     arc_length: float = 1.0,
     n_arcs: int = 8,
 ) -> np.ndarray:
-    """L2 masses over arc segments of the tube around a great circle.
+    """L2 masses over the ``arc_selections`` segments of the tube around a great circle.
 
-    The tube is cut into ``n_arcs`` overlapping unit-length pieces: segment j
-    keeps the points whose arc parameter lies within arc_length/2 of the
-    center 2 pi j / n_arcs.  Returns the n_arcs masses; their max is a lower
-    bound for the sup over all unit arcs on that circle.
+    With the default eight unit-length arcs the segments overlap and cover
+    the circle.  Returns the n_arcs masses; their max is a lower bound for
+    the sup over all unit arcs on that circle.
     """
-    from .sphere import GreatCircle
-
-    if not isinstance(circle, GreatCircle):
-        circle = GreatCircle(circle)
-    mask = tube_mask(field.grid, circle, width)
-    u, v = circle.frame()
-    xyz = field.grid.points()
-    ang = np.arctan2(xyz @ v, xyz @ u)
     dens = field.grid.ring_weight[:, None] * np.abs(field.values) ** 2
-    centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
-    out = np.empty(n_arcs)
-    half = 0.5 * float(arc_length)
-    for j, c in enumerate(centers):
-        delta = np.abs((ang - c + np.pi) % (2.0 * np.pi) - np.pi)
-        sel = mask & (delta <= half)
-        out[j] = float(dens[sel].sum())
-    return out
+    sels = arc_selections(field.grid, circle, width, arc_length, n_arcs)
+    return np.array([float(dens[sel].sum()) for sel in sels])
 
 
 def superlevel_measure(field: HarmonicField, threshold: float) -> float:
@@ -296,18 +310,3 @@ def superlevel_measure(field: HarmonicField, threshold: float) -> float:
     mask = np.abs(field.values) >= threshold
     weighted = np.broadcast_to(field.grid.ring_weight[:, None], field.grid.shape)
     return float(weighted[mask].sum())
-
-
-def field_to_csv(field: HarmonicField, path) -> None:
-    """Write the sampled field as CSV rows (phi, theta, re, im)."""
-    phi = field.grid.phi
-    theta = field.grid.theta
-    with open(path, "w") as fh:
-        fh.write("phi,theta,re,im\n")
-        for i in range(field.grid.n_phi):
-            row = field.values[i]
-            p = repr(float(phi[i]))
-            for j in range(field.grid.n_theta):
-                re_part = repr(float(row[j].real))
-                im_part = repr(float(row[j].imag))
-                fh.write(f"{p},{repr(float(theta[j]))},{re_part},{im_part}\n")

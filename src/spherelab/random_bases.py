@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import signed_order_table
+from .harmonics import synthesize_rings
 from .quadrature import GridResolutionError, QuadratureGrid, build_grid
 
 __all__ = [
     "trial_rng",
     "sample_haar_unitary",
     "CoefficientBasis",
+    "quartic_norms",
     "lambda4",
-    "basis_square_sum",
     "MONTE_CARLO_COLUMNS",
     "MonteCarloLambda4",
     "monte_carlo_lambda4",
@@ -119,46 +119,31 @@ def _check_quartic_grid(k: int, grid: QuadratureGrid):
         )
 
 
+def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
+    """||f_j||_4^4 for the fields f_j = sum_m c_jm Y_km, one per coefficient row.
+
+    Sums ring by ring over ``synthesize_rings``; the grid must be exact for
+    quartic degree-k integrands.
+    """
+    _check_quartic_grid(k, grid)
+    out = np.zeros(len(coefficients))
+    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, coefficients, grid)):
+        out += weight * (np.abs(ring) ** 4).sum(axis=1)
+    return out
+
+
 def lambda4(basis: CoefficientBasis, grid: QuadratureGrid) -> float:
     """Sum over basis elements of the fourth power of their L4 norm.
 
-    Synthesis walks the grid ring by ring: one matrix product per ring gives
-    every element's values there, so the whole functional costs one pass.
-    Requires every row to be unit L2 (within 1e-6) and the grid to be exact
-    for quartic degree-k integrands.
+    Requires every row to be unit L2 (within 1e-6); the sum itself is
+    ``quartic_norms`` over the basis rows, so it needs a grid exact for
+    quartic degree-k integrands.
     """
-    k = basis.k
-    _check_quartic_grid(k, grid)
     row_norms = np.sqrt((np.abs(basis.matrix) ** 2).sum(axis=1))
     worst = float(np.abs(row_norms - 1.0).max())
     if worst > 1e-6:
         raise ValueError(f"basis rows deviate from unit L2 by {worst:.3e}")
-    table = signed_order_table(k, grid.t)
-    m = np.arange(-k, k + 1)
-    phases = np.exp(1j * np.outer(m, grid.theta))
-    per_element = np.zeros(basis.size)
-    for i in range(grid.n_phi):
-        ring_values = (basis.matrix * table[i][None, :]) @ phases
-        per_element += grid.ring_weight[i] * (np.abs(ring_values) ** 4).sum(axis=1)
-    return float(per_element.sum())
-
-
-def basis_square_sum(basis: CoefficientBasis, grid: QuadratureGrid) -> np.ndarray:
-    """Pointwise sum over elements of |phi_j(x)|^2, shape (n_phi, n_theta).
-
-    For any full orthonormal basis this equals the constant (2k+1)/4pi, the
-    degree-k kernel on the diagonal; computing it from synthesized values
-    exercises that invariance.
-    """
-    k = basis.k
-    table = signed_order_table(k, grid.t)
-    m = np.arange(-k, k + 1)
-    phases = np.exp(1j * np.outer(m, grid.theta))
-    out = np.empty((grid.n_phi, grid.n_theta))
-    for i in range(grid.n_phi):
-        ring_values = (basis.matrix * table[i][None, :]) @ phases
-        out[i] = (np.abs(ring_values) ** 2).sum(axis=0)
-    return out
+    return float(quartic_norms(basis.k, basis.matrix, grid).sum())
 
 
 @dataclass

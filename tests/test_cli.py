@@ -33,6 +33,15 @@ def test_verify_exits_clean(capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_verify_zero_points_is_usage_error(capsys):
+    code = main(["verify", "--points", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "points" in captured.err
+    assert "zero-size" not in captured.err
+
+
 def test_norms_prints_table(capsys):
     code = main(["norms", "--k", "1", "--q", "4", "--q", "inf"])
     out = capsys.readouterr().out
@@ -87,6 +96,14 @@ def test_avg_l4_small_sweep(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_avg_l4_without_a_degree_of_two_is_usage_error(capsys):
+    code = main(["avg-l4", "--k-min", "1", "--k-max", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "k >= 2" in captured.err
 
 
 def test_scaling_gate(capsys):

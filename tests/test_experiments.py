@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from spherelab.experiments import (
     write_csv,
     write_json,
 )
+from spherelab.harmonics import beam_field, standard_field
+from spherelab.quadrature import arc_tube_masses, build_grid
+from spherelab.sphere import fibonacci_axes
 
 
 def test_fit_power_law_exact_recovery():
@@ -116,6 +120,21 @@ def test_tube_ratio_experiment_rows():
     assert res.max_ratio == pytest.approx(max(row["ratio"] for row in res.rows))
 
 
+def test_tube_ratio_arc_masses_match_per_point_oracle():
+    # The sweep sums standard members by per-ring point counts; the oracle
+    # sums every field point by point with arc_tube_masses over the same axes.
+    k = 8
+    res = tube_ratio_experiment([k], oversample=2.0, n_axes=16)
+    grid = build_grid(k, 2.0)
+    width = math.sqrt(k * (k + 1)) ** -0.5
+    axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(16)])
+    fields = [standard_field(k, m, grid) for m in range(k + 1)]
+    fields.append(beam_field(k, np.ones(3) / math.sqrt(3.0), grid))
+    for row, f in zip(res.rows, fields):
+        oracle = max(arc_tube_masses(f, axis, width).max() for axis in axes)
+        assert row["sup_arc_mass"] == pytest.approx(oracle, rel=1e-12)
+
+
 def test_superlevel_experiment_limits():
     res = superlevel_experiment([16], c_grid=(1e-6, 50.0))
     rows = {row["c"]: row for row in res.rows}
@@ -139,6 +158,17 @@ def test_exact_identity_suite_small():
         assert entry["passed"], name
         assert entry["max_error"] <= entry["tolerance"]
         assert 0 <= entry["worst_k"] <= 8
+
+
+def test_exact_identity_suite_rejects_bad_ranges_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        exact_identity_suite(k_max=1025)
+    with pytest.raises(ValueError):
+        exact_identity_suite(k_max=0)
+    with pytest.raises(ValueError):
+        exact_identity_suite(k_max=4, points=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_write_csv_deterministic(tmp_path):

@@ -6,6 +6,7 @@ from scipy.special import sph_harm_y
 
 from spherelab.harmonics import (
     EigenvalueInfo,
+    analyze,
     beam_field,
     coefficient_field,
     ell4_sum_field,
@@ -15,7 +16,6 @@ from spherelab.harmonics import (
     eval_ykm,
     highest_weight_field,
     kernel_bound_ratio,
-    make_field,
     pointwise_bound_ratio,
     pointwise_envelope,
     polar_distance,
@@ -23,10 +23,12 @@ from spherelab.harmonics import (
     sigma_exponent,
     signed_order_table,
     standard_field,
+    synthesize_rings,
     theta_integral,
     zonal_field,
 )
-from spherelab.quadrature import build_grid, lp_norm
+from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
+from spherelab.random_bases import sample_haar_unitary
 from spherelab.sphere import SpherePoint
 
 
@@ -268,6 +270,41 @@ def test_coefficient_field_one_hot():
         coefficient_field(5, np.zeros(4), grid)
 
 
+def test_analyze_inverts_synthesis():
+    rng = np.random.default_rng(4)
+    for k in (0, 1, 17):
+        grid = build_grid(k)
+        coeffs = rng.standard_normal((3, 2 * k + 1)) + 1j * rng.standard_normal((3, 2 * k + 1))
+        values = np.stack(list(synthesize_rings(k, coeffs, grid)), axis=1)
+        assert values.shape == (3,) + grid.shape
+        for row, field in zip(coeffs, values):
+            assert np.abs(analyze(k, field, grid) - row).max() <= 1e-12
+
+
+def test_transform_pair_validation():
+    grid = build_grid(6)
+    with pytest.raises(ValueError):
+        synthesize_rings(6, np.zeros((2, 12)), grid)
+    with pytest.raises(ValueError):
+        synthesize_rings(6, np.zeros(13), grid)
+    with pytest.raises(ValueError):
+        analyze(6, np.zeros((3, 3)), grid)
+    with pytest.raises(GridResolutionError):
+        analyze(13, np.zeros(grid.shape), grid)  # needs degree-26 exactness
+
+
+def test_synthesized_square_sum_is_constant():
+    # Any orthonormal basis of the eigenspace has sum_j |phi_j(x)|^2 = (2k+1)/4pi.
+    k = 8
+    grid = build_grid(k)
+    target = (2 * k + 1) / (4 * math.pi)
+    for matrix in (np.eye(2 * k + 1), sample_haar_unitary(2 * k + 1, np.random.default_rng(2))):
+        rings = synthesize_rings(k, matrix, grid)
+        square_sum = np.array([(np.abs(ring) ** 2).sum(axis=0) for ring in rings])
+        assert square_sum.shape == grid.shape
+        assert np.allclose(square_sum, target, atol=1e-10)
+
+
 def test_ell4_sum_field_matches_profile():
     grid = build_grid(9)
     f = ell4_sum_field(9, grid)
@@ -276,26 +313,6 @@ def test_ell4_sum_field_matches_profile():
     # quartic aggregate to the fourth power integrates to the average growth constant
     a_k = grid.integrate(np.abs(f.values) ** 4) / (2 * 9 + 1)
     assert a_k > 0
-
-
-def test_make_field_dispatch_and_validation():
-    grid = build_grid(4)
-    assert make_field("zonal", grid, k=4).label == "Z_4"
-    assert make_field("highest_weight", grid, k=4).label == "Q_4"
-    got = make_field("standard", grid, k=4, m=1)
-    assert np.allclose(got.values, standard_field(4, 1, grid).values)
-    beam = make_field("beam", grid, k=4, axis=[1, 1, 1])
-    assert beam.l2_norm() == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        make_field("mystery", grid, k=4)
-    with pytest.raises(ValueError):
-        make_field("standard", grid, k=4)
-    with pytest.raises(ValueError):
-        make_field("beam", grid, k=4)
-    with pytest.raises(ValueError):
-        make_field("coefficient", grid, k=4)
-    with pytest.raises(ValueError):
-        make_field("zonal", grid)
 
 
 def test_low_degree_l4_closed_forms():

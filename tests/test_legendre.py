@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spherelab.legendre import (
-    LogGammaTable,
     _sectoral_log,
     _upward_degree_table,
     legendre_p,
@@ -48,14 +47,6 @@ def test_log_factorial_against_lgamma():
         assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-14, abs=1e-14)
     arr = log_factorial(np.array([3, 5, 8]))
     assert np.allclose(arr, [math.lgamma(4), math.lgamma(6), math.lgamma(9)])
-
-
-def test_log_gamma_table_grows():
-    table = LogGammaTable(max_n=8)
-    assert table.entry(500) == pytest.approx(math.lgamma(501), rel=1e-14)
-    assert table.max_n >= 500
-    with pytest.raises(ValueError):
-        table.entry(-1)
 
 
 def test_legendre_p_explicit_polynomials():

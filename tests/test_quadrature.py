@@ -7,9 +7,9 @@ from spherelab.quadrature import (
     GridResolutionError,
     HarmonicField,
     TubeResolutionWarning,
+    arc_selections,
     arc_tube_masses,
     build_grid,
-    field_to_csv,
     lp_norm,
     superlevel_measure,
     tube_mask,
@@ -190,6 +190,21 @@ def test_arc_masses_cover_the_tube():
     assert np.allclose(arcs, mass / (2 * math.pi), rtol=0.2)
 
 
+def test_arc_selections_lie_inside_the_tube():
+    g = build_grid(24)
+    circle = GreatCircle([0.2, -0.4, 0.9])
+    tube = tube_mask(g, circle, 0.25)
+    sels = arc_selections(g, circle, 0.25)
+    assert sels.shape == (8,) + g.shape
+    assert not (sels & ~tube).any()
+    # eight unit arcs cover the circle, so together they are the whole tube
+    assert np.array_equal(sels.any(axis=0), tube)
+    short = arc_selections(g, circle, 0.25, arc_length=0.2, n_arcs=3)
+    assert short.shape == (3,) + g.shape
+    assert not (short & ~tube).any()
+    assert short.any(axis=0).sum() < tube.sum()
+
+
 def test_superlevel_measure_constant():
     g = build_grid(8)
     f = _unit_constant_field(g)
@@ -198,21 +213,3 @@ def test_superlevel_measure_constant():
     assert superlevel_measure(f, 2.0 * level) == 0.0
     with pytest.raises(ValueError):
         superlevel_measure(f, -1.0)
-
-
-def test_field_csv_deterministic(tmp_path):
-    g = build_grid(3)
-    rng = np.random.default_rng(9)
-    f = HarmonicField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    field_to_csv(f, p1)
-    field_to_csv(f, p2)
-    b1 = p1.read_bytes()
-    assert b1 == p2.read_bytes()
-    lines = b1.decode().splitlines()
-    assert lines[0] == "phi,theta,re,im"
-    assert len(lines) == 1 + g.n_points
-    # repr round-trips doubles exactly
-    phi0, theta0, re0, im0 = lines[1].split(",")
-    assert float(re0) == f.values[0, 0].real

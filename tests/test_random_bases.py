@@ -6,7 +6,6 @@ import pytest
 from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import (
     CoefficientBasis,
-    basis_square_sum,
     entry_moment,
     gaussian_limit_check,
     lambda4,
@@ -85,17 +84,6 @@ def test_lambda4_rotation_invariant_for_identity():
     # degree-1 space: any orthonormal basis of it gives the same square-sum
     # field, but quartic sums genuinely differ; just sanity-bound the range
     assert 0 < val < 10 * base
-
-
-def test_basis_square_sum_is_constant_field():
-    grid = build_grid(8)
-    target = (2 * 8 + 1) / (4 * math.pi)
-    for basis in (
-        CoefficientBasis.identity(8),
-        CoefficientBasis.from_unitary(8, sample_haar_unitary(17, np.random.default_rng(2))),
-    ):
-        field = basis_square_sum(basis, grid)
-        assert np.allclose(field, target, atol=1e-10)
 
 
 def test_monte_carlo_reproducible_and_subset_consistent():
