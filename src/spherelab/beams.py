@@ -32,6 +32,7 @@ __all__ = [
     "orthonormalize",
     "complete_basis",
     "beam_experiment",
+    "beam_gates",
     "BEAM_EXPERIMENT_COLUMNS",
 ]
 
@@ -370,6 +371,16 @@ def beam_experiment(
         rows.append(row)
     _warn_on_nonmonotone(rows)
     return rows
+
+
+def beam_gates(rows) -> list:
+    """The sweep's one (passed, text) gate: every configuration orthonormalized.
+
+    A configuration passes with a finite Gram condition number and a
+    positive minimum retention.
+    """
+    done = all(math.isfinite(row["gram_cond"]) and row["min_ret"] > 0.0 for row in rows)
+    return [(done, "orthonormalization completed for every configuration")]
 
 
 def _warn_on_nonmonotone(rows):

@@ -3,8 +3,16 @@
 Every experiment here reports raw numbers next to any fitted summary, embeds
 the quadrature exactness certificate it ran under, and uses ordinary least
 squares on log-log data with the residual RMS exposed.  Gates built on these
-sweeps (the CLI and the acceptance tests) read both the fitted value and the
-residual; a slope with a bad residual is not a pass.
+sweeps read both the fitted value and the residual; a slope with a bad
+residual is not a pass.
+
+Every experiment the command line runs returns one result shape,
+``ExperimentRun``: ``rows`` (the row table), ``certificate`` (the record's
+``grid`` block), ``outputs`` (the record's ``outputs`` block), ``gates``
+(``(passed, text)`` pairs) and ``summary`` (lines printed after the table).
+Typed results extend it with the values their callers read.  Each gate
+threshold is a module constant defined beside its experiment; the
+acceptance tests pin the constants to their literal values.
 """
 
 import json
@@ -26,6 +34,7 @@ from .harmonics import (
     highest_weight_field,
     pointwise_envelope,
     projection_kernel,
+    standard_field,
     synthesize_rings,
     theta_integral,
     zonal_field,
@@ -42,28 +51,40 @@ from .sphere import fibonacci_axes
 __all__ = [
     "PowerLawFit",
     "ExperimentRecord",
+    "ExperimentRun",
     "fit_power_law",
     "family_norm_table",
     "scaling_target",
     "scaling_experiment",
+    "norms_experiment",
     "IDENTITY_CHECKS",
     "exact_identity_suite",
+    "identity_gates",
     "AverageL4Result",
     "average_l4_experiment",
     "EnvelopeSweepResult",
     "pointwise_envelope_experiment",
     "TubeRatioResult",
     "tube_ratio_experiment",
-    "SuperlevelResult",
     "superlevel_experiment",
     "write_csv",
     "write_json",
 ]
 
 
+# Scaling gate: the fitted exponent lies within this distance of its target,
+# and the log-log residual RMS stays at or below the second bound.
+SCALING_EXPONENT_TOLERANCE = 0.02
+SCALING_MAX_RESIDUAL_RMS = 0.05
+
+
 @dataclass
 class PowerLawFit:
-    """OLS fit of log(value) against log(k), with the lambda-variable refit alongside."""
+    """OLS fit of log(value) against log(k), with the lambda-variable refit alongside.
+
+    For a ``scaling_experiment`` fit, ``rows``, ``gates`` and ``summary``
+    read the norm table in the certificate and the predicted target.
+    """
 
     exponent: float
     intercept: float
@@ -88,6 +109,36 @@ class PowerLawFit:
             "certificate": self.certificate,
         }
 
+    @property
+    def rows(self) -> list:
+        norms = self.certificate["norms"]
+        return [
+            {"k": k, "band": band, "norm": norms[k]}
+            for k, band in self.certificate["bands"].items()
+        ]
+
+    @property
+    def outputs(self) -> dict:
+        return self.to_dict()
+
+    @property
+    def gates(self) -> list:
+        miss, rms = abs(self.exponent - self.target), self.residual_rms
+        return [
+            (miss <= SCALING_EXPONENT_TOLERANCE,
+             f"|exponent - target| = {miss:.4f} <= {SCALING_EXPONENT_TOLERANCE:g}"),
+            (rms <= SCALING_MAX_RESIDUAL_RMS,
+             f"log-log residual rms {rms:.2e} <= {SCALING_MAX_RESIDUAL_RMS:g}"),
+        ]
+
+    @property
+    def summary(self) -> tuple:
+        return (
+            f"fit: exponent {self.exponent:.6f} (target {self.target:.6f}), "
+            f"residual rms {self.residual_rms:.2e}, lambda-variable exponent "
+            f"{self.exponent_lambda:.6f}",
+        )
+
 
 @dataclass
 class ExperimentRecord:
@@ -101,10 +152,15 @@ class ExperimentRecord:
     wall_clock_s: float = 0.0
     version: str = __version__
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The record as plain JSON values, keys converted to strings the way json does."""
+
         def clean(obj):
             if isinstance(obj, dict):
-                return {key: clean(val) for key, val in obj.items()}
+                return {
+                    key if isinstance(key, str) else json.dumps(key): clean(val)
+                    for key, val in obj.items()
+                }
             if isinstance(obj, (list, tuple)):
                 return [clean(val) for val in obj]
             if isinstance(obj, (np.floating, np.integer)):
@@ -113,7 +169,7 @@ class ExperimentRecord:
                 return [clean(val) for val in obj.tolist()]
             return obj
 
-        payload = {
+        return {
             "name": self.name,
             "params": clean(self.params),
             "grid": clean(self.grid),
@@ -122,7 +178,20 @@ class ExperimentRecord:
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+
+@dataclass
+class ExperimentRun:
+    """The result shape the command line reports; typed results extend it."""
+
+    rows: list
+    certificate: dict = field(default_factory=dict)
+    outputs: dict = field(default_factory=dict)
+    gates: list = field(default_factory=list)
+    summary: tuple = ()
 
 
 def _ols_loglog(x, y):
@@ -235,19 +304,40 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> PowerLawF
     )
 
 
-@dataclass
-class AverageL4Result:
+def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) -> ExperimentRun:
+    """L^q norms of Z_k, Q_k and, when ``m`` is given, Y_km, for each exponent q.
+
+    Each q reads a grid at band max(k, ceil(q k / 4)), which makes the
+    integral exact for even q; q = inf reads the max over the band-k grid.
+    The certificate lists the bands used.  There is no gate.
+    """
+    k = int(k)
+    rows = []
+    grids = {}
+    for q in qs:
+        band = k if math.isinf(q) else max(k, int(math.ceil(q * k / 4.0)))
+        if band not in grids:
+            grids[band] = build_grid(band, oversample)
+        grid = grids[band]
+        fields = [zonal_field(k, grid), highest_weight_field(k, grid)]
+        if m is not None:
+            fields.append(standard_field(k, m, grid))
+        for f in fields:
+            rows.append({"label": f.label, "q": float(q), "band": band, "norm": lp_norm(f, q)})
+    return ExperimentRun(rows, certificate={"bands": sorted(grids)})
+
+
+# Average-L4 gate: max/min of A_k / log k over the sweep stays at or below this.
+AVERAGE_L4_MAX_SPREAD = 5.0
+
+
+@dataclass(kw_only=True)
+class AverageL4Result(ExperimentRun):
     """The eigenspace-averaged fourth-power norms A_k and their log-k ratios."""
 
-    rows: list
     strictly_increasing: bool
     ratio_band: tuple
-    certificate: dict
-
-    @property
-    def band_spread(self) -> float:
-        low, high = self.ratio_band
-        return high / low
+    band_spread: float
 
 
 AVERAGE_L4_COLUMNS = ("k", "a_k", "a_k_over_log_k")
@@ -275,25 +365,40 @@ def average_l4_experiment(ks, oversample: float = 1.0) -> AverageL4Result:
         rows.append({"k": k, "a_k": float(a_k), "a_k_over_log_k": float(ratio)})
     increasing = all(b > a for a, b in zip(a_values, a_values[1:]))
     ratios = [row["a_k_over_log_k"] for row in rows if row["k"] >= 2]
-    band = (min(ratios), max(ratios)) if ratios else (float("nan"), float("nan"))
+    low, high = (min(ratios), max(ratios)) if ratios else (float("nan"), float("nan"))
+    spread = high / low
     certificate = {
         "integrand_exact": True,
         "profile_quadrature": "gauss_legendre",
         "oversample": oversample,
     }
+    gates = [
+        (
+            spread <= AVERAGE_L4_MAX_SPREAD,
+            f"A_k/log k in [{low:.6g}, {high:.6g}], spread {spread:.4g} "
+            f"<= {AVERAGE_L4_MAX_SPREAD:g}",
+        ),
+        (increasing, "A_k strictly increasing across the sweep"),
+    ]
     return AverageL4Result(
-        rows=rows,
+        rows,
+        certificate,
+        {"ratio_band": [low, high], "strictly_increasing": increasing},
+        gates,
         strictly_increasing=increasing,
-        ratio_band=band,
-        certificate=certificate,
+        ratio_band=(low, high),
+        band_spread=spread,
     )
 
 
-@dataclass
-class EnvelopeSweepResult:
+# Envelope gate: max/min of the per-degree sup ratios stays at or below this.
+ENVELOPE_MAX_SPREAD = 3.0
+
+
+@dataclass(kw_only=True)
+class EnvelopeSweepResult(ExperimentRun):
     """Per-degree sup of the pointwise ell^4 bound ratio over colatitudes."""
 
-    rows: list
     band_spread: float
 
 
@@ -331,17 +436,25 @@ def pointwise_envelope_experiment(ks, n_colat: int = 400) -> EnvelopeSweepResult
                 "pole_ratio": pole_ratio,
             }
         )
-    spread = max(sups) / min(sups) if sups else float("nan")
-    return EnvelopeSweepResult(rows=rows, band_spread=float(spread))
+    spread = float(max(sups) / min(sups)) if sups else float("nan")
+    gate = (
+        spread <= ENVELOPE_MAX_SPREAD,
+        f"per-k sup ratios stay within a factor {spread:.4g} <= {ENVELOPE_MAX_SPREAD:g} band",
+    )
+    return EnvelopeSweepResult(
+        rows, outputs={"band_spread": spread}, gates=[gate], band_spread=spread
+    )
 
 
-@dataclass
-class TubeRatioResult:
+# Tube-ratio gate: every concentration ratio stays at or below this.
+TUBE_RATIO_MAX = 1.0
+
+
+@dataclass(kw_only=True)
+class TubeRatioResult(ExperimentRun):
     """Tube-concentration ratios for every family member at each degree."""
 
-    rows: list
     max_ratio: float
-    certificate: dict
 
 
 TUBE_RATIO_COLUMNS = ("k", "label", "lam", "l4", "sup_arc_mass", "ratio")
@@ -411,26 +524,30 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
         "arc_length": 1.0,
         "axis_sampling": "equator + fibonacci(max(64, 4k))",
     }
-    return TubeRatioResult(rows=rows, max_ratio=float(max_ratio), certificate=certificate)
+    max_ratio = float(max_ratio)
+    gate = (
+        max_ratio <= TUBE_RATIO_MAX,
+        f"max concentration ratio {max_ratio:.4f} <= {TUBE_RATIO_MAX:.1f}",
+    )
+    return TubeRatioResult(
+        rows, certificate, {"max_ratio": max_ratio}, [gate], max_ratio=max_ratio
+    )
 
 
-@dataclass
-class SuperlevelResult:
-    """Scaled measures of the ell^4-sum superlevel sets."""
-
-    rows: list
-    certificate: dict
-
+# Superlevel gate: at the largest threshold constant C, the scaled measure
+# stays at or below this.
+SUPERLEVEL_MAX_SCALED = 1.0
 
 SUPERLEVEL_COLUMNS = ("k", "c", "threshold", "measure", "scaled_measure")
 
 
-def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) -> SuperlevelResult:
+def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) -> ExperimentRun:
     """Measure of {x : ell^4 sum >= C lam^(1/2)} scaled by lam^(1/2), per (k, C).
 
     The measure of a level set is a discretization, not a band-limited
     integral, so the certificate records the grid resolution instead of an
-    exactness claim; the boundedness gates tolerate the ring-width error.
+    exactness claim; the boundedness gate, on the largest C, tolerates the
+    ring-width error.
     """
     rows = []
     grids = {}
@@ -460,7 +577,14 @@ def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) 
         "oversample": oversample,
         "grids": grids,
     }
-    return SuperlevelResult(rows=rows, certificate=certificate)
+    c_top = max(c_grid, default=math.nan)
+    top = max((row["scaled_measure"] for row in rows if row["c"] == c_top), default=math.nan)
+    gate = (
+        top <= SUPERLEVEL_MAX_SCALED,
+        f"scaled superlevel measure at C={c_top:g} bounded: max {top:.4g} "
+        f"<= {SUPERLEVEL_MAX_SCALED:.1f}",
+    )
+    return ExperimentRun(rows, certificate, {"max_scaled_at_top_c": top}, [gate])
 
 
 IDENTITY_CHECKS = ("l2_identity", "addition_theorem", "theta_identity", "gram_identity")
@@ -471,6 +595,18 @@ _IDENTITY_TOLERANCES = {
     "theta_identity": 1e-10,
     "gram_identity": 1e-11,
 }
+
+
+def identity_gates(report: dict) -> list:
+    """One (passed, text) gate per check of an ``exact_identity_suite`` report."""
+    return [
+        (
+            info["passed"],
+            f"{name}: max error {info['max_error']:.3e} <= {info['tolerance']:.0e} "
+            f"(worst at k={info['worst_k']})",
+        )
+        for name, info in report["checks"].items()
+    ]
 
 
 def _random_points(rng, count):
@@ -607,7 +743,7 @@ def write_csv(path, columns, rows) -> None:
 def write_json(path, record: ExperimentRecord, columns, rows) -> None:
     """Write the experiment record plus the same rows the CSV would carry."""
     payload = {
-        "record": json.loads(record.to_json()),
+        "record": record.to_dict(),
         "columns": list(columns),
         "rows": [
             {col: _json_cell(row[col]) for col in columns}

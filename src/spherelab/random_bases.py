@@ -146,6 +146,10 @@ def lambda4(basis: CoefficientBasis, grid: QuadratureGrid) -> float:
     return float(quartic_norms(basis.k, basis.matrix, grid).sum())
 
 
+# Random-ONB gate: the mean/benchmark ratio lies in this closed interval.
+HAAR_RATIO_BAND = (0.9, 1.1)
+
+
 @dataclass
 class MonteCarloLambda4:
     """Sample statistics of the fourth-power functional over Haar bases.
@@ -153,7 +157,8 @@ class MonteCarloLambda4:
     ``mean`` and ``stderr`` are in the geometric normalization of lambda4;
     ``benchmark`` is the asymptotic prediction (2k+1)/(2 pi) in that same
     normalization, and ``ratio`` = mean / benchmark is the quantity expected
-    to drift toward 1 as k grows.
+    to drift toward 1 as k grows.  ``certificate`` describes the grid the
+    trials ran on.
     """
 
     k: int
@@ -165,6 +170,7 @@ class MonteCarloLambda4:
     benchmark: float
     ratio: float
     ratio_stderr: float
+    certificate: dict = None
 
     def rows(self):
         """Per-trial rows (trial, k, lambda4, seed) for CSV export."""
@@ -172,6 +178,26 @@ class MonteCarloLambda4:
             {"trial": i, "k": self.k, "lambda4": float(v), "seed": self.seed}
             for i, v in enumerate(self.values)
         ]
+
+    @property
+    def outputs(self) -> dict:
+        names = ("mean", "stderr", "benchmark", "ratio", "ratio_stderr")
+        return {name: getattr(self, name) for name in names}
+
+    @property
+    def gates(self) -> list:
+        low, high = HAAR_RATIO_BAND
+        text = f"mean/benchmark ratio {self.ratio:.4f} in [{low:g}, {high:g}]"
+        return [(low <= self.ratio <= high, text)]
+
+    @property
+    def summary(self) -> tuple:
+        return (
+            f"k={self.k} trials={self.trials} seed={self.seed}",
+            f"mean lambda4 {self.mean:.8f} +- {self.stderr:.8f} (geometric measure)",
+            f"benchmark (2k+1)/(2pi) = {self.benchmark:.8f}",
+            f"ratio {self.ratio:.6f} +- {self.ratio_stderr:.6f}",
+        )
 
 
 def monte_carlo_lambda4(
@@ -213,6 +239,7 @@ def monte_carlo_lambda4(
         benchmark=benchmark,
         ratio=mean / benchmark,
         ratio_stderr=stderr / benchmark,
+        certificate=grid.describe(),
     )
 
 

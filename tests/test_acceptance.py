@@ -24,6 +24,12 @@ from spherelab.beams import (
     place_separated_axes,
 )
 from spherelab.experiments import (
+    AVERAGE_L4_MAX_SPREAD,
+    ENVELOPE_MAX_SPREAD,
+    SCALING_EXPONENT_TOLERANCE,
+    SCALING_MAX_RESIDUAL_RMS,
+    SUPERLEVEL_MAX_SCALED,
+    TUBE_RATIO_MAX,
     average_l4_experiment,
     exact_identity_suite,
     pointwise_envelope_experiment,
@@ -35,6 +41,7 @@ from spherelab.harmonics import beam_field, coefficient_field, highest_weight_fi
 from spherelab.legendre import _sectoral_log, wallis_integral
 from spherelab.quadrature import build_grid, lp_norm, tube_mass
 from spherelab.random_bases import (
+    HAAR_RATIO_BAND,
     CoefficientBasis,
     entry_moment,
     gaussian_limit_check,
@@ -118,6 +125,8 @@ def test_criterion_3_average_l4_band():
         f"increasing {res.strictly_increasing}, {elapsed:.1f}s"
     )
     assert _report(3, "average fourth-power growth", ok, detail)
+    # the command-line gate reads the shared constant; pin it to the literal above
+    assert AVERAGE_L4_MAX_SPREAD == 5.0
 
 
 def test_criterion_4_scaling_exponents():
@@ -140,6 +149,8 @@ def test_criterion_4_scaling_exponents():
         f"rms {fit_q4.residual_rms:.4f}, {elapsed:.1f}s"
     )
     assert _report(4, "growth exponents", ok, detail)
+    assert SCALING_EXPONENT_TOLERANCE == 0.02
+    assert SCALING_MAX_RESIDUAL_RMS == 0.05
 
 
 def test_criterion_5_random_onb_mean():
@@ -158,6 +169,7 @@ def test_criterion_5_random_onb_mean():
         f"stderr {res.ratio_stderr:.2e}, bitwise {bitwise}, {elapsed:.1f}s"
     )
     assert _report(5, "random ONB fourth-power mean", ok, detail)
+    assert HAAR_RATIO_BAND == (0.9, 1.1)
 
 
 def test_criterion_6_entry_moments():
@@ -212,6 +224,9 @@ def test_criterion_8_envelope_superlevel_tube_ratio():
         f"tube ratio max {tube.max_ratio:.3f} (<= 1), {elapsed:.1f}s"
     )
     assert _report(8, "envelope / superlevel / tube-ratio gates", ok, detail)
+    assert ENVELOPE_MAX_SPREAD == 3.0
+    assert SUPERLEVEL_MAX_SCALED == 1.0
+    assert TUBE_RATIO_MAX == 1.0
 
 
 def test_criterion_9_beam_machinery():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spherelab.cli import _doubling_ks, _parse_q, main
+from spherelab.cli import _SUBCOMMANDS, _doubling_ks, _parse_q, build_parser, main
 
 
 def test_parse_q():
@@ -142,6 +142,53 @@ def test_beams_small_run(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_beams_k_max_without_k_min_is_usage_error(capsys):
+    code = main(["beams", "--k-max", "128"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--k-min" in captured.err
+
+
+# (argv at small settings, gates the subcommand reports)
+_EVERY_SUBCOMMAND = [
+    (["norms", "--k", "4", "--q", "4", "--q", "inf"], 0),
+    (["avg-l4", "--k-min", "8", "--k-max", "32"], 2),
+    (["scaling", "--k-min", "16", "--k-max", "128"], 2),
+    (["pointwise", "--k-min", "8", "--k-max", "32"], 1),
+    (["random-onb", "--k", "8", "--trials", "6", "--seed", "11"], 1),
+    (["beams", "--k", "8", "--delta", "0.5", "--j", "2"], 1),
+    (["tube-ratio", "--k-min", "8", "--k-max", "8"], 1),
+    (["superlevel", "--k-min", "16", "--k-max", "16"], 1),
+    (["verify", "--k-max", "4", "--points", "10"], 4),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, n_gates", _EVERY_SUBCOMMAND, ids=[argv[0] for argv, _ in _EVERY_SUBCOMMAND]
+)
+def test_every_subcommand_writes_a_json_record(tmp_path, capsys, argv, n_gates):
+    path = tmp_path / "run.json"
+    code = main(argv + ["--out", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # the gates printed are the gates the subcommand's result reports
+    args = build_parser().parse_args(argv)
+    result, _, _ = _SUBCOMMANDS[args.command].run(args)
+    assert len(result.gates) == n_gates
+    assert out.count("[PASS]") == n_gates
+    assert "[FAIL]" not in out
+    payload = json.loads(path.read_text())
+    record = payload["record"]
+    assert record["name"] == argv[0]
+    assert {"params", "grid", "seed", "outputs"} <= set(record)
+    assert len(payload["rows"]) == len(result.rows)
+
+
+def test_every_subcommand_is_in_the_json_record_test():
+    assert sorted(_SUBCOMMANDS) == sorted(argv[0] for argv, _ in _EVERY_SUBCOMMAND)
 
 
 def test_argparse_usage_errors():

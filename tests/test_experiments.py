@@ -213,6 +213,28 @@ def test_write_json_round_trip(tmp_path):
     assert json.loads(text1)["version"]
 
 
+def test_write_json_matches_a_json_round_trip_of_the_record(tmp_path):
+    # integer keys sort numerically before conversion and as text after it;
+    # the file must carry the order a json round trip of the record gives
+    record = ExperimentRecord(
+        name="scaling",
+        params={"ks": [8, 16, 32]},
+        grid={"bands": {8: 8, 16: 16, 32: 32}, "norms": {8: 0.5, 16: 0.25, 32: 0.125}},
+        seed=None,
+        outputs={"k_range": (8, 32), "value": np.float64(2.5), "nan": float("nan")},
+        wall_clock_s=0.25,
+    )
+    path = tmp_path / "out.json"
+    write_json(path, record, ("k",), [{"k": 8}])
+    payload = {
+        "record": json.loads(record.to_json()),
+        "columns": ["k"],
+        "rows": [{"k": 8}],
+    }
+    assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert record.to_dict()["grid"]["bands"] == {"8": 8, "16": 16, "32": 32}
+
+
 def test_timed_returns_result_and_duration():
     result, seconds = timed(sum, [1, 2, 3])
     assert result == 6
