@@ -320,12 +320,15 @@ def beam_experiment(
 
     ``j_rule`` may be an integer (fixed beam count), a callable (k, delta) ->
     count, or None for the default count sqrt(k) capped at half the packing
-    bound.  Requested counts are clamped to what the packing bound allows.
-    Row columns follow BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of
-    fourth-power norms after orthonormalization, to be read against the
-    k log k growth of the standard full basis.
+    bound.  Requested counts are clamped to what the packing bound allows;
+    a fixed count below 1 is a ValueError.  Row columns follow
+    BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
+    norms after orthonormalization, to be read against the k log k growth
+    of the standard full basis.
     """
     k = int(k)
+    if j_rule is not None and not callable(j_rule) and int(j_rule) < 1:
+        raise ValueError(f"a fixed beam count must be >= 1, got {int(j_rule)}")
     if grid is None:
         grid = build_grid(k)
     rows = []

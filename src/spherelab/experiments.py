@@ -405,7 +405,12 @@ class EnvelopeSweepResult(ExperimentRun):
 ENVELOPE_COLUMNS = ("k", "sup_ratio", "argmax_r", "pole_ratio")
 
 
-def pointwise_envelope_experiment(ks, n_colat: int = 400) -> EnvelopeSweepResult:
+# Polar distances scanned per degree by the envelope sweep, before the pole
+# and branch points are added.
+_ENVELOPE_COLATITUDES = 400
+
+
+def pointwise_envelope_experiment(ks) -> EnvelopeSweepResult:
     """Scan the envelope constant over polar distances for each degree.
 
     The scan uses a colatitude grid that is geometric near the pole (to
@@ -417,8 +422,8 @@ def pointwise_envelope_experiment(ks, n_colat: int = 400) -> EnvelopeSweepResult
     sups = []
     for k in ks:
         k = int(k)
-        fine = np.geomspace(1e-3 / k, math.pi / 2.0, int(0.7 * n_colat))
-        coarse = np.linspace(0.3, math.pi / 2.0, n_colat - fine.size)
+        fine = np.geomspace(1e-3 / k, math.pi / 2.0, int(0.7 * _ENVELOPE_COLATITUDES))
+        coarse = np.linspace(0.3, math.pi / 2.0, _ENVELOPE_COLATITUDES - fine.size)
         r_values = np.unique(np.concatenate([fine, coarse, [2.0 / k, math.pi / 2.0]]))
         ell4 = ell_p_profile(k, np.cos(r_values), 4.0)
         envelopes = np.array([pointwise_envelope(k, float(r)) for r in r_values])
@@ -614,8 +619,11 @@ def _random_points(rng, count):
     return xyz / np.linalg.norm(xyz, axis=1, keepdims=True)
 
 
-def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
-                         include_gram: bool = True, spot_points: int = 10) -> dict:
+# Random point pairs per degree for the identity suite's per-point pass.
+_SPOT_POINTS = 10
+
+
+def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> dict:
     """Worst-case errors of the four exact identities over random points.
 
     Per degree k = 1..k_max, at ``points`` random points each:
@@ -626,7 +634,7 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
     * gram_identity: max |Gram - I| over the full basis on the band-k grid
 
     The bulk sweep builds its colatitude tables with a second algorithm, the
-    upward recurrence in degree; a second pass at ``spot_points`` points per
+    upward recurrence in degree; a second pass at ``_SPOT_POINTS`` points per
     degree goes through the per-point entry points (ell_p_sum,
     eval_basis_row, theta_integral), which run the downward recurrence in
     order, and folds into the same maxima.  The Gram check accumulates
@@ -678,7 +686,7 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
         rhs = (2.0 * np.pi / n_ang) * kern_sq.sum(axis=1)
         update("theta_identity", (np.abs(lhs - rhs) / rhs).max(), k)
 
-        for _ in range(spot_points):
+        for _ in range(_SPOT_POINTS):
             p = _random_points(rng, 2)
             s2_pt = ell_p_sum(k, p[0], 2.0) ** 2
             update("l2_identity", abs(s2_pt - diag) / n, k)
@@ -690,17 +698,14 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0,
             rhs_pt = theta_integral(k, p[0])
             update("theta_identity", abs(lhs_pt - rhs_pt) / rhs_pt, k)
 
-        if include_gram:
-            grid = build_grid(k)
-            gram = np.zeros((n, n), dtype=complex)
-            for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
-                gram += weight * (ring @ ring.conj().T)
-            update("gram_identity", np.abs(gram - np.eye(n)).max(), k)
+        grid = build_grid(k)
+        gram = np.zeros((n, n), dtype=complex)
+        for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
+            gram += weight * (ring @ ring.conj().T)
+        update("gram_identity", np.abs(gram - np.eye(n)).max(), k)
 
     checks = {}
     for name in IDENTITY_CHECKS:
-        if name == "gram_identity" and not include_gram:
-            continue
         err, at_k = worst[name]
         tol = _IDENTITY_TOLERANCES[name]
         checks[name] = {

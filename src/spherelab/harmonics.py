@@ -18,7 +18,6 @@ import numpy as np
 from .legendre import (
     _sectoral_log,
     legendre_p,
-    normalized_assoc_legendre,
     normalized_assoc_legendre_row,
     normalized_legendre_table,
 )
@@ -90,16 +89,12 @@ def _point(x) -> SpherePoint:
 
 
 def eval_ykm(k: int, m: int, x) -> complex:
-    """Value of the basis element Y_km at a point; negative m by conjugation symmetry."""
+    """Value of the basis element Y_km at a point: entry m + k of ``eval_basis_row``."""
     k = int(k)
     m = int(m)
     if abs(m) > k:
         raise ValueError(f"order {m} out of range for degree {k}")
-    pt = _point(x)
-    base = normalized_assoc_legendre(k, abs(m), math.cos(pt.phi))
-    if m < 0 and m % 2 != 0:
-        base = -base
-    return complex(base * np.exp(1j * m * pt.theta))
+    return complex(eval_basis_row(k, x)[m + k])
 
 
 def eval_basis_row(k: int, x) -> np.ndarray:
@@ -110,10 +105,8 @@ def eval_basis_row(k: int, x) -> np.ndarray:
     """
     k = int(k)
     pt = _point(x)
-    base = normalized_assoc_legendre_row(k, math.cos(pt.phi))
-    m = np.arange(-k, k + 1)
-    radial = base[np.abs(m)] * np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
-    return radial * np.exp(1j * m * pt.theta)
+    radial = _signed_orders(k, normalized_assoc_legendre_row(k, math.cos(pt.phi))[None, :])[0]
+    return radial * np.exp(1j * np.arange(-k, k + 1) * pt.theta)
 
 
 def signed_order_table(k: int, t) -> np.ndarray:
@@ -282,9 +275,7 @@ def standard_field(k: int, m: int, grid: QuadratureGrid) -> HarmonicField:
     m = int(m)
     if abs(m) > k:
         raise ValueError(f"order {m} out of range for degree {k}")
-    radial = normalized_assoc_legendre(k, abs(m), grid.t)
-    if m < 0 and m % 2 != 0:
-        radial = -radial
+    radial = signed_order_table(k, grid.t)[:, m + k]
     phases = np.exp(1j * m * grid.theta)
     return HarmonicField(grid, radial[:, None] * phases[None, :], f"Y_{k}_{m}", k)
 

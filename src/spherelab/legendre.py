@@ -1,27 +1,30 @@
 """Stable evaluation of Legendre polynomials and normalized associated Legendre functions.
 
-Conventions used throughout the package.  ``normalized_assoc_legendre(k, m, t)``
-returns the real factor ``N(k, m, t)`` such that
+Conventions used throughout the package.  The evaluators return the real
+factor ``N(k, m, t)``, m = 0..k, such that
 
     Y_km(phi, theta) = N(k, m, cos phi) * exp(i m theta)
 
 is a unit vector in L2 of the sphere with the unnormalized area element
 (total area 4*pi).  Equivalently ``2*pi * integral_{-1}^{1} N(k, m, t)^2 dt = 1``.
-The Condon-Shortley phase ``(-1)^m`` is folded into the values, and negative
-orders satisfy ``N(k, -m, t) = (-1)^m N(k, m, t)``.
+The Condon-Shortley phase ``(-1)^m`` is folded into the values.  Negative
+orders, ``N(k, -m, t) = (-1)^m N(k, m, t)``, are spread out by the
+harmonics layer (``signed_order_table``), not here.
 
 Near the diagonal ``m ~ k`` the values pass through a severely subnormal
 range (below 1e-300 for k around 2000) before recovering to order one, so the
-recurrences here carry an explicit power-of-two exponent offset next to the
+recurrence carries an explicit power-of-two exponent offset next to the
 float mantissa.  Plain double-precision recurrences silently lose mass for
-k beyond roughly 1500; the extended-range variants are exact to rounding for
-all k up to at least 2048.
+k beyond roughly 1500; the extended-range one is exact to rounding for all
+k up to at least 2048.
 
-``normalized_assoc_legendre`` (one order, upward in degree) costs O(k) per
-point.  ``normalized_assoc_legendre_row`` (all orders at one point) and
-``normalized_legendre_table`` (all orders at many points) run the same
-fixed-degree recurrence downward in order, O(k) per point, the table
-vectorized over the points; neither has a cap on k.
+There is one recurrence for N, fixed degree and downward in order, O(k) per
+point with no cap on k, in two forms: ``normalized_legendre_table`` (all
+orders at many points, vectorized over the points) and its scalar one-point
+form ``normalized_assoc_legendre_row``, which is several times faster than
+a one-point table call.  Two references stay beside it for cross-checks:
+``_upward_degree_table``, a second algorithm (upward in degree, k <= 1024),
+and ``legendre_p``, the Legendre polynomial P_k.
 """
 
 import numpy as np
@@ -31,7 +34,6 @@ __all__ = [
     "log_factorial",
     "wallis_integral",
     "legendre_p",
-    "normalized_assoc_legendre",
     "normalized_assoc_legendre_row",
     "normalized_legendre_table",
     "zonal_sup_coefficient",
@@ -114,84 +116,6 @@ def _sectoral_log(k: int) -> float:
         - (2 * k + 1) * np.log(2.0)
         - 2.0 * log_factorial(k)
     )
-
-
-def normalized_assoc_legendre(k: int, m: int, t):
-    """Fully normalized associated Legendre function N(k, m, t).
-
-    Parameters
-    ----------
-    k : int
-        Degree, 0 <= k.
-    m : int
-        Order, -k <= m <= k.  Negative orders apply the (-1)^m symmetry.
-    t : scalar or array
-        Argument in [-1, 1] (cosine of colatitude).
-
-    Returns
-    -------
-    Values with the shape of ``t``.  Finite for all k <= 2048 at least; the
-    upward degree recurrence carries a power-of-two offset so the subnormal
-    window near the sectoral seed costs no accuracy.
-    """
-    k = int(k)
-    m_in = int(m)
-    if k < 0 or abs(m_in) > k:
-        raise ValueError("need 0 <= |m| <= k")
-    m = abs(m_in)
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
-        raise ValueError("argument must satisfy |t| <= 1")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
-
-    out = np.zeros_like(t_arr)
-    if m == 0 and k == 0:
-        out[:] = 1.0 / np.sqrt(4.0 * np.pi)
-    else:
-        # Seed at the sectoral degree m in log2 space, split into mantissa and
-        # integer exponent so sin(phi)^m can underflow without losing the row.
-        with np.errstate(divide="ignore"):
-            log2_seed = (_sectoral_log(m) + m * np.log(np.where(s > 0.0, s, 1.0))) * _LOG2E
-        off = np.floor(log2_seed)
-        p_cur = np.where(s > 0.0, (-1.0) ** m * np.exp2(log2_seed - off), 0.0)
-        off = np.where(s > 0.0, off, 0.0)
-        if m == 0:
-            p_cur = np.full_like(t_arr, 1.0 / np.sqrt(4.0 * np.pi))
-            off = np.zeros_like(t_arr)
-        p_prev = np.zeros_like(t_arr)
-        for n in range(m + 1, k + 1):
-            if n == m + 1:
-                p_next = np.sqrt(2.0 * m + 3.0) * t_arr * p_cur
-            else:
-                a = np.sqrt((2.0 * n - 1.0) * (2.0 * n + 1.0) / ((n - m) * (n + m)))
-                b = np.sqrt(
-                    (2.0 * n + 1.0) * (n + m - 1.0) * (n - m - 1.0)
-                    / ((n - m) * (n + m) * (2.0 * n - 3.0))
-                )
-                p_next = a * t_arr * p_cur - b * p_prev
-            p_prev, p_cur = p_cur, p_next
-            big = np.maximum(np.abs(p_prev), np.abs(p_cur))
-            hi = big > _XR_LIMIT
-            lo = (big > 0.0) & (big < 1.0 / _XR_LIMIT)
-            if np.any(hi) or np.any(lo):
-                shift = np.where(hi, _XR_SHIFT, 0) - np.where(lo, _XR_SHIFT, 0)
-                scale = np.where(hi, _XR_SCALE_DOWN, np.where(lo, _XR_SCALE_UP, 1.0))
-                p_prev = p_prev * scale
-                p_cur = p_cur * scale
-                off = off + shift
-        out = np.ldexp(p_cur, np.clip(off, -_XR_CLIP, _XR_CLIP).astype(np.int32))
-        # Poles: only m == 0 survives, with P_k(+-1) = (+-1)^k.
-        pole = s == 0.0
-        if np.any(pole):
-            if m == 0:
-                out[pole] = np.sign(t_arr[pole]) ** k * np.sqrt((2 * k + 1) / (4.0 * np.pi))
-            else:
-                out[pole] = 0.0
-    if m_in < 0 and m % 2 == 1:
-        out = -out
-    return float(out[0]) if scalar else out
 
 
 def normalized_assoc_legendre_row(k: int, t: float) -> np.ndarray:

@@ -226,8 +226,7 @@ def monte_carlo_lambda4(
         u = sample_haar_unitary(n, trial_rng(seed, trial))
         basis = CoefficientBasis.from_unitary(k, u)
         values[trial] = lambda4(basis, grid)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials))
+    mean, stderr = _mean_stderr(values)
     benchmark = (2 * k + 1) / (2.0 * math.pi)
     return MonteCarloLambda4(
         k=k,
@@ -241,6 +240,26 @@ def monte_carlo_lambda4(
         ratio_stderr=stderr / benchmark,
         certificate=grid.describe(),
     )
+
+
+def _mean_stderr(x):
+    """Sample mean of x and its standard error."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+
+
+def _first_row_moduli(n: int, samples: int, seed):
+    """|u_11|^2 and |u_12|^2 of Haar unitaries, sample i drawn from trial_rng(seed, i).
+
+    Two arrays of length ``samples``; |u_12|^2 reads 0 when n = 1.
+    """
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    moduli = np.zeros((samples, 2))
+    for i in range(samples):
+        entries = sample_haar_unitary(n, trial_rng(seed, i))[0, :2]
+        moduli[i, : entries.size] = np.abs(entries) ** 2
+    return moduli[:, 0], moduli[:, 1]
 
 
 _PATTERNS = ("|u|^2", "|u|^4", "|u|^2|u'|^2")
@@ -259,25 +278,9 @@ def entry_moment(n: int, pattern: str, samples: int, seed, return_stderr: bool =
         raise ValueError(f"unknown pattern {pattern!r}; choose from {_PATTERNS}")
     if pattern == "|u|^2|u'|^2" and n < 2:
         raise ValueError("the pairing pattern needs n >= 2")
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    total = 0.0
-    total_sq = 0.0
-    for i in range(samples):
-        u = sample_haar_unitary(n, trial_rng(seed, i))
-        a2 = abs(u[0, 0]) ** 2
-        if pattern == "|u|^2":
-            x = a2
-        elif pattern == "|u|^4":
-            x = a2 * a2
-        else:
-            x = a2 * abs(u[0, 1]) ** 2
-        total += x
-        total_sq += x * x
-    mean = total / samples
-    var = max(0.0, total_sq / samples - mean * mean)
-    stderr = math.sqrt(var / (samples - 1))
+    a2, b2 = _first_row_moduli(n, samples, seed)
+    x = {"|u|^2": a2, "|u|^4": a2 * a2, "|u|^2|u'|^2": a2 * b2}[pattern]
+    mean, stderr = _mean_stderr(x)
     if return_stderr:
         return mean, stderr
     return mean
@@ -324,20 +327,9 @@ def gaussian_limit_check(k: int, samples: int, seed) -> GaussianMomentReport:
         raise ValueError("the Gaussian comparison is quoted for k >= 8")
     n = 2 * k + 1
     samples = int(samples)
-    m2_total = m2_sq = 0.0
-    m4_total = m4_sq = 0.0
-    for i in range(samples):
-        u = sample_haar_unitary(n, trial_rng(seed, i))
-        z2 = n * abs(u[0, 0]) ** 2
-        z4 = z2 * z2
-        m2_total += z2
-        m2_sq += z2 * z2
-        m4_total += z4
-        m4_sq += z4 * z4
-    m2 = m2_total / samples
-    m4 = m4_total / samples
-    se2 = math.sqrt(max(0.0, m2_sq / samples - m2 * m2) / (samples - 1))
-    se4 = math.sqrt(max(0.0, m4_sq / samples - m4 * m4) / (samples - 1))
+    z2 = n * _first_row_moduli(n, samples, seed)[0]
+    m2, se2 = _mean_stderr(z2)
+    m4, se4 = _mean_stderr(z2 * z2)
     return GaussianMomentReport(
         k=k,
         samples=samples,

@@ -152,6 +152,23 @@ def test_beams_k_max_without_k_min_is_usage_error(capsys):
     assert captured.err.startswith("error:") and "--k-min" in captured.err
 
 
+
+@pytest.mark.parametrize("j", ["0", "-3"])
+def test_beams_fixed_count_below_one_is_usage_error(capsys, monkeypatch, j):
+    import spherelab.beams as beams
+
+    def no_beam_work(*args, **kwargs):
+        raise AssertionError("beam work started")
+
+    monkeypatch.setattr(beams, "build_grid", no_beam_work)
+    monkeypatch.setattr(beams, "place_separated_axes", no_beam_work)
+    code = main(["beams", "--k", "8", "--j", j])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "beam count" in captured.err
+
+
 # (argv at small settings, gates the subcommand reports)
 _EVERY_SUBCOMMAND = [
     (["norms", "--k", "4", "--q", "4", "--q", "inf"], 0),

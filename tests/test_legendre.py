@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from spherelab.harmonics import signed_order_table
 from spherelab.legendre import (
     _sectoral_log,
     _upward_degree_table,
     legendre_p,
     log_factorial,
-    normalized_assoc_legendre,
     normalized_assoc_legendre_row,
     normalized_legendre_table,
     wallis_integral,
@@ -81,17 +81,15 @@ def test_normalized_low_order_closed_forms():
     rng = np.random.default_rng(1)
     t = rng.uniform(-1, 1, size=20)
     s = np.sqrt(1 - t**2)
-    assert np.allclose(normalized_assoc_legendre(0, 0, t), 1 / math.sqrt(4 * math.pi))
-    assert np.allclose(normalized_assoc_legendre(1, 0, t), math.sqrt(3 / (4 * math.pi)) * t)
+    one = normalized_legendre_table(1, t)
+    assert np.allclose(normalized_legendre_table(0, t)[:, 0], 1 / math.sqrt(4 * math.pi))
+    assert np.allclose(one[:, 0], math.sqrt(3 / (4 * math.pi)) * t)
     # Condon-Shortley: the order +1 function is negative on (0, pi).
+    assert np.allclose(one[:, 1], -math.sqrt(3 / (8 * math.pi)) * s)
+    # signed_order_table column 0 is the order -1.
+    assert np.allclose(signed_order_table(1, t)[:, 0], math.sqrt(3 / (8 * math.pi)) * s)
     assert np.allclose(
-        normalized_assoc_legendre(1, 1, t), -math.sqrt(3 / (8 * math.pi)) * s
-    )
-    assert np.allclose(
-        normalized_assoc_legendre(1, -1, t), math.sqrt(3 / (8 * math.pi)) * s
-    )
-    assert np.allclose(
-        normalized_assoc_legendre(2, 1, t),
+        normalized_legendre_table(2, t)[:, 1],
         -math.sqrt(15 / (8 * math.pi)) * t * s,
     )
 
@@ -100,8 +98,9 @@ def test_negative_order_symmetry():
     rng = np.random.default_rng(2)
     t = rng.uniform(-1, 1, size=11)
     for k, m in ((3, 2), (5, 5), (9, 1), (12, 7)):
-        plus = normalized_assoc_legendre(k, m, t)
-        minus = normalized_assoc_legendre(k, -m, t)
+        signed = signed_order_table(k, t)
+        plus, minus = signed[:, k + m], signed[:, k - m]
+        assert np.array_equal(plus, normalized_legendre_table(k, t)[:, m])
         assert np.allclose(minus, (-1.0) ** m * plus, rtol=0, atol=1e-15)
 
 
@@ -109,8 +108,9 @@ def test_l2_normalization_by_quadrature():
     # 2 pi * int N(k,m)^2 dt = 1 for every order.
     nodes, weights = np.polynomial.legendre.leggauss(80)
     for k in (1, 4, 17, 33):
+        table = normalized_legendre_table(k, nodes)
         for m in (0, 1, k // 2, k):
-            vals = normalized_assoc_legendre(k, m, nodes)
+            vals = table[:, m]
             total = 2 * math.pi * float(weights @ vals**2)
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -119,12 +119,14 @@ def test_cross_degree_orthogonality():
     nodes, weights = np.polynomial.legendre.leggauss(120)
     for m in (0, 2, 5):
         for k1, k2 in ((m, m + 2), (m + 1, m + 4), (m + 3, m + 7)):
-            a = normalized_assoc_legendre(k1, m, nodes)
-            b = normalized_assoc_legendre(k2, m, nodes)
+            a = normalized_legendre_table(k1, nodes)[:, m]
+            b = normalized_legendre_table(k2, nodes)[:, m]
             assert 2 * math.pi * float(weights @ (a * b)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_three_evaluators_agree():
+    # The row and the table run one recurrence; the upward degree sweep is
+    # the independent third evaluator.
     rng = np.random.default_rng(3)
     t = rng.uniform(-1, 1, size=7)
     k = 160
@@ -132,28 +134,23 @@ def test_three_evaluators_agree():
     for i, ti in enumerate(t):
         row = normalized_assoc_legendre_row(k, float(ti))
         assert np.abs(row - table[i]).max() < 1e-12
-    for m in (0, 1, 40, 159, 160):
-        col = normalized_assoc_legendre(k, m, t)
-        assert np.abs(col - table[:, m]).max() < 1e-12
+    assert np.abs(_upward_degree_table(k, t) - table).max() < 1e-12
 
 
 def test_sectoral_amplitude_matches_direct_value():
     for k in (1, 5, 50, 500):
-        direct = normalized_assoc_legendre(k, k, 0.0)
+        direct = normalized_legendre_table(k, 0.0)[0, k]
         assert abs(direct) == pytest.approx(math.exp(_sectoral_log(k)), rel=1e-12)
         assert math.copysign(1.0, direct) == (-1.0) ** k
 
 
 def test_pole_values():
     for k in (0, 1, 6, 11):
-        assert normalized_assoc_legendre(k, 0, 1.0) == pytest.approx(
-            zonal_sup_coefficient(k), rel=1e-14
-        )
-        assert normalized_assoc_legendre(k, 0, -1.0) == pytest.approx(
-            (-1.0) ** k * zonal_sup_coefficient(k), rel=1e-14
-        )
+        north, south = normalized_legendre_table(k, np.array([1.0, -1.0]))
+        assert north[0] == pytest.approx(zonal_sup_coefficient(k), rel=1e-14)
+        assert south[0] == pytest.approx((-1.0) ** k * zonal_sup_coefficient(k), rel=1e-14)
         if k:
-            assert normalized_assoc_legendre(k, 1, 1.0) == 0.0
+            assert north[1] == 0.0
     row = normalized_assoc_legendre_row(9, -1.0)
     assert row[0] == pytest.approx(-zonal_sup_coefficient(9), rel=1e-14)
     assert np.all(row[1:] == 0.0)
@@ -164,14 +161,39 @@ def test_extreme_degree_survives_subnormal_window():
     # carry must keep every order finite and normalized.
     k = 2048
     nodes, weights = np.polynomial.legendre.leggauss(k + 1)
+    table = normalized_legendre_table(k, nodes)
     for m in (0, 1024, 2047, 2048):
-        vals = normalized_assoc_legendre(k, m, nodes)
+        vals = table[:, m]
         assert np.isfinite(vals).all()
         total = 2 * math.pi * float(weights @ vals**2)
         assert total == pytest.approx(1.0, abs=1e-8)
+    # Orders 0 and 1 at one point against the closed forms in P_k.
     row = normalized_assoc_legendre_row(k, 0.3)
-    cols = np.array([normalized_assoc_legendre(k, m, 0.3) for m in (0, 1, 7, 511, 2048)])
-    assert np.abs(row[[0, 1, 7, 511, 2048]] - cols).max() < 1e-11
+    assert np.abs(row[:2] - _low_order_closed_forms(k, np.array([0.3]))[:, 0]).max() < 1e-11
+
+
+def _low_order_closed_forms(k, t):
+    """N(k, 0, t) and N(k, 1, t) from legendre_p alone, shape (2, len(t)), for |t| < 1.
+
+    N(k, 1) uses (1 - t^2) P_k'(t) = k (P_{k-1}(t) - t P_k(t)).
+    """
+    p_k = legendre_p(k, t)
+    p_km1 = legendre_p(k - 1, t)
+    col0 = math.sqrt((2 * k + 1) / (4 * math.pi)) * p_k
+    col1 = (
+        -math.sqrt((2 * k + 1) / (4 * math.pi * k * (k + 1)))
+        * k * (p_km1 - t * p_k) / np.sqrt(1 - t * t)
+    )
+    return np.array([col0, col1])
+
+
+@pytest.mark.parametrize("k", [1024, 2048])
+def test_low_order_columns_match_legendre_p_closed_forms(k):
+    # An oracle above scipy's range that shares no code with the
+    # extended-range recurrence.
+    nodes, _ = np.polynomial.legendre.leggauss(2 * k + 1)
+    table = normalized_legendre_table(k, nodes)
+    assert np.abs(table[:, :2].T - _low_order_closed_forms(k, nodes)).max() <= 1e-9
 
 
 def test_table_beyond_old_cap_is_normalized():
@@ -221,18 +243,10 @@ def test_table_degree_zero_and_scalar_argument():
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        normalized_assoc_legendre(3, 4, 0.0)
+        normalized_legendre_table(-3, 0.0)
     with pytest.raises(ValueError):
-        normalized_assoc_legendre(3, 0, 1.01)
+        normalized_legendre_table(3, 1.01)
     with pytest.raises(ValueError):
         normalized_assoc_legendre_row(5, -1.2)
     with pytest.raises(ValueError):
         normalized_assoc_legendre_row(-2, 0.0)
-
-
-def test_scalar_in_scalar_out():
-    val = normalized_assoc_legendre(7, 3, 0.42)
-    assert isinstance(val, float)
-    arr = normalized_assoc_legendre(7, 3, np.array([0.42]))
-    assert arr.shape == (1,)
-    assert arr[0] == val

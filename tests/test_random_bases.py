@@ -129,3 +129,17 @@ def test_gaussian_limit_check_frozen_run():
     assert report.fourth_moment == pytest.approx(1.9881328889094776, rel=1e-12)
     with pytest.raises(ValueError):
         gaussian_limit_check(4, samples=100, seed=0)
+
+
+def test_entry_moments_share_one_first_row_sampler():
+    # The (1,1) moments of one seed read the same sampled unitaries.
+    m2 = entry_moment(3, "|u|^2", samples=50, seed=5)
+    m4 = entry_moment(3, "|u|^4", samples=50, seed=5)
+    u11 = [abs(sample_haar_unitary(3, trial_rng(5, i))[0, 0]) ** 2 for i in range(50)]
+    assert m2 == pytest.approx(np.mean(u11), rel=1e-14)
+    assert m4 == pytest.approx(np.mean(np.square(u11)), rel=1e-14)
+    # A 1x1 unitary is a phase: |u_11|^2 = 1 with zero spread.
+    mean, stderr = entry_moment(1, "|u|^2", samples=5, seed=0, return_stderr=True)
+    assert mean == pytest.approx(1.0, rel=1e-14) and stderr < 1e-15
+    with pytest.raises(ValueError):
+        gaussian_limit_check(8, samples=1, seed=0)
