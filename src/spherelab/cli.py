@@ -32,7 +32,14 @@ NORM_COLUMNS = ("label", "q", "band", "norm")
 SCALING_COLUMNS = ("k", "band", "norm")
 VERIFY_COLUMNS = ("check", "max_error", "tolerance", "worst_k", "passed")
 
-_USAGE_ERRORS = (ValueError, GridResolutionError, PackingInfeasibleError, RankDeficiencyError)
+# A refused allocation (say, --trials far beyond memory) is reported like a bad flag.
+_USAGE_ERRORS = (
+    ValueError,
+    MemoryError,
+    GridResolutionError,
+    PackingInfeasibleError,
+    RankDeficiencyError,
+)
 
 _PRINT_LIMIT = 24
 

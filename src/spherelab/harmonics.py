@@ -133,12 +133,17 @@ def synthesize_rings(k: int, coefficients, grid: QuadratureGrid):
     ring's values, shape (rows, n_theta), so memory stays at one ring
     however many fields are synthesized.
     """
+    return _synthesize(k, coefficients, grid.t, grid.theta)
+
+
+def _synthesize(k: int, coefficients, t, theta):
+    """``synthesize_rings`` on the rings t (cos of the colatitude) at the longitudes theta."""
     k = int(k)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
         raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
-    table = signed_order_table(k, grid.t)
-    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
+    table = signed_order_table(k, t)
+    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), theta))
     return ((coefficients * radial[None, :]) @ phases for radial in table)
 
 

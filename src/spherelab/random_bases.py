@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import synthesize_rings
+from .harmonics import _synthesize
 from .quadrature import GridResolutionError, QuadratureGrid, build_grid
 
 __all__ = [
@@ -122,12 +122,23 @@ def _check_quartic_grid(k: int, grid: QuadratureGrid):
 def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     """||f_j||_4^4 for the fields f_j = sum_m c_jm Y_km, one per coefficient row.
 
-    Sums ring by ring over ``synthesize_rings``; the grid must be exact for
-    quartic degree-k integrands.
+    Sums ring by ring over the northern hemisphere only; the grid must be
+    exact for quartic degree-k integrands.  The fold is exact: every Y_km
+    has parity Y_km(-x) = (-1)^k Y_km(x), so |f_j| on the ring at -t is
+    |f_j| on the ring at t turned by pi, and the uniform longitude rule sums
+    both rings to the same exact ring integral (|f_j|^4 is a trigonometric
+    polynomial of degree 4k < n_theta), whether or not the turn lands on
+    grid longitudes.  The Gauss-Legendre nodes and weights of ``build_grid``
+    are mirror symmetric, so the rings with t > 0 count twice and the
+    equator ring (odd n_phi) once.
     """
     _check_quartic_grid(k, grid)
+    half = grid.n_phi // 2
+    weights = 2.0 * grid.ring_weight[half:]
+    if grid.n_phi % 2:
+        weights[0] = grid.ring_weight[half]
     out = np.zeros(len(coefficients))
-    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, coefficients, grid)):
+    for weight, ring in zip(weights, _synthesize(k, coefficients, grid.t[half:], grid.theta)):
         out += weight * (np.abs(ring) ** 4).sum(axis=1)
     return out
 
@@ -147,6 +158,9 @@ def lambda4(basis: CoefficientBasis, grid: QuadratureGrid) -> float:
 
 
 # Random-ONB gate: the mean/benchmark ratio lies in this closed interval.
+# The band is asymptotic: the exact Haar mean of the ratio is n/(n+1) with
+# n = 2k+1, below 0.9 for k <= 3 and exactly 0.9 at k = 4, so the gate fails
+# there by design (at k = 0 the ratio is exactly 1/2).
 HAAR_RATIO_BAND = (0.9, 1.1)
 
 
@@ -250,15 +264,31 @@ def _mean_stderr(x):
 def _first_row_moduli(n: int, samples: int, seed):
     """|u_11|^2 and |u_12|^2 of Haar unitaries, sample i drawn from trial_rng(seed, i).
 
-    Two arrays of length ``samples``; |u_12|^2 reads 0 when n = 1.
+    Two arrays of length ``samples``; |u_12|^2 reads 0 when n = 1.  Each
+    sample draws the same n x n Ginibre matrix g as ``sample_haar_unitary``
+    (one (2, n, n) draw consumes the stream as its two (n, n) draws do), so
+    the streams are unchanged, but skips its O(n^3) QR (Mezzadri 2007):
+    with R_11 > 0 the first column of the Haar factor is g_1 / ||g_1||, and
+    one Gram-Schmidt step on g_2 gives the second.  The phase correction and
+    the 1/sqrt(2) scale of g change no modulus.
     """
+    n = int(n)
     samples = int(samples)
+    if n < 1:
+        raise ValueError("need n >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    draw = np.empty((2, n, n))
     moduli = np.zeros((samples, 2))
     for i in range(samples):
-        entries = sample_haar_unitary(n, trial_rng(seed, i))[0, :2]
-        moduli[i, : entries.size] = np.abs(entries) ** 2
+        trial_rng(seed, i).standard_normal(out=draw)
+        first = draw[0, :, 0] + 1j * draw[1, :, 0]
+        first_sq = np.vdot(first, first).real
+        moduli[i, 0] = abs(first[0]) ** 2 / first_sq
+        if n > 1:
+            second = draw[0, :, 1] + 1j * draw[1, :, 1]
+            second -= (np.vdot(first, second) / first_sq) * first
+            moduli[i, 1] = abs(second[0]) ** 2 / np.vdot(second, second).real
     return moduli[:, 0], moduli[:, 1]
 
 

@@ -91,6 +91,16 @@ def test_random_onb_json_output(tmp_path, capsys):
     assert payload["columns"] == ["trial", "k", "lambda4", "seed"]
 
 
+def test_random_onb_refused_allocation_is_usage_error(capsys):
+    # 2^45 trials need 256 TiB for the per-trial values alone, beyond a
+    # 47-bit address space, so the allocation fails under any overcommit policy.
+    code = main(["random-onb", "--k", "1", "--trials", str(2**45)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_avg_l4_small_sweep(capsys):
     code = main(["avg-l4", "--k-min", "8", "--k-max", "32"])
     out = capsys.readouterr().out

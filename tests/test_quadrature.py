@@ -95,6 +95,17 @@ def test_grids_of_one_size_share_read_only_nodes():
     assert build_grid(13).t is not a.t
 
 
+@pytest.mark.parametrize("oversample", [1.0, 1.5, 2.0])
+def test_grid_rings_are_bitwise_mirror_symmetric(oversample):
+    # quartic_norms sums the t >= 0 hemisphere only and relies on this.
+    for k in [*range(33), 64, 255, 512]:
+        g = build_grid(k, oversample)
+        assert np.array_equal(g.t, -g.t[::-1])
+        assert np.array_equal(g.ring_weight, g.ring_weight[::-1])
+        if g.n_phi % 2:
+            assert g.t[g.n_phi // 2] == 0.0
+
+
 def test_points_are_unit_vectors():
     g = build_grid(6)
     xyz = g.points()

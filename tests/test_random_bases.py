@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from spherelab.harmonics import synthesize_rings
 from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import (
     CoefficientBasis,
+    _first_row_moduli,
     entry_moment,
     gaussian_limit_check,
     lambda4,
     monte_carlo_lambda4,
+    quartic_norms,
     sample_haar_unitary,
     trial_rng,
 )
@@ -84,6 +87,36 @@ def test_lambda4_rotation_invariant_for_identity():
     # degree-1 space: any orthonormal basis of it gives the same square-sum
     # field, but quartic sums genuinely differ; just sanity-bound the range
     assert 0 < val < 10 * base
+
+
+def _full_sphere_quartic_norms(k, coefficients, grid):
+    """Every ring, northern and southern, summed at its own weight."""
+    out = np.zeros(len(coefficients))
+    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, coefficients, grid)):
+        out += weight * (np.abs(ring) ** 4).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 17, 32])
+@pytest.mark.parametrize("oversample", [1.0, 1.5])
+def test_quartic_norms_hemisphere_fold_matches_full_sphere(k, oversample):
+    # Oversample 1 gives odd n_phi (an equator ring) and odd n_theta (the
+    # turn by pi lands on no grid longitude); oversample 1.5 gives even
+    # n_theta and n_phi of both parities over these k.
+    grid = build_grid(k, oversample)
+    n = 2 * k + 1
+    for coefficients in (np.eye(n), sample_haar_unitary(n, trial_rng(3, k))):
+        folded = quartic_norms(k, coefficients, grid)
+        full = _full_sphere_quartic_norms(k, coefficients, grid)
+        np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 65])
+def test_first_row_moduli_match_the_qr_sampler(n):
+    a2, b2 = _first_row_moduli(n, 50, 9)
+    rows = [np.abs(sample_haar_unitary(n, trial_rng(9, i))[0, :2]) ** 2 for i in range(50)]
+    assert np.abs(a2 - [row[0] for row in rows]).max() <= 1e-14
+    assert np.abs(b2 - [row[1] if n > 1 else 0.0 for row in rows]).max() <= 1e-14
 
 
 def test_monte_carlo_reproducible_and_subset_consistent():
