@@ -25,6 +25,7 @@ import numpy as np
 from ._version import __version__
 from .harmonics import (
     EigenvalueInfo,
+    _order_field,
     _signed_orders,
     beam_field,
     ell4_sum_field,
@@ -34,7 +35,7 @@ from .harmonics import (
     highest_weight_field,
     pointwise_envelope,
     projection_kernel,
-    standard_field,
+    signed_order_table,
     synthesize_rings,
     theta_integral,
     zonal_field,
@@ -309,20 +310,24 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
 
     Each q reads a grid at band max(k, ceil(q k / 4)), which makes the
     integral exact for even q; q = inf reads the max over the band-k grid.
-    The certificate lists the bands used.  There is no gate.
+    One signed order table per grid serves every field on it.  The
+    certificate lists the bands used.  There is no gate.
     """
     k = int(k)
+    orders = [(0, f"Z_{k}"), (k, f"Q_{k}")]
+    if m is not None:
+        m = int(m)
+        orders.append((m, f"Y_{k}_{m}"))
     rows = []
     grids = {}
     for q in qs:
         band = k if math.isinf(q) else max(k, int(math.ceil(q * k / 4.0)))
         if band not in grids:
-            grids[band] = build_grid(band, oversample)
-        grid = grids[band]
-        fields = [zonal_field(k, grid), highest_weight_field(k, grid)]
-        if m is not None:
-            fields.append(standard_field(k, m, grid))
-        for f in fields:
+            grid = build_grid(band, oversample)
+            grids[band] = (grid, signed_order_table(k, grid.t))
+        grid, table = grids[band]
+        for order, label in orders:
+            f = _order_field(k, order, grid, table, label)
             rows.append({"label": f.label, "q": float(q), "band": band, "norm": lp_norm(f, q)})
     return ExperimentRun(rows, certificate={"bands": sorted(grids)})
 

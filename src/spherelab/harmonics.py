@@ -133,17 +133,12 @@ def synthesize_rings(k: int, coefficients, grid: QuadratureGrid):
     ring's values, shape (rows, n_theta), so memory stays at one ring
     however many fields are synthesized.
     """
-    return _synthesize(k, coefficients, grid.t, grid.theta)
-
-
-def _synthesize(k: int, coefficients, t, theta):
-    """``synthesize_rings`` on the rings t (cos of the colatitude) at the longitudes theta."""
     k = int(k)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
         raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
-    table = signed_order_table(k, t)
-    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), theta))
+    table = signed_order_table(k, grid.t)
+    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
     return ((coefficients * radial[None, :]) @ phases for radial in table)
 
 
@@ -278,11 +273,15 @@ def standard_field(k: int, m: int, grid: QuadratureGrid) -> HarmonicField:
     """Sample Y_km on the grid."""
     k = int(k)
     m = int(m)
+    return _order_field(k, m, grid, signed_order_table(k, grid.t), f"Y_{k}_{m}")
+
+
+def _order_field(k: int, m: int, grid: QuadratureGrid, table, label: str) -> HarmonicField:
+    """Y_km on the grid, read from ``table`` = signed_order_table(k, grid.t)."""
     if abs(m) > k:
         raise ValueError(f"order {m} out of range for degree {k}")
-    radial = signed_order_table(k, grid.t)[:, m + k]
     phases = np.exp(1j * m * grid.theta)
-    return HarmonicField(grid, radial[:, None] * phases[None, :], f"Y_{k}_{m}", k)
+    return HarmonicField(grid, table[:, m + k][:, None] * phases[None, :], label, k)
 
 
 def zonal_field(k: int, grid: QuadratureGrid) -> HarmonicField:

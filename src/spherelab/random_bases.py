@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import _synthesize
+from .harmonics import _signed_orders
+from .legendre import normalized_legendre_table
 from .quadrature import GridResolutionError, QuadratureGrid, build_grid
 
 __all__ = [
@@ -122,24 +123,72 @@ def _check_quartic_grid(k: int, grid: QuadratureGrid):
 def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     """||f_j||_4^4 for the fields f_j = sum_m c_jm Y_km, one per coefficient row.
 
-    Sums ring by ring over the northern hemisphere only; the grid must be
-    exact for quartic degree-k integrands.  The fold is exact: every Y_km
-    has parity Y_km(-x) = (-1)^k Y_km(x), so |f_j| on the ring at -t is
-    |f_j| on the ring at t turned by pi, and the uniform longitude rule sums
-    both rings to the same exact ring integral (|f_j|^4 is a trigonometric
-    polynomial of degree 4k < n_theta), whether or not the turn lands on
-    grid longitudes.  The Gauss-Legendre nodes and weights of ``build_grid``
-    are mirror symmetric, so the rings with t > 0 count twice and the
-    equator ring (odd n_phi) once.
+    The grid must be exact for quartic degree-k integrands.  Three exact
+    folds cut the work to the t >= 0 rings, orders m >= 0 and longitudes
+    theta in [0, pi], in real arithmetic:
+
+    - Hemisphere.  Every Y_km has parity Y_km(-x) = (-1)^k Y_km(x), so |f_j|
+      on the ring at -t is |f_j| on the ring at t turned by pi, and the
+      uniform longitude rule sums both rings to the same exact ring integral
+      (|f_j|^4 is a trigonometric polynomial of degree 4k < n_theta), whether
+      or not the turn lands on grid longitudes.  The Gauss-Legendre nodes and
+      weights of ``build_grid`` are mirror symmetric, so the rings with t > 0
+      count twice and the equator ring (odd n_phi) once.
+    - Orders +-m, once per call.  With Y_{k,-m} = (-1)^m conj(Y_km), a ring
+      of f is P(theta) + i S(theta) where
+      P = sum_{m>=0} c+_m N_m cos(m theta), S = sum_{m>=1} c-_m N_m sin(m theta),
+      c+_m = c_m + (-1)^m c_{-m}, c-_m = c_m - (-1)^m c_{-m} (c+_0 = c_0) and
+      N_m = N(k, m, t) unsigned.  The complex c+ and c- are stacked as real
+      (2 rows, k+1) and (2 rows, k) matrices.
+    - Longitudes +-theta, per ring.  f(+-theta) = P +- i S, so
+      |f(theta)|^4 + |f(-theta)|^4 = 2 (|P|^2 + |S|^2)^2 + 8 (Im P conj(S))^2,
+      and only theta_j with j = 0..n_theta // 2 are evaluated, each standing
+      for half that pair sum times its multiplicity.  The grid longitude
+      -theta_j is theta_{n_theta - j}, so theta_0 (and theta_{n_theta / 2}
+      for even n_theta) is its own mirror, where S = 0, with multiplicity 1;
+      every other theta_j has multiplicity 2.
+
+    Each northern ring is then two real products, (2 rows, k+1) @ (k+1, h)
+    and (2 rows, k) @ (k, h) with h = n_theta // 2 + 1, about
+    4 rows k n_theta flops against 8 rows (2k+1) n_theta for one complex
+    (rows, 2k+1) @ (2k+1, n_theta) product over all longitudes.
     """
     _check_quartic_grid(k, grid)
+    k = int(k)
+    coefficients = np.asarray(coefficients, dtype=complex)
+    if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
+        raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
+    rows = coefficients.shape[0]
     half = grid.n_phi // 2
     weights = 2.0 * grid.ring_weight[half:]
     if grid.n_phi % 2:
         weights[0] = grid.ring_weight[half]
-    out = np.zeros(len(coefficients))
-    for weight, ring in zip(weights, _synthesize(k, coefficients, grid.t[half:], grid.theta)):
-        out += weight * (np.abs(ring) ** 4).sum(axis=1)
+    h = grid.n_theta // 2 + 1
+    multiplicity = np.full(h, 2.0)
+    multiplicity[0] = 1.0
+    if grid.n_theta % 2 == 0:
+        multiplicity[-1] = 1.0
+
+    # (-1)^m c_{-m} for m = 0..k, the sign read from the one negative-order rule.
+    mirrored = (coefficients * _signed_orders(k, np.ones((1, k + 1))))[:, k::-1]
+    plus = coefficients[:, k:] + mirrored
+    plus[:, 0] = coefficients[:, k]
+    minus = coefficients[:, k + 1 :] - mirrored[:, 1:]
+    plus = np.concatenate([plus.real, plus.imag])
+    minus = np.concatenate([minus.real, minus.imag])
+    angles = np.outer(np.arange(k + 1), grid.theta[:h])
+    cos_table = np.cos(angles)
+    sin_table = np.sin(angles[1:])
+
+    out = np.zeros(rows)
+    for weight, radial in zip(weights, normalized_legendre_table(k, grid.t[half:])):
+        p = (plus * radial) @ cos_table
+        s = (minus * radial[1:]) @ sin_table
+        p_re, p_im = p[:rows], p[rows:]
+        s_re, s_im = s[:rows], s[rows:]
+        square = p_re * p_re + p_im * p_im + s_re * s_re + s_im * s_im
+        cross = p_im * s_re - p_re * s_im
+        out += (square * square + 4.0 * cross * cross) @ (weight * multiplicity)
     return out
 
 
@@ -261,7 +310,7 @@ def _mean_stderr(x):
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
-def _first_row_moduli(n: int, samples: int, seed):
+def _first_row_moduli(n: int, samples: int, seed: int):
     """|u_11|^2 and |u_12|^2 of Haar unitaries, sample i drawn from trial_rng(seed, i).
 
     Two arrays of length ``samples``; |u_12|^2 reads 0 when n = 1.  Each
@@ -270,8 +319,11 @@ def _first_row_moduli(n: int, samples: int, seed):
     the streams are unchanged, but skips its O(n^3) QR (Mezzadri 2007):
     with R_11 > 0 the first column of the Haar factor is g_1 / ||g_1||, and
     one Gram-Schmidt step on g_2 gives the second.  The phase correction and
-    the 1/sqrt(2) scale of g change no modulus.
+    the 1/sqrt(2) scale of g change no modulus.  ``seed`` is a non-negative
+    int: the per-sample streams are derived from it.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n = int(n)
     samples = int(samples)
     if n < 1:
@@ -295,7 +347,7 @@ def _first_row_moduli(n: int, samples: int, seed):
 _PATTERNS = ("|u|^2", "|u|^4", "|u|^2|u'|^2")
 
 
-def entry_moment(n: int, pattern: str, samples: int, seed, return_stderr: bool = False):
+def entry_moment(n: int, pattern: str, samples: int, seed: int, return_stderr: bool = False):
     """Monte Carlo moment of Haar-unitary entries.
 
     Patterns: "|u|^2" and "|u|^4" use the (1,1) entry; "|u|^2|u'|^2" pairs
@@ -345,7 +397,7 @@ class GaussianMomentReport:
         }
 
 
-def gaussian_limit_check(k: int, samples: int, seed) -> GaussianMomentReport:
+def gaussian_limit_check(k: int, samples: int, seed: int) -> GaussianMomentReport:
     """Empirical second and fourth moments of sqrt(2k+1) U_11.
 
     The second moment equals 1 exactly at every dimension (unitarity); the
@@ -363,7 +415,7 @@ def gaussian_limit_check(k: int, samples: int, seed) -> GaussianMomentReport:
     return GaussianMomentReport(
         k=k,
         samples=samples,
-        seed=int(seed) if not isinstance(seed, np.random.Generator) else -1,
+        seed=int(seed),
         second_moment=m2,
         second_stderr=se2,
         fourth_moment=m4,

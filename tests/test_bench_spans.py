@@ -22,10 +22,41 @@ assert "cli._emit" in names, sorted(names)
 """
 
 
-def test_span_recorder_installs_on_the_cli():
+# The traced haar_mc layers: each Haar trial's lambda4 calls quartic_norms,
+# which builds its one unsigned Legendre table inside its own span.
+_HAAR_SCRIPT = """
+import spherelab.cli
+import spherelab.random_bases as rb
+from spans import SpanRecorder
+
+rec = SpanRecorder()
+rec.install()
+rec.on = True
+rb.monte_carlo_lambda4(3, trials=2, seed=0)
+names = [span[0] for span in rec.spans]
+for name in ("random_bases.lambda4", "random_bases.quartic_norms",
+             "legendre.normalized_legendre_table"):
+    assert names.count(name) == 2, (name, names)
+for span in rec.spans:
+    if span[0] == "legendre.normalized_legendre_table":
+        assert rec.spans[span[3]][0] == "random_bases.quartic_norms", names
+    if span[0] == "random_bases.quartic_norms":
+        assert rec.spans[span[3]][0] == "random_bases.lambda4", names
+"""
+
+
+def _run_traced(script):
     src = str(Path(spherelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_span_recorder_installs_on_the_cli():
+    _run_traced(_SCRIPT)
+
+
+def test_span_recorder_traces_the_haar_layers():
+    _run_traced(_HAAR_SCRIPT)

@@ -15,6 +15,7 @@ from spherelab.experiments import (
     average_l4_experiment,
     exact_identity_suite,
     fit_power_law,
+    norms_experiment,
     pointwise_envelope_experiment,
     scaling_experiment,
     scaling_target,
@@ -25,7 +26,7 @@ from spherelab.experiments import (
     write_json,
 )
 from spherelab.harmonics import beam_field, standard_field
-from spherelab.quadrature import arc_tube_masses, build_grid
+from spherelab.quadrature import arc_tube_masses, build_grid, lp_norm
 from spherelab.sphere import fibonacci_axes
 
 
@@ -118,6 +119,27 @@ def test_tube_ratio_experiment_rows():
         assert row["sup_arc_mass"] > 0
         assert 0 < row["ratio"] < 1.0
     assert res.max_ratio == pytest.approx(max(row["ratio"] for row in res.rows))
+
+
+def test_norms_rows_share_one_table_per_grid_bitwise():
+    # `norms --k 64 --q 4 --q inf --m 5`: reading Z, Q and Y columns from one
+    # signed table per grid must give the per-field values bit for bit.  The
+    # hex literals were recorded when each field built its own table.
+    frozen = [
+        ("Z_64", 4.0, "0x1.8415b38ae3af2p-1"),
+        ("Q_64", 4.0, "0x1.b12f626517e33p-1"),
+        ("Y_64_5", 4.0, "0x1.5cc8fae68f693p-1"),
+        ("Z_64", math.inf, "0x1.13b30dcb6f1ffp+1"),
+        ("Q_64", math.inf, "0x1.b336e6807933ap-1"),
+        ("Y_64_5", math.inf, "0x1.2242105210cc5p+0"),
+    ]
+    res = norms_experiment(64, (4.0, math.inf), 5)
+    assert [(row["label"], row["q"], row["norm"].hex()) for row in res.rows] == frozen
+    grid = build_grid(64)
+    for row, m in zip(res.rows, (0, 64, 5)):
+        assert row["norm"] == lp_norm(standard_field(64, m, grid), 4.0)
+    with pytest.raises(ValueError, match="order 65"):
+        norms_experiment(64, (4.0,), 65)
 
 
 def test_tube_ratio_arc_masses_match_per_point_oracle():

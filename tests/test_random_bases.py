@@ -97,18 +97,57 @@ def _full_sphere_quartic_norms(k, coefficients, grid):
     return out
 
 
+def _coefficient_sets(k):
+    """Row sets of degree k: orthonormal ones, and the non-orthonormal rows beams pass."""
+    n = 2 * k + 1
+    rng = np.random.default_rng(k)
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return {
+        "identity": np.eye(n),
+        "haar": sample_haar_unitary(n, trial_rng(3, k)),
+        "gaussian": gaussian,
+        "one row": gaussian[:1],
+        "partial": gaussian[: k + 1],
+    }
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 17, 32])
 @pytest.mark.parametrize("oversample", [1.0, 1.5])
 def test_quartic_norms_hemisphere_fold_matches_full_sphere(k, oversample):
+    # The oracle synthesizes every ring at every longitude over all orders,
+    # so it checks the hemisphere, +-m and +-theta folds together.
     # Oversample 1 gives odd n_phi (an equator ring) and odd n_theta (the
-    # turn by pi lands on no grid longitude); oversample 1.5 gives even
-    # n_theta and n_phi of both parities over these k.
+    # turn by pi lands on no grid longitude, and only theta_0 is its own
+    # mirror); oversample 1.5 gives even n_theta (theta_{n_theta/2} is its
+    # own mirror too) and n_phi of both parities over these k.
     grid = build_grid(k, oversample)
-    n = 2 * k + 1
-    for coefficients in (np.eye(n), sample_haar_unitary(n, trial_rng(3, k))):
+    for name, coefficients in _coefficient_sets(k).items():
         folded = quartic_norms(k, coefficients, grid)
         full = _full_sphere_quartic_norms(k, coefficients, grid)
-        np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
+        assert folded.shape == (len(coefficients),), name
+        np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_quartic_norms_agree_on_every_exact_grid(k):
+    # All three grids integrate |f|^4 exactly; between them they cover both
+    # parities of n_phi and of n_theta.  The degrees stay small because the
+    # Gauss-Legendre rule itself drifts from grid to grid as n_phi grows
+    # (about 6e-13 relative for Z_17 between these three grids, the same
+    # before the +-m and +-theta folds), which is not what this test checks.
+    grids = [build_grid(k, oversample) for oversample in (1.0, 1.5, 2.0)]
+    for name, coefficients in _coefficient_sets(k).items():
+        base, *others = [quartic_norms(k, coefficients, grid) for grid in grids]
+        for other in others:
+            np.testing.assert_allclose(other, base, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def test_quartic_norms_rejects_rows_of_the_wrong_length():
+    grid = build_grid(3)
+    with pytest.raises(ValueError, match="rows of length 7"):
+        quartic_norms(3, np.eye(5), grid)
+    with pytest.raises(ValueError, match="rows of length 7"):
+        quartic_norms(3, np.ones(7), grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65])
@@ -176,3 +215,15 @@ def test_entry_moments_share_one_first_row_sampler():
     assert mean == pytest.approx(1.0, rel=1e-14) and stderr < 1e-15
     with pytest.raises(ValueError):
         gaussian_limit_check(8, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(1), 1.0, "1", True, -1, None])
+def test_moment_seeds_must_be_non_negative_ints(seed):
+    # Per-sample streams are derived from the seed, so a generator cannot stand in.
+    with pytest.raises(ValueError, match="seed"):
+        entry_moment(3, "|u|^2", samples=5, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        gaussian_limit_check(8, samples=5, seed=seed)
+    assert entry_moment(3, "|u|^2", samples=5, seed=np.int64(5)) == entry_moment(
+        3, "|u|^2", samples=5, seed=5
+    )
