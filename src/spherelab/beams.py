@@ -6,6 +6,10 @@ beams along well-separated circles are nearly orthogonal (the overlap decays
 like cos^{2k} of half the axis angle), so orthonormalizing them should barely
 disturb their large L4 norms.  How many beams survive with their L4 mass
 intact is the experiment; nothing here asserts an answer.
+
+Beams live in coefficient space: a beam's expansion over {Y_km} is one
+closed-form column of a Wigner rotation matrix, so building a family needs
+no grid.  Grids enter only where fourth-power norms are integrated.
 """
 
 import math
@@ -13,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.special import xlogy
 
-from .harmonics import analyze, beam_field
-from .quadrature import GridResolutionError, QuadratureGrid, build_grid
+from .legendre import log_factorial
+from .quadrature import QuadratureGrid, build_grid
 from .random_bases import CoefficientBasis, quartic_norms
-from .sphere import circle_angle, fibonacci_axes
+from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
 
 __all__ = [
     "PackingInfeasibleError",
@@ -30,7 +34,6 @@ __all__ = [
     "packing_bound",
     "place_separated_axes",
     "orthonormalize",
-    "complete_basis",
     "beam_experiment",
     "beam_gates",
     "BEAM_EXPERIMENT_COLUMNS",
@@ -48,32 +51,51 @@ class RankDeficiencyError(Exception):
 _GRAM_EIGENVALUE_FLOOR = 1e-10
 
 
-def beam_coefficients(k: int, axis, grid: QuadratureGrid = None) -> np.ndarray:
+def beam_coefficients(k: int, axis, grid=None) -> np.ndarray:
     """Expansion of the beam with the given axis over {Y_km}, orders m = -k..k.
 
-    Projects the directly evaluated beam field onto every basis element with
-    ``analyze`` (the grid must be exact for degree-2k products; the default
-    build_grid(k) is).  The result must come out unit-norm; if it does not,
-    the grid was too coarse and a GridResolutionError is raised.
+    The beam is c_k (a . x)^k with a = R[0] + i R[1] and R =
+    rotation_to_pole(axis) (see ``harmonics.beam_field``).  The isotropic
+    vector a factors through a spinor (xi, eta) with xi^2 = (a_x - i a_y)/2,
+    eta^2 = -(a_x + i a_y)/2 and xi eta = -a_z/2, and then
+
+        c_m = (-1)^k sqrt(C(2k, k+m)) xi^(k+m) eta^(k-m),
+
+    a column of the Wigner matrix D^k.  The square root is taken of the larger
+    of xi^2 and eta^2 and the other factor follows from a_z, which keeps axes
+    near either pole well conditioned.  |xi| = cos(beta/2) and |eta| =
+    sin(beta/2) for the polar angle beta of the axis, and the magnitudes are
+    formed in log space so no power under- or overflows at large k.  No grid
+    is built; ``grid`` is accepted for callers that pass one and is ignored.
     """
     k = int(k)
-    if grid is None:
-        grid = build_grid(k)
-    coeffs = analyze(k, beam_field(k, axis, grid).values, grid)
-    norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > 1e-10:
-        raise GridResolutionError(
-            f"projected beam norm {norm!r} deviates from 1; grid under-resolves the beam"
-        )
-    return coeffs
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
+    rot = rotation_to_pole(axis)
+    a = rot[0] + 1j * rot[1]
+    xi_sq = (a[0] - 1j * a[1]) / 2.0
+    eta_sq = -(a[0] + 1j * a[1]) / 2.0
+    if abs(xi_sq) >= abs(eta_sq):
+        xi = np.sqrt(xi_sq)
+        eta = -a[2] / (2.0 * xi)
+    else:
+        eta = np.sqrt(eta_sq)
+        xi = -a[2] / (2.0 * eta)
+    up = np.arange(2 * k + 1)
+    down = up[::-1]
+    log_mag = (
+        0.5 * (log_factorial(2 * k) - log_factorial(up) - log_factorial(down))
+        + xlogy(up, abs(xi))
+        + xlogy(down, abs(eta))
+    )
+    phase = up * np.angle(xi) + down * np.angle(eta)
+    return (-1.0) ** k * np.exp(log_mag + 1j * phase)
 
 
-def beam_overlap(k: int, axis1, axis2, grid: QuadratureGrid = None) -> complex:
+def beam_overlap(k: int, axis1, axis2) -> complex:
     """Hermitian inner product of two beams; |overlap| depends only on the axis angle."""
-    if grid is None:
-        grid = build_grid(int(k))
-    c1 = beam_coefficients(k, axis1, grid)
-    c2 = beam_coefficients(k, axis2, grid)
+    c1 = beam_coefficients(k, axis1)
+    c2 = beam_coefficients(k, axis2)
     return complex(np.vdot(c2, c1))
 
 
@@ -166,12 +188,10 @@ class BeamFamily:
     delta: float
 
     @classmethod
-    def build(cls, k: int, axes, grid: QuadratureGrid = None) -> "BeamFamily":
+    def build(cls, k: int, axes) -> "BeamFamily":
         k = int(k)
         axes = np.atleast_2d(np.asarray(axes, dtype=float))
-        if grid is None:
-            grid = build_grid(k)
-        rows = np.array([beam_coefficients(k, a, grid) for a in axes])
+        rows = np.array([beam_coefficients(k, a) for a in axes])
         if axes.shape[0] > 1:
             delta = min(
                 circle_angle(axes[i], axes[jj])
@@ -265,24 +285,6 @@ def orthonormalize(
     return fragment, report
 
 
-def complete_basis(fragment: CoefficientBasis) -> CoefficientBasis:
-    """Extend an orthonormal fragment to a full basis of the eigenspace.
-
-    The new rows span the Hermitian orthocomplement of the fragment; they
-    carry no distinguished geometry, they just complete the unitary.
-    """
-    k = fragment.k
-    n = 2 * k + 1
-    j = fragment.matrix.shape[0]
-    if j > n:
-        raise ValueError("fragment already larger than the space")
-    if j == n:
-        return fragment
-    kernel = null_space(fragment.matrix.conj())
-    full = np.vstack([fragment.matrix, kernel.T])
-    return CoefficientBasis(k, full)
-
-
 BEAM_EXPERIMENT_COLUMNS = (
     "k",
     "J",
@@ -344,7 +346,7 @@ def beam_experiment(
         j = max(1, min(j_req, max(1, bound // 2)))
         config_seed = int(seed) + idx
         axes = place_separated_axes(j, delta, seed=config_seed)
-        family = BeamFamily.build(k, axes, grid)
+        family = BeamFamily.build(k, axes)
         if family.size == 1:
             l44 = quartic_norms(k, family.matrix, grid)
             row = {

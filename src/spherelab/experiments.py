@@ -644,8 +644,8 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> d
     eval_basis_row, theta_integral), which run the downward recurrence in
     order, and folds into the same maxima.  The Gram check accumulates
     weighted ring products over ``synthesize_rings`` of the identity basis
-    on the band-k grid, so it checks the transform that lambda4 and the beam
-    code run, one ring in memory at a time.  k_max is capped by the upward
+    on the band-k grid, so it checks the synthesis that ``coefficient_field``
+    runs, one ring in memory at a time.  k_max is capped by the upward
     sweep's range (1024).
     """
     k_max = int(k_max)

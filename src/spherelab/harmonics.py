@@ -21,25 +21,21 @@ from .legendre import (
     normalized_assoc_legendre_row,
     normalized_legendre_table,
 )
-from .quadrature import GridResolutionError, HarmonicField, QuadratureGrid
+from .quadrature import HarmonicField, QuadratureGrid
 from .sphere import SpherePoint, rotation_to_pole
 
 __all__ = [
     "EigenvalueInfo",
     "sigma_exponent",
     "polar_distance",
-    "eval_ykm",
     "eval_basis_row",
     "signed_order_table",
     "synthesize_rings",
-    "analyze",
     "projection_kernel",
     "ell_p_sum",
     "ell_p_profile",
     "theta_integral",
     "pointwise_envelope",
-    "pointwise_bound_ratio",
-    "kernel_bound_ratio",
     "standard_field",
     "zonal_field",
     "highest_weight_field",
@@ -88,15 +84,6 @@ def _point(x) -> SpherePoint:
     return x if isinstance(x, SpherePoint) else SpherePoint(x)
 
 
-def eval_ykm(k: int, m: int, x) -> complex:
-    """Value of the basis element Y_km at a point: entry m + k of ``eval_basis_row``."""
-    k = int(k)
-    m = int(m)
-    if abs(m) > k:
-        raise ValueError(f"order {m} out of range for degree {k}")
-    return complex(eval_basis_row(k, x)[m + k])
-
-
 def eval_basis_row(k: int, x) -> np.ndarray:
     """All 2k+1 basis values at one point, ordered m = -k..k.
 
@@ -140,29 +127,6 @@ def synthesize_rings(k: int, coefficients, grid: QuadratureGrid):
     table = signed_order_table(k, grid.t)
     phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
     return ((coefficients * radial[None, :]) @ phases for radial in table)
-
-
-def analyze(k: int, values, grid: QuadratureGrid) -> np.ndarray:
-    """Coefficients <f, Y_km>, m = -k..k, of a field f given by its grid values.
-
-    ``values`` has the grid's shape (n_phi, n_theta).  One DFT per ring,
-    then the weighted colatitude sum against the radial table.  Exact for
-    band-limited fields of degree <= k when the grid integrates degree-2k
-    products exactly (build_grid(k) does).
-    """
-    k = int(k)
-    if grid.cos_degree_exact < 2 * k or grid.trig_degree_exact < 2 * k:
-        raise GridResolutionError(
-            f"projection needs exactness to degree {2 * k}, grid gives "
-            f"{grid.cos_degree_exact}/{grid.trig_degree_exact}"
-        )
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"expected values of shape {grid.shape}, got {values.shape}")
-    table = signed_order_table(k, grid.t)
-    conj_phases = np.exp(-1j * np.outer(grid.theta, np.arange(-k, k + 1)))
-    ring_dft = values @ conj_phases
-    return ((grid.ring_weight[:, None] * table) * ring_dft).sum(axis=0)
 
 
 def projection_kernel(k: int, x, y) -> float:
@@ -244,31 +208,6 @@ def pointwise_envelope(k: int, r: float) -> float:
     return k**0.25 * r**-0.25 * log_term**0.25
 
 
-def pointwise_bound_ratio(k: int, x) -> float:
-    """ell^4 sum at x divided by its envelope: the implied constant at that point."""
-    pt = _point(x)
-    r = polar_distance(pt)
-    return ell_p_sum(k, pt, 4.0) / pointwise_envelope(k, r)
-
-
-def kernel_bound_ratio(k: int, x, y) -> float:
-    """|Pi_k(x,y)| * k^(-1/2) * (k^(-1) + d)^(1/2), the kernel-envelope constant.
-
-    Sampling the sup over pairs estimates the implied constant of the kernel
-    bound |Pi_k| <= C k^(1/2) (k^(-1) + d)^(-1/2).  The ratio is O(1) in the
-    oscillatory regime but grows like k^(1/2) in the k^(-1)-neighborhood of
-    the antipode d = pi, where the kernel refocuses; sups intended to be
-    k-stable should exclude that focal zone.
-    """
-    from .sphere import geodesic_distance
-
-    k = int(k)
-    if k < 1:
-        raise ValueError("kernel bound ratio needs k >= 1")
-    d = geodesic_distance(_point(x).xyz, _point(y).xyz)
-    return abs(projection_kernel(k, x, y)) * k**-0.5 * (1.0 / k + d) ** 0.5
-
-
 def standard_field(k: int, m: int, grid: QuadratureGrid) -> HarmonicField:
     """Sample Y_km on the grid."""
     k = int(k)
@@ -297,12 +236,14 @@ def highest_weight_field(k: int, grid: QuadratureGrid) -> HarmonicField:
 
 
 def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
-    """Highest weight harmonic rebuilt around an arbitrary axis.
+    """Highest weight harmonic rebuilt around an arbitrary axis, evaluated directly.
 
     Evaluates c_k ((Rx)_1 + i (Rx)_2)^k with R the deterministic rotation
     taking the axis to the pole; the modulus is axis-frame invariant, only a
     global phase depends on R.  The power is taken in log space so large k
-    cannot underflow the profile.
+    cannot underflow the profile.  This pointwise evaluation shares no code
+    with the closed-form ``beams.beam_coefficients``, so synthesizing those
+    coefficients and comparing against this field checks both.
     """
     k = int(k)
     rot = rotation_to_pole(axis)

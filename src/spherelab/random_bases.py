@@ -43,8 +43,12 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial, stable under any execution order.
 
     Derives the stream from (master seed, trial index) so parallel or
-    reordered trials reproduce bitwise.
+    reordered trials reproduce bitwise.  The master seed is a non-negative
+    int; a generator or a float cannot stand in for it.
     """
+    seed_ok = isinstance(master_seed, (int, np.integer)) and not isinstance(master_seed, bool)
+    if not seed_ok or master_seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {master_seed!r}")
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(trial),)))
 
 
@@ -322,8 +326,6 @@ def _first_row_moduli(n: int, samples: int, seed: int):
     the 1/sqrt(2) scale of g change no modulus.  ``seed`` is a non-negative
     int: the per-sample streams are derived from it.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n = int(n)
     samples = int(samples)
     if n < 1:

@@ -12,15 +12,106 @@ from spherelab.beams import (
     beam_count_rule,
     beam_experiment,
     beam_overlap,
-    complete_basis,
     orthonormalize,
     packing_bound,
     place_separated_axes,
 )
-from spherelab.harmonics import beam_field, coefficient_field
-from spherelab.quadrature import build_grid, lp_norm
-from spherelab.random_bases import CoefficientBasis
+from spherelab.harmonics import (
+    beam_field,
+    coefficient_field,
+    signed_order_table,
+    synthesize_rings,
+)
+from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
 from spherelab.sphere import circle_angle
+
+
+def analyze(k, values, grid):
+    """Quadrature projection <f, Y_km>, m = -k..k, of a field given by its grid values.
+
+    The oracle for the closed-form beam coefficients: one DFT per ring, then
+    the weighted colatitude sum against the radial table.  Exact for fields
+    of degree <= k when the grid integrates degree-2k products exactly
+    (build_grid(k) does).
+    """
+    if grid.cos_degree_exact < 2 * k or grid.trig_degree_exact < 2 * k:
+        raise GridResolutionError(f"projection needs exactness to degree {2 * k}")
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"expected values of shape {grid.shape}, got {values.shape}")
+    table = signed_order_table(k, grid.t)
+    conj_phases = np.exp(-1j * np.outer(grid.theta, np.arange(-k, k + 1)))
+    return ((grid.ring_weight[:, None] * table) * (values @ conj_phases)).sum(axis=0)
+
+
+def _oracle_axes():
+    """Both poles, 1e-9 off each, an equator axis, the antipodal tie-break, 4 random axes."""
+    fixed = [
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0],
+        [1e-9, 0.0, 1.0],
+        [1e-9, 0.0, -1.0],
+        [1.0, 0.0, 0.0],
+        [1e-17, 0.0, -1.0],
+    ]
+    return [np.array(a) for a in fixed] + list(np.random.default_rng(29).standard_normal((4, 3)))
+
+
+def test_analyze_inverts_synthesis():
+    rng = np.random.default_rng(4)
+    for k in (0, 1, 17):
+        grid = build_grid(k)
+        coeffs = rng.standard_normal((3, 2 * k + 1)) + 1j * rng.standard_normal((3, 2 * k + 1))
+        values = np.stack(list(synthesize_rings(k, coeffs, grid)), axis=1)
+        assert values.shape == (3,) + grid.shape
+        for row, field in zip(coeffs, values):
+            assert np.abs(analyze(k, field, grid) - row).max() <= 1e-12
+    grid = build_grid(6)
+    with pytest.raises(ValueError):
+        analyze(6, np.zeros((3, 3)), grid)
+    with pytest.raises(GridResolutionError):
+        analyze(13, np.zeros(grid.shape), grid)  # needs degree-26 exactness
+
+
+def test_closed_form_matches_quadrature_projection():
+    for k in (0, 1, 2, 7, 33, 64, 128):
+        grid = build_grid(k)
+        for axis in _oracle_axes():
+            projected = analyze(k, beam_field(k, axis, grid).values, grid)
+            assert np.abs(beam_coefficients(k, axis) - projected).max() <= 1e-12, (k, axis)
+
+
+def test_closed_form_magnitude_law():
+    # |c_m| = sqrt(C(2k, k+m)) cos(beta/2)^(k+m) sin(beta/2)^(k-m), beta the axis polar angle
+    for k in (0, 1, 7, 64, 128):
+        m = np.arange(-k, k + 1)
+        binom = np.sqrt([float(math.comb(2 * k, k + mm)) for mm in m])
+        for axis in _oracle_axes():
+            beta = math.atan2(math.hypot(axis[0], axis[1]), axis[2])
+            law = binom * math.cos(beta / 2) ** (k + m) * math.sin(beta / 2) ** (k - m)
+            assert np.abs(np.abs(beam_coefficients(k, axis)) - law).max() <= 1e-13, (k, axis)
+
+
+def test_closed_form_stays_unit_norm_at_high_degree():
+    for k in (1024, 2048):
+        for axis in _oracle_axes():
+            assert abs(np.linalg.norm(beam_coefficients(k, axis)) - 1.0) <= 1e-11, (k, axis)
+    with pytest.raises(ValueError):
+        beam_coefficients(-1, [0.0, 0.0, 1.0])
+
+
+def test_beam_coefficients_build_no_grid(monkeypatch):
+    import spherelab.beams as beams
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(beams, "build_grid", no_grid)
+    family = BeamFamily.build(16, place_separated_axes(3, 0.6))
+    assert family.matrix.shape == (3, 33)
+    alpha = 0.7
+    overlap = beam_overlap(16, [0.0, 0.0, 1.0], [math.sin(alpha), 0.0, math.cos(alpha)])
+    assert abs(overlap) == pytest.approx(math.cos(alpha / 2) ** 32, abs=1e-12)
 
 
 def test_polar_beam_is_one_hot():
@@ -45,11 +136,10 @@ def test_beam_round_trip():
 def test_overlap_law():
     # |<b1, b2>| = cos(alpha/2)^(2k) where alpha is the circle angle
     k = 12
-    grid = build_grid(k)
     a1 = np.array([0.0, 0.0, 1.0])
     for alpha in (0.3, math.pi / 4, 1.2):
         a2 = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
-        got = abs(beam_overlap(k, a1, a2, grid))
+        got = abs(beam_overlap(k, a1, a2))
         assert got == pytest.approx(math.cos(alpha / 2) ** (2 * k), abs=1e-12)
 
 
@@ -145,18 +235,6 @@ def test_two_well_separated_beams_keep_their_mass():
     fam = BeamFamily.build(k, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     _, report = orthonormalize(fam)
     assert report.min_retention >= 0.99
-
-
-def test_complete_basis_extends_fragment():
-    k = 8
-    fam = BeamFamily.build(k, place_separated_axes(3, 0.7))
-    partial, _ = orthonormalize(fam)
-    full = complete_basis(partial)
-    assert isinstance(full, CoefficientBasis)
-    assert full.matrix.shape == (17, 17)
-    assert np.max(np.abs(full.matrix[:3] - partial.matrix)) < 1e-12
-    gram = full.matrix @ full.matrix.conj().T
-    assert np.allclose(gram, np.eye(17), atol=1e-10)
 
 
 def test_beam_count_rule():

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,23 @@ def test_random_onb_refused_allocation_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_random_onb_negative_seed_is_usage_error(capsys):
+    code = main(["random-onb", "--k", "1", "--trials", "2", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative int, got -1\n"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs tens of milliseconds of every command's start-up.
+    probe = "import sys, spherelab.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_avg_l4_small_sweep(capsys):

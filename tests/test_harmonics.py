@@ -6,17 +6,13 @@ from scipy.special import sph_harm_y
 
 from spherelab.harmonics import (
     EigenvalueInfo,
-    analyze,
     beam_field,
     coefficient_field,
     ell4_sum_field,
     ell_p_profile,
     ell_p_sum,
     eval_basis_row,
-    eval_ykm,
     highest_weight_field,
-    kernel_bound_ratio,
-    pointwise_bound_ratio,
     pointwise_envelope,
     polar_distance,
     projection_kernel,
@@ -27,7 +23,7 @@ from spherelab.harmonics import (
     theta_integral,
     zonal_field,
 )
-from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
+from spherelab.quadrature import build_grid, lp_norm
 from spherelab.random_bases import sample_haar_unitary
 from spherelab.sphere import SpherePoint
 
@@ -70,7 +66,7 @@ def test_eval_ykm_matches_scipy_random_orders():
         polar = math.acos(np.clip(x.xyz[2], -1, 1))
         azimuth = math.atan2(x.xyz[1], x.xyz[0])
         ref = complex(sph_harm_y(k, m, polar, azimuth))
-        got = eval_ykm(k, m, x)
+        got = eval_basis_row(k, x)[m + k]
         worst = max(worst, abs(got - ref))
     assert worst < 1e-13
 
@@ -81,13 +77,8 @@ def test_eval_ykm_matches_scipy_high_degree():
     azimuth = math.atan2(x.xyz[1], x.xyz[0])
     for k, m in ((100, 37), (100, -99), (200, 200), (300, 0)):
         ref = complex(sph_harm_y(k, m, polar, azimuth))
-        got = eval_ykm(k, m, x)
+        got = eval_basis_row(k, x)[m + k]
         assert got == pytest.approx(ref, abs=5e-15 + 1e-12 * abs(ref))
-
-
-def test_eval_ykm_order_bound():
-    with pytest.raises(ValueError):
-        eval_ykm(3, 4, [0, 0, 1])
 
 
 def test_basis_row_and_table_consistency():
@@ -95,10 +86,10 @@ def test_basis_row_and_table_consistency():
     for x in _random_points(10, 21):
         row = eval_basis_row(k, x)
         assert row.shape == (2 * k + 1,)
-        for j, m in enumerate(range(-k, k + 1)):
-            assert row[j] == pytest.approx(eval_ykm(k, m, x), abs=1e-14)
         table = signed_order_table(k, np.array([x.xyz[2]]))
         assert np.allclose(np.abs(table[0]), np.abs(row), atol=1e-13)
+        phases = np.exp(1j * np.arange(-k, k + 1) * x.theta)
+        assert np.allclose(table[0] * phases, row, atol=1e-13)
 
 
 def test_projection_kernel_diagonal_and_reproducing():
@@ -114,7 +105,7 @@ def test_projection_kernel_diagonal_and_reproducing():
 
     kern = (2 * k + 1) / (4 * math.pi) * legendre_p(k, np.clip(dots, -1, 1))
     recovered = grid.integrate(kern * f.values)
-    assert recovered == pytest.approx(eval_ykm(k, 3, x), abs=1e-12)
+    assert recovered == pytest.approx(eval_basis_row(k, x)[3 + k], abs=1e-12)
 
 
 def test_ell2_sum_identity():
@@ -192,7 +183,8 @@ def test_pointwise_bound_ratio_at_pole():
     # at the pole only the zonal element survives, so the ratio is exact
     for k in (8, 64):
         expect = math.sqrt((2 * k + 1) / (4 * math.pi)) / math.sqrt(k)
-        assert pointwise_bound_ratio(k, [0, 0, 1]) == pytest.approx(expect, rel=1e-12)
+        ratio = ell_p_sum(k, [0, 0, 1], 4.0) / pointwise_envelope(k, polar_distance([0, 0, 1]))
+        assert ratio == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_bound_ratio_restricted_band():
@@ -206,7 +198,9 @@ def test_kernel_bound_ratio_restricted_band():
             d = rng.uniform(1.0 / k, 3.0)
             theta = rng.uniform(0, 2 * math.pi)
             y = SpherePoint([math.sin(d) * math.cos(theta), math.sin(d) * math.sin(theta), math.cos(d)])
-            best = max(best, kernel_bound_ratio(k, x, y))
+            # |Pi_k(x, y)| k^(-1/2) (k^(-1) + d)^(1/2), the kernel-envelope constant
+            ratio = abs(projection_kernel(k, x, y)) * k**-0.5 * (1.0 / k + d) ** 0.5
+            best = max(best, ratio)
         sups[k] = best
     for k, sup in sups.items():
         assert 0.2 <= sup <= 1.0, (k, sup)
@@ -216,9 +210,10 @@ def test_kernel_bound_ratio_antipodal_growth():
     # near the antipode the two-point weight cannot stay bounded: the
     # normalized ratio grows with k, which the restricted test above avoids
     x = SpherePoint([0, 0, 1])
-    y = SpherePoint([math.sin(math.pi - 0.01), 0, math.cos(math.pi - 0.01)])
-    small = kernel_bound_ratio(8, x, y)
-    large = kernel_bound_ratio(64, x, y)
+    d = math.pi - 0.01
+    y = SpherePoint([math.sin(d), 0, math.cos(d)])
+    small = abs(projection_kernel(8, x, y)) * 8**-0.5 * (1.0 / 8 + d) ** 0.5
+    large = abs(projection_kernel(64, x, y)) * 64**-0.5 * (1.0 / 64 + d) ** 0.5
     assert large > 2 * small
 
 
@@ -270,27 +265,12 @@ def test_coefficient_field_one_hot():
         coefficient_field(5, np.zeros(4), grid)
 
 
-def test_analyze_inverts_synthesis():
-    rng = np.random.default_rng(4)
-    for k in (0, 1, 17):
-        grid = build_grid(k)
-        coeffs = rng.standard_normal((3, 2 * k + 1)) + 1j * rng.standard_normal((3, 2 * k + 1))
-        values = np.stack(list(synthesize_rings(k, coeffs, grid)), axis=1)
-        assert values.shape == (3,) + grid.shape
-        for row, field in zip(coeffs, values):
-            assert np.abs(analyze(k, field, grid) - row).max() <= 1e-12
-
-
 def test_transform_pair_validation():
     grid = build_grid(6)
     with pytest.raises(ValueError):
         synthesize_rings(6, np.zeros((2, 12)), grid)
     with pytest.raises(ValueError):
         synthesize_rings(6, np.zeros(13), grid)
-    with pytest.raises(ValueError):
-        analyze(6, np.zeros((3, 3)), grid)
-    with pytest.raises(GridResolutionError):
-        analyze(13, np.zeros(grid.shape), grid)  # needs degree-26 exactness
 
 
 def test_synthesized_square_sum_is_constant():

@@ -224,6 +224,8 @@ def test_moment_seeds_must_be_non_negative_ints(seed):
         entry_moment(3, "|u|^2", samples=5, seed=seed)
     with pytest.raises(ValueError, match="seed"):
         gaussian_limit_check(8, samples=5, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo_lambda4(1, trials=2, seed=seed)
     assert entry_moment(3, "|u|^2", samples=5, seed=np.int64(5)) == entry_moment(
         3, "|u|^2", samples=5, seed=5
     )
