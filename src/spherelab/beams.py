@@ -21,7 +21,7 @@ from scipy.special import xlogy
 
 from .legendre import log_factorial
 from .quadrature import QuadratureGrid, build_grid
-from .random_bases import CoefficientBasis, quartic_norms
+from .random_bases import CoefficientBasis, _check_seed, quartic_norms
 from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
 
 __all__ = [
@@ -326,8 +326,10 @@ def beam_experiment(
     a fixed count below 1 is a ValueError.  Row columns follow
     BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
     norms after orthonormalization, to be read against the k log k growth
-    of the standard full basis.
+    of the standard full basis.  ``seed`` is a non-negative int; delta
+    number i places its axes with seed + i.
     """
+    _check_seed(seed)
     k = int(k)
     if j_rule is not None and not callable(j_rule) and int(j_rule) < 1:
         raise ValueError(f"a fixed beam count must be >= 1, got {int(j_rule)}")

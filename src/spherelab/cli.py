@@ -168,14 +168,13 @@ def _run_norms(args):
 
 @_subcommand(
     "avg-l4", "eigenspace-averaged fourth-power norms against log k", xp.AVERAGE_L4_COLUMNS,
-    *_krange(8, 256), _oversample(),
+    *_krange(8, 256),
 )
 def _run_avg_l4(args):
     ks = _doubling_ks(args.k_min, args.k_max)
     if ks[-1] < 2:
         raise ValueError("avg-l4 needs some k >= 2 for the A_k/log k band; raise --k-max")
-    params = {"ks": ks, "oversample": args.oversample}
-    return xp.average_l4_experiment(ks, args.oversample), params, None
+    return xp.average_l4_experiment(ks), {"ks": ks}, None
 
 
 @_subcommand(

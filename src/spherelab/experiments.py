@@ -36,17 +36,18 @@ from .harmonics import (
     pointwise_envelope,
     projection_kernel,
     signed_order_table,
-    synthesize_rings,
     theta_integral,
     zonal_field,
 )
 from .legendre import (
     _UPWARD_MAX_DEGREE,
     _upward_degree_table,
+    _zonal_3j_squares,
     legendre_p,
     normalized_legendre_table,
 )
 from .quadrature import arc_selections, build_grid, lp_norm, superlevel_measure
+from .random_bases import _check_seed
 from .sphere import fibonacci_axes
 
 __all__ = [
@@ -348,23 +349,36 @@ class AverageL4Result(ExperimentRun):
 AVERAGE_L4_COLUMNS = ("k", "a_k", "a_k_over_log_k")
 
 
-def average_l4_experiment(ks, oversample: float = 1.0) -> AverageL4Result:
+# Largest degree avg-l4 accepts.  The sum holds k + 1 terms, so the cap bounds
+# its memory (tens of MB at the cap).
+AVERAGE_L4_MAX_DEGREE = 2**20
+
+
+def average_l4_experiment(ks) -> AverageL4Result:
     """A_k = (2k+1)^(-1) sum_m ||Y_km||_4^4 for each k, with A_k / log k.
 
-    The integrals reduce to colatitude profiles (the moduli are
-    longitude-independent), and the Gauss-Legendre rule at band k is exact
-    for the quartic integrands, so the values carry quadrature error at
-    rounding level only.  The log ratio is reported for k >= 2.
+    By the Gaunt expansion of |Y_km|^2 and sum_m (k k L; m -m 0)^2 = 1/(2L+1),
+
+        A_k = ((2k+1)/4pi) sum_{s=0..k} (k k 2s; 0 0 0)^2,
+
+    an O(k) sum with no grid and no Legendre table.  The terms come from
+    their exact ratio recurrence and are summed exactly (``math.fsum``), so
+    A_k carries rounding error only, about 1e-16 relative against 40-digit
+    sums for k up to 1024.  Degrees lie in 0..AVERAGE_L4_MAX_DEGREE; any
+    other degree is a ValueError before the sweep starts.  The log ratio is
+    reported for k >= 2.
     """
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not 0 <= k <= AVERAGE_L4_MAX_DEGREE:
+            raise ValueError(
+                f"avg-l4 degrees must lie in 0..{AVERAGE_L4_MAX_DEGREE} "
+                f"(AVERAGE_L4_MAX_DEGREE), got {k}"
+            )
     rows = []
     a_values = []
     for k in ks:
-        k = int(k)
-        grid = build_grid(k, oversample)
-        table = normalized_legendre_table(k, grid.t)
-        quartic = table**4
-        l44 = np.array([grid.integrate_profile(quartic[:, m]) for m in range(k + 1)])
-        a_k = (l44[0] + 2.0 * l44[1:].sum()) / (2 * k + 1)
+        a_k = (2 * k + 1) / (4.0 * math.pi) * math.fsum(_zonal_3j_squares(k))
         a_values.append(a_k)
         ratio = a_k / math.log(k) if k >= 2 else float("nan")
         rows.append({"k": k, "a_k": float(a_k), "a_k_over_log_k": float(ratio)})
@@ -374,8 +388,8 @@ def average_l4_experiment(ks, oversample: float = 1.0) -> AverageL4Result:
     spread = high / low
     certificate = {
         "integrand_exact": True,
-        "profile_quadrature": "gauss_legendre",
-        "oversample": oversample,
+        "method": "gaunt_sum",
+        "note": "A_k = ((2k+1)/4pi) sum_s (k k 2s; 0 0 0)^2, summed exactly; no quadrature",
     }
     gates = [
         (
@@ -628,6 +642,21 @@ def _random_points(rng, count):
 _SPOT_POINTS = 10
 
 
+def _identity_gram(k: int, grid) -> np.ndarray:
+    """Quadrature Gram matrix of the standard basis Y_k,-k..Y_kk on ``grid``.
+
+    Synthesizing the identity coefficients gives ring i the values
+    diag(R_i) Phi, with R = ``signed_order_table(k, grid.t)`` and
+    Phi[m, j] = exp(i m theta_j), so the weighted sum of ring products
+    sum_i w_i diag(R_i) Phi Phi^H diag(R_i) factors exactly into the
+    entrywise product (Phi Phi^H) o (R^T diag(w) R): two O(k^3) products
+    instead of one O(k^3) product per ring.
+    """
+    table = signed_order_table(k, grid.t)
+    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
+    return (phases @ phases.conj().T) * (table.T @ (grid.ring_weight[:, None] * table))
+
+
 def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> dict:
     """Worst-case errors of the four exact identities over random points.
 
@@ -642,12 +671,16 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> d
     upward recurrence in degree; a second pass at ``_SPOT_POINTS`` points per
     degree goes through the per-point entry points (ell_p_sum,
     eval_basis_row, theta_integral), which run the downward recurrence in
-    order, and folds into the same maxima.  The Gram check accumulates
-    weighted ring products over ``synthesize_rings`` of the identity basis
-    on the band-k grid, so it checks the synthesis that ``coefficient_field``
-    runs, one ring in memory at a time.  k_max is capped by the upward
-    sweep's range (1024).
+    order, and folds into the same maxima.  The Gram check integrates the
+    standard basis against itself on the band-k grid, from the signed order
+    table and the longitude phases that ``synthesize_rings`` (and so
+    ``coefficient_field``) combine.  Each ring of the identity synthesis is
+    diag(R_i) Phi, so the Gram matrix is (Phi Phi^H) o (R^T diag(w) R), an
+    entrywise product of two O(k^3) matrix products, where the ring-by-ring
+    sum costs O(k^4) per degree.  ``seed`` is a non-negative int.  k_max is
+    capped by the upward sweep's range (1024).
     """
+    _check_seed(seed)
     k_max = int(k_max)
     if not 1 <= k_max <= _UPWARD_MAX_DEGREE:
         raise ValueError(f"k_max must lie in 1..{_UPWARD_MAX_DEGREE}, the upward sweep's range")
@@ -703,10 +736,7 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> d
             rhs_pt = theta_integral(k, p[0])
             update("theta_identity", abs(lhs_pt - rhs_pt) / rhs_pt, k)
 
-        grid = build_grid(k)
-        gram = np.zeros((n, n), dtype=complex)
-        for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
-            gram += weight * (ring @ ring.conj().T)
+        gram = _identity_gram(k, build_grid(k))
         update("gram_identity", np.abs(gram - np.eye(n)).max(), k)
 
     checks = {}

@@ -25,6 +25,9 @@ form ``normalized_assoc_legendre_row``, which is several times faster than
 a one-point table call.  Two references stay beside it for cross-checks:
 ``_upward_degree_table``, a second algorithm (upward in degree, k <= 1024),
 and ``legendre_p``, the Legendre polynomial P_k.
+
+``_zonal_3j_squares`` gives the squared 3j symbols (k k 2s; 0 0 0)^2 that
+turn fourth-power integrals of degree-k harmonics into O(k) sums.
 """
 
 import numpy as np
@@ -101,6 +104,27 @@ def legendre_p(k: int, t):
 def zonal_sup_coefficient(k: int) -> float:
     """|c_k| = sqrt((2k+1) / (4 pi)), the sup of the zonal harmonic Q_k = c_k P_k."""
     return float(np.sqrt((2 * k + 1) / (4.0 * np.pi)))
+
+
+def _zonal_3j_squares(k: int) -> np.ndarray:
+    """T_s = (k k 2s; 0 0 0)^2 for s = 0..k, the squared zonal Wigner 3j symbols.
+
+    These are the Gaunt weights of |Y_km|^2 summed over m: the eigenspace
+    average of ||Y_km||_4^4 is ((2k+1)/4pi) sum_s T_s.  From T_0 = 1/(2k+1)
+    each term follows by the exact ratio
+
+        T_{s+1}/T_s = (2s+1)^2 (2k+2s+2)(2k-2s) / ((2s+2)^2 (2k+2s+3)(2k-2s-1)),
+
+    taken as one cumulative product, O(k) with no Legendre evaluation.
+    """
+    k = int(k)
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    s = np.arange(k, dtype=float)
+    ratio = ((2 * s + 1) ** 2 * (2 * k + 2 * s + 2) * (2 * k - 2 * s)) / (
+        (2 * s + 2) ** 2 * (2 * k + 2 * s + 3) * (2 * k - 2 * s - 1)
+    )
+    return np.cumprod(np.concatenate([[1.0 / (2 * k + 1)], ratio]))
 
 
 def _sectoral_log(k: int) -> float:

@@ -39,16 +39,24 @@ __all__ = [
 MONTE_CARLO_COLUMNS = ("trial", "k", "lambda4", "seed")
 
 
+def _check_seed(seed) -> None:
+    """The seed rule every seeded experiment shares: a non-negative int, else ValueError.
+
+    A generator, a float or a bool cannot stand in for it.
+    """
+    seed_ok = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not seed_ok or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
+
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial, stable under any execution order.
 
     Derives the stream from (master seed, trial index) so parallel or
-    reordered trials reproduce bitwise.  The master seed is a non-negative
-    int; a generator or a float cannot stand in for it.
+    reordered trials reproduce bitwise.  The master seed follows
+    ``_check_seed``.
     """
-    seed_ok = isinstance(master_seed, (int, np.integer)) and not isinstance(master_seed, bool)
-    if not seed_ok or master_seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {master_seed!r}")
+    _check_seed(master_seed)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(trial),)))
 
 

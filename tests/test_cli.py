@@ -112,6 +112,18 @@ def test_random_onb_negative_seed_is_usage_error(capsys):
     assert captured.err == "error: seed must be a non-negative int, got -1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k-max", "2", "--points", "2", "--seed", "-1"],
+    ["beams", "--seed", "-1", "--k", "8", "--delta", "0.5", "--j", "2"],
+], ids=["verify", "beams"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative int, got -1\n"
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs tens of milliseconds of every command's start-up.
     probe = "import sys, spherelab.cli; print('scipy.linalg' in sys.modules)"
@@ -134,6 +146,21 @@ def test_avg_l4_without_a_degree_of_two_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "k >= 2" in captured.err
+
+
+def test_avg_l4_degree_cap_is_usage_error(capsys):
+    code = main(["avg-l4", "--k-min", "1048577", "--k-max", "1048577"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "1048576" in captured.err
+
+
+def test_avg_l4_has_no_oversample_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["avg-l4", "--oversample", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oversample" in capsys.readouterr().err
 
 
 def test_scaling_gate(capsys):

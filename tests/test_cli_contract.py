@@ -1,0 +1,77 @@
+"""Generated-input contract of the command line: run, fail a gate, or refuse cleanly.
+
+Each generated run must exit 0, 1 or 2 and never raise.  Exit 1 comes only
+with a [FAIL] gate line; exit 2 only with a plain ``error:`` line on stderr.
+"""
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import spherelab.experiments as experiments
+from spherelab.cli import main
+from spherelab.experiments import AVERAGE_L4_MAX_DEGREE
+
+_CONTRACT = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Small degrees, negative ones, degrees at the cap, and degrees far beyond it.
+_DEGREES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(AVERAGE_L4_MAX_DEGREE - 2, AVERAGE_L4_MAX_DEGREE + 2),
+    st.integers(AVERAGE_L4_MAX_DEGREE + 1, 2**80),
+    st.integers(-(2**80), -4),
+)
+
+
+def _check_contract(code, captured):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert "[FAIL]" in captured.out and captured.err == ""
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@_CONTRACT
+@given(k_min=_DEGREES, k_max=_DEGREES)
+@example(k_min=8, k_max=AVERAGE_L4_MAX_DEGREE)  # the widest sweep that passes
+@example(k_min=1, k_max=AVERAGE_L4_MAX_DEGREE)  # A_2/log 2 widens the band to 5.5: exit 1
+@example(k_min=AVERAGE_L4_MAX_DEGREE, k_max=AVERAGE_L4_MAX_DEGREE + 1)
+@example(k_min=AVERAGE_L4_MAX_DEGREE + 1, k_max=AVERAGE_L4_MAX_DEGREE + 1)
+@example(k_min=3, k_max=2**80)
+@example(k_min=-1, k_max=8)
+def test_avg_l4_degree_range_contract(capsys, k_min, k_max):
+    largest = []
+    terms = experiments._zonal_3j_squares
+
+    def spy(k):
+        largest.append(k)
+        return terms(k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_zonal_3j_squares", spy)
+        code = main(["avg-l4", "--k-min", str(k_min), "--k-max", str(k_max)])
+    _check_contract(code, capsys.readouterr())
+    # no degree beyond the cap ever reaches the allocating sum
+    assert max(largest, default=0) <= AVERAGE_L4_MAX_DEGREE
+    if code == 2:
+        assert largest == []
+    if 8 <= k_min <= k_max <= AVERAGE_L4_MAX_DEGREE:
+        assert code == 0
+
+
+@_CONTRACT
+@given(seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(-2, 2)))
+def test_verify_seed_contract(capsys, seed):
+    code = main(["verify", "--k-max", "2", "--points", "2", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == (0 if seed >= 0 else 2)
+    if seed < 0:
+        assert captured.err == f"error: seed must be a non-negative int, got {seed}\n"

@@ -2,16 +2,20 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+import spherelab.experiments as experiments
 from spherelab.experiments import (
     AVERAGE_L4_COLUMNS,
+    AVERAGE_L4_MAX_DEGREE,
     ENVELOPE_COLUMNS,
     IDENTITY_CHECKS,
     SUPERLEVEL_COLUMNS,
     TUBE_RATIO_COLUMNS,
     ExperimentRecord,
+    _identity_gram,
     average_l4_experiment,
     exact_identity_suite,
     fit_power_law,
@@ -25,7 +29,8 @@ from spherelab.experiments import (
     write_csv,
     write_json,
 )
-from spherelab.harmonics import beam_field, standard_field
+from spherelab.harmonics import beam_field, standard_field, synthesize_rings
+from spherelab.legendre import _zonal_3j_squares, normalized_legendre_table
 from spherelab.quadrature import arc_tube_masses, build_grid, lp_norm
 from spherelab.sphere import fibonacci_axes
 
@@ -93,6 +98,64 @@ def test_average_l4_growth():
     assert res.band_spread >= 1.0
     low, high = res.ratio_band
     assert 0 < low <= high
+
+
+def _mpmath_average_l4(k):
+    """A_k = ((2k+1)/4pi) sum_s (k k 2s; 0 0 0)^2 at 40 digits, each 3j symbol by factorials."""
+    f = mpmath.factorial
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for s in range(k + 1):
+            ratio = f(k + s) / (f(s) ** 2 * f(k - s))
+            total += f(2 * s) ** 2 * f(2 * k - 2 * s) / f(2 * k + 2 * s + 1) * ratio**2
+        return (2 * k + 1) / (4 * mpmath.pi) * total
+
+
+def _quadrature_average_l4(k):
+    """A_k by Gauss-Legendre colatitude profiles on the band-k grid, a second algorithm."""
+    grid = build_grid(k)
+    quartic = normalized_legendre_table(k, grid.t) ** 4
+    l44 = np.array([grid.integrate_profile(quartic[:, m]) for m in range(k + 1)])
+    return (l44[0] + 2.0 * l44[1:].sum()) / (2 * k + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64, 256, 1024])
+def test_average_l4_matches_forty_digit_sums(k):
+    exact = _mpmath_average_l4(k)
+    a_k = average_l4_experiment([k]).rows[0]["a_k"]
+    assert abs(a_k - exact) / exact <= 1e-15
+    assert _zonal_3j_squares(k)[0] == 1.0 / (2 * k + 1)
+
+
+def test_average_l4_matches_the_quadrature_profiles():
+    ks = [1, 2, 3, 8, 17, 64, 128, 256]
+    res = average_l4_experiment(ks)
+    for k, row in zip(ks, res.rows):
+        assert row["a_k"] == pytest.approx(_quadrature_average_l4(k), rel=2e-12, abs=0.0)
+
+
+def test_average_l4_builds_no_grid_or_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("avg-l4 must not build a grid or a Legendre table")
+
+    monkeypatch.setattr(experiments, "build_grid", refuse)
+    monkeypatch.setattr(experiments, "normalized_legendre_table", refuse)
+    res = average_l4_experiment([8, 16, 32, 64, 128, 256, 512, 1024])
+    assert len(res.rows) == 8 and res.strictly_increasing
+    assert res.certificate["integrand_exact"] and "no quadrature" in res.certificate["note"]
+
+
+def test_average_l4_degree_cap():
+    assert AVERAGE_L4_MAX_DEGREE == 2**20
+    (row,) = average_l4_experiment([AVERAGE_L4_MAX_DEGREE]).rows
+    # A_k = (log k + gamma + 5 log 2)/(4 pi^2) + 1/(8 pi^2 k) + O(k^-2), found numerically
+    k = row["k"]
+    law = (math.log(k) + 0.5772156649015329 + 5 * math.log(2)) / (4 * math.pi**2)
+    law += 1.0 / (8 * math.pi**2 * k)
+    assert row["a_k"] == pytest.approx(law, rel=1e-9)
+    for k in (AVERAGE_L4_MAX_DEGREE + 1, -1):
+        with pytest.raises(ValueError, match="AVERAGE_L4_MAX_DEGREE"):
+            average_l4_experiment([8, k])
 
 
 def test_envelope_experiment_rows():
@@ -180,6 +243,50 @@ def test_exact_identity_suite_small():
         assert entry["passed"], name
         assert entry["max_error"] <= entry["tolerance"]
         assert 0 <= entry["worst_k"] <= 8
+
+
+def _ring_by_ring_gram(k, grid):
+    n = 2 * k + 1
+    gram = np.zeros((n, n), dtype=complex)
+    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
+        gram += weight * (ring @ ring.conj().T)
+    return gram
+
+
+@pytest.mark.parametrize("k", [1, 7, 32])
+def test_identity_gram_matches_the_ring_by_ring_sum(k):
+    grid = build_grid(k)
+    gram = _identity_gram(k, grid)
+    assert np.abs(gram - _ring_by_ring_gram(k, grid)).max() <= 1e-14
+    assert np.abs(gram - np.eye(2 * k + 1)).max() <= 1e-12
+
+
+def test_gram_check_fails_on_a_perturbed_table_column(monkeypatch):
+    table = experiments.signed_order_table
+
+    def perturbed(k, t):
+        out = table(k, t)
+        out[:, 0] *= 1.0 + 1e-9
+        return out
+
+    assert exact_identity_suite(k_max=4, points=5, seed=0)["checks"]["gram_identity"]["passed"]
+    monkeypatch.setattr(experiments, "signed_order_table", perturbed)
+    report = exact_identity_suite(k_max=4, points=5, seed=0)
+    assert not report["checks"]["gram_identity"]["passed"]
+    assert not report["passed"]
+
+
+def test_exact_identity_suite_worst_degrees_at_seed_zero():
+    # `verify --k-max 64 --seed 0` (100 points): the degrees where each check is worst
+    report = exact_identity_suite(k_max=64, points=100, seed=0)
+    assert [entry["worst_k"] for entry in report["checks"].values()] == [52, 50, 51, 61]
+
+
+def test_seeded_experiments_reject_negative_seeds():
+    with pytest.raises(ValueError, match="seed must be a non-negative int, got -1"):
+        exact_identity_suite(k_max=2, points=2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        exact_identity_suite(k_max=2, points=2, seed=np.random.default_rng(0))
 
 
 def test_exact_identity_suite_rejects_bad_ranges_up_front():
