@@ -521,10 +521,12 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
         # only its per-ring point counts; the tilted beam is summed per point.
         sup_mass = np.zeros(k + 2)
         for axis in axes:
-            sels = arc_selections(grid, axis, width)
-            masses = np.empty((sels.shape[0], k + 2))
-            masses[:, : k + 1] = (grid.ring_weight * np.count_nonzero(sels, axis=2)) @ profiles
-            masses[:, k + 1] = [beam_dens[sel].sum() for sel in sels]
+            ring, col, member = arc_selections(grid, axis, width)
+            counts = np.array([np.bincount(ring[m], minlength=grid.n_phi) for m in member])
+            masses = np.empty((member.shape[0], k + 2))
+            masses[:, : k + 1] = (grid.ring_weight * counts) @ profiles
+            tube_dens = beam_dens[ring, col]
+            masses[:, k + 1] = [tube_dens[m].sum() for m in member]
             np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
         for label, l4, mass in zip(labels, l4_norms, sup_mass):
             denom = lam**0.125 * mass ** (1.0 / 12.0) + 1.0

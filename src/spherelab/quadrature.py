@@ -47,7 +47,7 @@ class QuadratureGrid:
     band : int
         The parameter k the grid was built for.
     t, ring_weight : arrays of shape (n_phi,)
-        Gauss-Legendre nodes in cos(phi) and the per-point weight
+        Gauss-Legendre nodes in cos(phi), strictly ascending, and the per-point weight
         w_i * (2 pi / n_theta); summing ring_weight * n_theta gives 4 pi.
     theta : array of shape (n_theta,)
         Uniform longitudes 2 pi j / n_theta.
@@ -57,6 +57,8 @@ class QuadratureGrid:
         self.band = int(band)
         self.oversample = float(oversample)
         self.t = np.asarray(t, dtype=float)
+        if not np.all(np.diff(self.t) > 0.0):
+            raise ValueError("ring nodes t must be strictly ascending")
         self.n_phi = self.t.size
         self.n_theta = int(n_theta)
         self.theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
@@ -217,42 +219,81 @@ def lp_norm(field: HarmonicField, p) -> float:
 def tube_mask(grid: QuadratureGrid, circle, width: float) -> np.ndarray:
     """Boolean mask of grid points within angular distance width of the circle.
 
-    Membership is |arcsin(x . a)| <= width decided at the node center, with no
-    partial-cell weighting.
+    Membership is |x . a| <= sin(width) decided at the node center, with no
+    partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
+    The mask is a dense scatter of the tube-local indices that ``tube_mass``
+    and ``arc_selections`` work on.
+    """
+    ring, col = _tube_points(grid, circle, width)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[ring, col] = True
+    return mask
+
+
+def _tube_points(grid: QuadratureGrid, circle, width: float):
+    """(ring, column) indices, in C order, of the nodes of the tube around a great circle.
+
+    A point within angular distance width of the circle lies at latitude at
+    most alpha + width, alpha being the angle between the circle's axis and
+    the nearer pole, so only the rings with |t| <= sin(alpha + width) can
+    meet the tube.  They are one contiguous slice of the ascending nodes; the
+    node test |x . a| <= sin(width) runs on that slice only.
     """
     from .sphere import GreatCircle
 
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
     width = float(width)
-    if width <= 0.0:
-        raise ValueError("tube width must be positive")
-    xyz = grid.points()
-    dot = np.abs(xyz @ circle.axis)
-    threshold = 1.0 if width >= np.pi / 2 else np.sin(width)
-    return dot <= threshold
+    if not width > 0.0:
+        raise ValueError(f"tube width must be positive, got {width!r}")
+    if width >= np.pi / 2:
+        ring, col = np.indices(grid.shape)
+        return ring.ravel(), col.ravel()
+    a = circle.axis
+    alpha = np.arctan2(np.hypot(a[0], a[1]), abs(a[2]))
+    # The margin keeps every ring whose nodes could pass the node test by
+    # rounding; the test itself decides membership.
+    t_max = np.sin(min(np.pi / 2, alpha + width)) + 1e-6
+    lo, hi = np.searchsorted(grid.t, [-t_max, t_max])
+    band = grid.points()[lo:hi]
+    inside = np.flatnonzero(np.abs(band @ a) <= np.sin(width))
+    ring, col = np.divmod(inside, grid.n_theta)
+    return ring + lo, col
 
 
 def tube_mass(field: HarmonicField, circle, width: float) -> float:
     """L2 mass of a unit field inside the tube of the given half-width.
 
     The field must be L2-normalized within 1e-6 (checked; this functional is
-    only quoted for unit fields).  Emits ``TubeResolutionWarning`` when fewer
-    than 8 colatitude rings meet the tube.
+    only quoted for unit fields).  The density is summed over the tube's
+    nodes only, in C order.  Emits ``TubeResolutionWarning`` when fewer than
+    8 colatitude rings meet the tube.
     """
     l2 = field.l2_norm()
     if abs(l2 - 1.0) > 1e-6:
         raise ValueError(f"tube_mass expects a unit field, got L2 norm {l2!r}")
-    mask = tube_mask(field.grid, circle, width)
-    rings = int(mask.any(axis=1).sum())
+    ring, col = _tube_points(field.grid, circle, width)
+    rings = np.unique(ring).size
     if rings < 8:
         warnings.warn(
             f"only {rings} colatitude rings intersect the tube; mass is under-resolved",
             TubeResolutionWarning,
         )
-    dens = np.abs(field.values) ** 2
-    weighted = field.grid.ring_weight[:, None] * dens
-    return float(weighted[mask].sum())
+    return float(_tube_density(field, ring, col).sum())
+
+
+def _tube_density(field: HarmonicField, ring, col) -> np.ndarray:
+    """ring_weight * |f|^2 at the given nodes."""
+    return field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2
+
+
+# Arc-end band in which arc_selections re-tests points by the wrap expression.
+_ARC_TIE = 1e-9
+
+
+def _arc_distance(ang, center):
+    """Distance in [0, pi] between arc parameters, the wrap |((ang - c + pi) mod 2 pi) - pi|."""
+    return np.abs((ang - center + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def arc_selections(
@@ -261,27 +302,54 @@ def arc_selections(
     width: float,
     arc_length: float = 1.0,
     n_arcs: int = 8,
-) -> np.ndarray:
-    """Masks of the arc segments of the tube around a great circle, shape (n_arcs, n_phi, n_theta).
+):
+    """Arc segments of the tube around a great circle, as tube-local indices.
 
-    The tube is cut into ``n_arcs`` overlapping pieces: segment j keeps the
-    tube points whose arc parameter, measured in the circle's frame, lies
-    within arc_length/2 of the center 2 pi j / n_arcs.
+    Returns ``(ring, col, member)``: the tube's nodes as (ring, column)
+    indices in C order, as ``tube_mask`` selects them, and a boolean array
+    ``member`` of shape (n_arcs, n_tube).  The tube is cut into ``n_arcs``
+    overlapping pieces: segment j keeps the tube points whose arc parameter,
+    measured in the circle's frame, lies within arc_length/2 of the center
+    2 pi j / n_arcs.  Each point is tested only against the centers within
+    ceil(arc_length / (2 step)) steps of its nearest one (step = 2 pi /
+    n_arcs); the others are at least half a step farther than arc_length/2.
+    Memberships are those of the wrap distance |((s - c + pi) mod 2 pi) - pi|
+    tested at every center, bit for bit.
     """
     from .sphere import GreatCircle
 
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
-    mask = tube_mask(grid, circle, width)
+    arc_length = float(arc_length)
+    if not 0.0 < arc_length < np.inf:
+        raise ValueError(f"arc_length must be finite and positive, got {arc_length!r}")
+    if isinstance(n_arcs, bool) or not isinstance(n_arcs, (int, np.integer)) or n_arcs < 1:
+        raise ValueError(f"n_arcs must be an int >= 1, got {n_arcs!r}")
+    n_arcs = int(n_arcs)
+    ring, col = _tube_points(grid, circle, width)
     u, v = circle.frame()
-    # Arc parameters are needed only inside the tube, a small share of the grid.
-    xyz = grid.points()[mask]
+    xyz = np.take(grid.points().reshape(-1, 3), ring * grid.n_theta + col, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
-    delta = np.abs((ang - centers[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
-    sels = np.zeros((n_arcs,) + grid.shape, dtype=bool)
-    sels[:, mask] = delta <= 0.5 * float(arc_length)
-    return sels
+    half = 0.5 * arc_length
+    step = 2.0 * np.pi / n_arcs
+    reach = int(np.ceil(arc_length / (2.0 * step)))
+    if 2 * reach + 1 >= n_arcs:
+        return ring, col, _arc_distance(ang, centers[:, None]) <= half
+    # Row r of near holds, unwrapped, the center r steps from each point's
+    # nearest one: at most (reach + 1/2) steps < pi away, so |ang - step *
+    # near| is the distance without a wrap.  It differs from the wrap
+    # expression only by rounding, far below _ARC_TIE, so the wrap expression
+    # decides just the pairs within _ARC_TIE of an arc end.
+    near = np.rint(ang / step).astype(np.intp) + np.arange(-reach, reach + 1)[:, None]
+    arcs = near % n_arcs
+    dist = np.abs(ang - step * near)
+    inside = dist <= half
+    tie = np.nonzero(np.abs(dist - half) <= _ARC_TIE)
+    inside[tie] = _arc_distance(ang[tie[1]], centers[arcs[tie]]) <= half
+    member = np.zeros((n_arcs, ang.size), dtype=bool)
+    member[arcs, np.arange(ang.size)] = inside
+    return ring, col, member
 
 
 def arc_tube_masses(
@@ -297,9 +365,9 @@ def arc_tube_masses(
     the circle.  Returns the n_arcs masses; their max is a lower bound for
     the sup over all unit arcs on that circle.
     """
-    dens = field.grid.ring_weight[:, None] * np.abs(field.values) ** 2
-    sels = arc_selections(field.grid, circle, width, arc_length, n_arcs)
-    return np.array([float(dens[sel].sum()) for sel in sels])
+    ring, col, member = arc_selections(field.grid, circle, width, arc_length, n_arcs)
+    dens = _tube_density(field, ring, col)
+    return np.array([float(dens[m].sum()) for m in member])
 
 
 def superlevel_measure(field: HarmonicField, threshold: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from spherelab.quadrature import (
     GridResolutionError,
     HarmonicField,
+    QuadratureGrid,
     TubeResolutionWarning,
     arc_selections,
     arc_tube_masses,
@@ -15,7 +16,8 @@ from spherelab.quadrature import (
     tube_mask,
     tube_mass,
 )
-from spherelab.sphere import GreatCircle
+from spherelab.harmonics import beam_field
+from spherelab.sphere import GreatCircle, fibonacci_axes
 
 
 def test_grid_sizes_and_certificate():
@@ -93,6 +95,14 @@ def test_grids_of_one_size_share_read_only_nodes():
     with pytest.raises(ValueError):
         a.t[0] = 0.0
     assert build_grid(13).t is not a.t
+
+
+def test_grid_nodes_must_ascend():
+    # Tube selections take the rings a tube can meet as one slice of t.
+    g = build_grid(4)
+    for t in (g.t[::-1], np.r_[g.t[:2], g.t[1:]], np.r_[g.t[:-1], np.nan]):
+        with pytest.raises(ValueError, match="ascending"):
+            QuadratureGrid(4, 1.0, t, np.ones(t.size), g.n_theta)
 
 
 @pytest.mark.parametrize("oversample", [1.0, 1.5, 2.0])
@@ -201,19 +211,133 @@ def test_arc_masses_cover_the_tube():
     assert np.allclose(arcs, mass / (2 * math.pi), rtol=0.2)
 
 
+# (arc_length, n_arcs): the sweep's unit arcs first, then short arcs, long
+# arcs, arcs longer than the circle and a single arc.
+ARC_SETTINGS = ((1.0, 8), (0.2, 3), (2.0, 8), (7.0, 8), (1.0, 1))
+
+
+def dense_tube(grid, axis, width):
+    """Node test |x . a| <= sin(width) over the whole grid; the whole sphere from pi/2 on."""
+    threshold = 1.0 if width >= math.pi / 2 else math.sin(width)
+    return np.abs(grid.points() @ GreatCircle(axis).axis) <= threshold
+
+
+def dense_arc_masks(grid, axis, width, arc_length=1.0, n_arcs=8):
+    """Arc masks of shape (n_arcs, n_phi, n_theta), every arc tested at every tube point."""
+    circle = GreatCircle(axis)
+    mask = dense_tube(grid, circle.axis, width)
+    u, v = circle.frame()
+    xyz = grid.points()[mask]
+    ang = np.arctan2(xyz @ v, xyz @ u)
+    centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
+    delta = np.abs((ang - centers[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    sels = np.zeros((n_arcs,) + grid.shape, dtype=bool)
+    sels[:, mask] = delta <= 0.5 * arc_length
+    return sels
+
+
 def test_arc_selections_lie_inside_the_tube():
     g = build_grid(24)
     circle = GreatCircle([0.2, -0.4, 0.9])
-    tube = tube_mask(g, circle, 0.25)
-    sels = arc_selections(g, circle, 0.25)
-    assert sels.shape == (8,) + g.shape
-    assert not (sels & ~tube).any()
+    tube = dense_tube(g, circle.axis, 0.25)
+    ring, col, member = arc_selections(g, circle, 0.25)
+    # the selection lists each tube node once, in C order, and nothing else
+    assert np.all(np.diff(ring * g.n_theta + col) > 0)
+    assert tube[ring, col].all() and ring.size == tube.sum()
+    assert member.shape == (8, ring.size)
     # eight unit arcs cover the circle, so together they are the whole tube
-    assert np.array_equal(sels.any(axis=0), tube)
-    short = arc_selections(g, circle, 0.25, arc_length=0.2, n_arcs=3)
-    assert short.shape == (3,) + g.shape
-    assert not (short & ~tube).any()
+    assert member.any(axis=0).all()
+    short_ring, short_col, short = arc_selections(g, circle, 0.25, arc_length=0.2, n_arcs=3)
+    assert short.shape == (3, short_ring.size)
+    assert tube[short_ring, short_col].all()
     assert short.any(axis=0).sum() < tube.sum()
+
+
+def test_tube_masses_equal_the_dense_sums_bitwise():
+    # Tube-local sums add the same densities in the same order as the dense masks.
+    g = build_grid(16, 1.5)
+    f = beam_field(16, [0.3, 0.5, -0.8], g)
+    dens = g.ring_weight[:, None] * np.abs(f.values) ** 2
+    for axis, width in (([0.2, -0.4, 0.9], 0.25), ([1, 0, 0], 0.1), ([0, 0, 1], math.inf)):
+        assert tube_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
+        for arc_length, n_arcs in ARC_SETTINGS:
+            sels = dense_arc_masks(g, axis, width, arc_length, n_arcs)
+            masses = arc_tube_masses(f, axis, width, arc_length, n_arcs)
+            assert masses.tolist() == [dens[sel].sum() for sel in sels]
+
+
+@pytest.mark.parametrize(
+    "k, oversample",
+    [(k, oversample) for k in (1, 8, 17, 33, 64) for oversample in (1.0, 1.5, 2.0)],
+)
+def test_arc_selections_match_the_dense_oracle(k, oversample):
+    # The tube-local selection must pick the same nodes, in C order, and the
+    # same arc memberships as testing every node against every arc center.
+    # The Fibonacci axes of the tube-ratio sweep run at its arc setting; the
+    # edge-case and random axes run at every setting, and the edge cases
+    # also as whole-sphere tubes.  k = 64 runs every axis at the sweep's arc
+    # setting only, which keeps the test to a few seconds.
+    g = build_grid(k, oversample)
+    settings = ARC_SETTINGS if k < 64 else ARC_SETTINGS[:1]
+    special = np.array([[0, 0, 1], [0, 0, -1], [0, 1e-17, -1], [1, 0, 0]], dtype=float)
+    rng = np.random.default_rng(20261018)
+    width = math.sqrt(k * (k + 1)) ** -0.5
+    cases = [(axis, width, ARC_SETTINGS[:1]) for axis in fibonacci_axes(max(64, 4 * k))]
+    cases += [(axis, width, settings) for axis in (*special, *rng.standard_normal((50, 3)))]
+    cases += [(axis, w, settings) for axis, w in zip(special, (math.pi / 2, math.inf) * 2)]
+    for axis, w, arc_settings in cases:
+        tube = dense_tube(g, axis, w)
+        assert np.array_equal(tube_mask(g, axis, w), tube)
+        expect_ring, expect_col = np.nonzero(tube)
+        for arc_length, n_arcs in arc_settings:
+            ring, col, member = arc_selections(g, axis, w, arc_length, n_arcs)
+            assert np.array_equal(ring, expect_ring) and np.array_equal(col, expect_col)
+            sels = np.zeros((n_arcs,) + g.shape, dtype=bool)
+            sels[:, ring, col] = member
+            assert np.array_equal(sels, dense_arc_masks(g, axis, w, arc_length, n_arcs))
+
+
+def test_arc_ends_follow_the_wrap_distance():
+    # Arc lengths that put a tube point exactly at the end of arc 0, as the
+    # wrap distance measures it: the membership there must still be the
+    # dense one, however the tube-local test rounds its own distance.
+    g = build_grid(8)
+    circle = GreatCircle([0.2, -0.4, 0.9])
+    u, v = circle.frame()
+    tube = dense_tube(g, circle.axis, 0.3)
+    xyz = g.points()[tube]
+    ends = np.abs((np.arctan2(xyz @ v, xyz @ u) + math.pi) % (2.0 * math.pi) - math.pi)
+    for end in ends[ends < 2.3]:
+        ring, col, member = arc_selections(g, circle, 0.3, 2.0 * end, 8)
+        sels = np.zeros((8,) + g.shape, dtype=bool)
+        sels[:, ring, col] = member
+        assert np.array_equal(sels, dense_arc_masks(g, circle.axis, 0.3, 2.0 * end, 8))
+
+
+def test_tube_inputs_are_checked_by_name():
+    g = build_grid(8)
+    f = _unit_constant_field(g)
+    circle = GreatCircle([0.2, -0.4, 0.9])
+    with pytest.raises(ValueError, match="width"):
+        tube_mask(g, circle, math.nan)
+    with pytest.raises(ValueError, match="width"):
+        tube_mass(f, circle, math.nan)
+    with pytest.raises(ValueError, match="width"):
+        arc_selections(g, circle, math.nan)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="arc_length"):
+            arc_selections(g, circle, 0.3, arc_length=bad)
+        with pytest.raises(ValueError, match="arc_length"):
+            arc_tube_masses(f, circle, 0.3, arc_length=bad)
+    for bad in (0, -2, 2.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="n_arcs"):
+            arc_selections(g, circle, 0.3, n_arcs=bad)
+    assert arc_selections(g, circle, 0.3, n_arcs=np.int64(3))[2].shape[0] == 3
+    # width >= pi/2, inf included, is the whole sphere
+    for w in (math.pi / 2, math.inf):
+        assert tube_mask(g, circle, w).all()
+        assert tube_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
+        assert arc_selections(g, circle, w)[0].size == g.n_points
 
 
 def test_superlevel_measure_constant():
