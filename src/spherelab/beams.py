@@ -5,7 +5,8 @@ circle; it concentrates in a k^(-1/2) tube around that circle.  Families of
 beams along well-separated circles are nearly orthogonal (the overlap decays
 like cos^{2k} of half the axis angle), so orthonormalizing them should barely
 disturb their large L4 norms.  How many beams survive with their L4 mass
-intact is the experiment; nothing here asserts an answer.
+intact is the experiment (``experiments.beam_experiment``); nothing here
+asserts an answer.
 
 Beams live in coefficient space: a beam's expansion over {Y_km} is one
 closed-form column of a Wigner rotation matrix, so building a family needs
@@ -13,7 +14,6 @@ no grid.  Grids enter only where fourth-power norms are integrated.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.special import xlogy
 
 from .legendre import log_factorial
 from .quadrature import QuadratureGrid, build_grid
-from .random_bases import CoefficientBasis, _check_seed, quartic_norms
+from .random_bases import CoefficientBasis, quartic_norms
 from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "packing_bound",
     "place_separated_axes",
     "orthonormalize",
-    "beam_experiment",
-    "beam_gates",
-    "BEAM_EXPERIMENT_COLUMNS",
 ]
 
 
@@ -283,124 +280,3 @@ def orthonormalize(
         l44_after=l44_after,
     )
     return fragment, report
-
-
-BEAM_EXPERIMENT_COLUMNS = (
-    "k",
-    "J",
-    "delta",
-    "method",
-    "seed",
-    "min_ret",
-    "mean_ret",
-    "gram_cond",
-    "sum_l4",
-)
-
-
-def beam_count_rule(exponent: float):
-    """The beam-count rule J = floor(k^(1 - exponent)), clamped to at least 1."""
-    exponent = float(exponent)
-    if not 0.0 <= exponent <= 1.0:
-        raise ValueError("beam-count exponent must lie in [0, 1]")
-
-    def rule(k: int, delta: float) -> int:
-        return max(1, int(math.floor(k ** (1.0 - exponent))))
-
-    return rule
-
-
-def beam_experiment(
-    k: int,
-    deltas,
-    j_rule=None,
-    method: str = "symmetric",
-    seed: int = 0,
-    grid: QuadratureGrid = None,
-) -> list:
-    """Retention sweep over separation values; returns one row dict per delta.
-
-    ``j_rule`` may be an integer (fixed beam count), a callable (k, delta) ->
-    count, or None for the default count sqrt(k) capped at half the packing
-    bound.  Requested counts are clamped to what the packing bound allows;
-    a fixed count below 1 is a ValueError.  Row columns follow
-    BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
-    norms after orthonormalization, to be read against the k log k growth
-    of the standard full basis.  ``seed`` is a non-negative int; delta
-    number i places its axes with seed + i.
-    """
-    _check_seed(seed)
-    k = int(k)
-    if j_rule is not None and not callable(j_rule) and int(j_rule) < 1:
-        raise ValueError(f"a fixed beam count must be >= 1, got {int(j_rule)}")
-    if grid is None:
-        grid = build_grid(k)
-    rows = []
-    for idx, delta in enumerate(deltas):
-        delta = float(delta)
-        bound = packing_bound(delta)
-        if j_rule is None:
-            j_req = max(1, int(math.isqrt(k)))
-        elif callable(j_rule):
-            j_req = int(j_rule(k, delta))
-        else:
-            j_req = int(j_rule)
-        j = max(1, min(j_req, max(1, bound // 2)))
-        config_seed = int(seed) + idx
-        axes = place_separated_axes(j, delta, seed=config_seed)
-        family = BeamFamily.build(k, axes)
-        if family.size == 1:
-            l44 = quartic_norms(k, family.matrix, grid)
-            row = {
-                "k": k,
-                "J": 1,
-                "delta": delta,
-                "method": method,
-                "seed": config_seed,
-                "min_ret": 1.0,
-                "mean_ret": 1.0,
-                "gram_cond": 1.0,
-                "sum_l4": float(l44.sum()),
-            }
-        else:
-            _, report = orthonormalize(family, method=method, grid=grid)
-            row = {
-                "k": k,
-                "J": j,
-                "delta": delta,
-                "method": method,
-                "seed": config_seed,
-                "min_ret": report.min_retention,
-                "mean_ret": report.mean_retention,
-                "gram_cond": report.gram_condition,
-                "sum_l4": float(report.l44_after.sum()),
-            }
-        rows.append(row)
-    _warn_on_nonmonotone(rows)
-    return rows
-
-
-def beam_gates(rows) -> list:
-    """The sweep's one (passed, text) gate: every configuration orthonormalized.
-
-    A configuration passes with a finite Gram condition number and a
-    positive minimum retention.
-    """
-    done = all(math.isfinite(row["gram_cond"]) and row["min_ret"] > 0.0 for row in rows)
-    return [(done, "orthonormalization completed for every configuration")]
-
-
-def _warn_on_nonmonotone(rows):
-    """Smoke check: at fixed (k, J), retention should not fall as delta grows."""
-    groups = {}
-    for row in rows:
-        groups.setdefault((row["k"], row["J"]), []).append(row)
-    for key, group in groups.items():
-        group = sorted(group, key=lambda r: r["delta"])
-        for a, b in zip(group, group[1:]):
-            if b["min_ret"] < a["min_ret"] - 1e-9:
-                warnings.warn(
-                    f"retention fell from {a['min_ret']:.6f} to {b['min_ret']:.6f} "
-                    f"between delta {a['delta']} and {b['delta']} at (k, J) = {key}",
-                    UserWarning,
-                )

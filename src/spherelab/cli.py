@@ -1,10 +1,11 @@
 """Command line front end: a table of subcommands, one per experiment family.
 
-Each table entry declares its flags and maps the parsed flags to one
-experiment call and its record parameters.  One generic path then prints
-the experiment's rows and summary, one [PASS]/[FAIL] line per gate the
-experiment reports, and writes --out.  The gates and their thresholds come
-from the experiments' own modules; none is defined here.  Exit status: 0
+Each table entry declares its flags and maps the parsed flags to one call of
+an ``experiments`` function, which returns an ``experiments.ExperimentRun``,
+and to the record's parameters and seed.  One generic path then prints the
+run's rows and summary, one [PASS]/[FAIL] line per gate of the run, and
+writes --out.  Row columns, gates and thresholds all come from
+``experiments``; none is defined here.  Exit status: 0
 when every gate passed, 1 when a gate failed, 2 for usage errors (bad
 flags, or domain errors the library raises before a sweep starts).
 """
@@ -17,20 +18,8 @@ from typing import Callable
 
 from . import experiments as xp
 from ._version import __version__
-from .beams import (
-    BEAM_EXPERIMENT_COLUMNS,
-    PackingInfeasibleError,
-    RankDeficiencyError,
-    beam_count_rule,
-    beam_experiment,
-    beam_gates,
-)
+from .beams import PackingInfeasibleError, RankDeficiencyError
 from .quadrature import GridResolutionError
-from .random_bases import MONTE_CARLO_COLUMNS, monte_carlo_lambda4
-
-NORM_COLUMNS = ("label", "q", "band", "norm")
-SCALING_COLUMNS = ("k", "band", "norm")
-VERIFY_COLUMNS = ("check", "max_error", "tolerance", "worst_k", "passed")
 
 # A refused allocation (say, --trials far beyond memory) is reported like a bad flag.
 _USAGE_ERRORS = (
@@ -91,16 +80,16 @@ def _print_rows(columns, rows) -> None:
         print(f"... {len(rows) - _PRINT_LIMIT} more rows (use --out to keep them all)")
 
 
-def _emit(args, columns, result, params, seed, elapsed) -> None:
+def _emit(args, columns, run, params, seed, elapsed) -> None:
     """Write --out: the rows as CSV, or the rows inside the run record as JSON."""
     if not args.out:
         return
     if args.format == "csv":
-        xp.write_csv(args.out, columns, result.rows)
+        xp.write_csv(args.out, columns, run.rows)
     else:
-        record = xp.ExperimentRecord(args.command, params, result.certificate, seed,
-                                     result.outputs, round(elapsed, 3))
-        xp.write_json(args.out, record, columns, result.rows)
+        record = xp.ExperimentRecord(args.command, params, run.certificate, seed,
+                                     run.outputs, round(elapsed, 3))
+        xp.write_json(args.out, record, columns, run.rows)
     print(f"wrote {args.out}")
 
 
@@ -108,14 +97,13 @@ def _emit(args, columns, result, params, seed, elapsed) -> None:
 class _Subcommand:
     help: str
     flags: tuple  # _flag pairs, added before the shared _OUTPUT_FLAGS
-    run: Callable  # parsed flags -> (result, params, seed)
+    run: Callable  # parsed flags -> (ExperimentRun, params, seed)
     columns: tuple
     print_rows: bool
 
 
 # The subcommand table, in help order.  Each entry's run function maps the
-# parsed flags to one experiment call and returns (result, params, seed),
-# the result in the shape ``experiments.ExperimentRun`` describes.
+# parsed flags to one experiment call and returns (run, params, seed).
 _SUBCOMMANDS = {}
 
 
@@ -153,7 +141,7 @@ def _krange(k_min, k_max):
 
 
 @_subcommand(
-    "norms", "L^q norms of the zonal / highest-weight / standard fields", NORM_COLUMNS,
+    "norms", "L^q norms of the zonal / highest-weight / standard fields", xp.NORM_COLUMNS,
     _flag("--k", "degree", type=int, required=True),
     _flag("--m", "also include the order-m element", type=int, default=None),
     _flag("--q", "norm exponent, repeatable, 'inf' allowed (default 4)",
@@ -178,7 +166,7 @@ def _run_avg_l4(args):
 
 
 @_subcommand(
-    "scaling", "growth exponent fit for one family of harmonics", SCALING_COLUMNS,
+    "scaling", "growth exponent fit for one family of harmonics", xp.SCALING_COLUMNS,
     _flag("--family", "which family to fit",
           choices=("zonal", "highest-weight"), default="highest-weight"),
     _flag("--q", "norm exponent ('inf' allowed)", type=_parse_q, default=4.0),
@@ -201,22 +189,20 @@ def _run_pointwise(args):
 
 
 @_subcommand(
-    "random-onb", "Monte Carlo fourth-power functional of Haar bases", MONTE_CARLO_COLUMNS,
+    "random-onb", "Monte Carlo fourth-power functional of Haar bases", xp.MONTE_CARLO_COLUMNS,
     _flag("--k", "degree (default 32)", type=int, default=32),
     _flag("--trials", "number of Haar trials (default 200)", type=int, default=200),
     _flag("--seed", "master seed (default 0)", type=int, default=0),
-    _oversample(),
     print_rows=False,
 )
 def _run_random_onb(args):
-    mc = monte_carlo_lambda4(args.k, args.trials, args.seed, None, args.oversample)
-    run = xp.ExperimentRun(mc.rows(), mc.certificate, mc.outputs, mc.gates, mc.summary)
-    return run, {"k": mc.k, "trials": mc.trials, "oversample": args.oversample}, mc.seed
+    run = xp.monte_carlo_lambda4(args.k, args.trials, args.seed)
+    return run, {"k": args.k, "trials": args.trials}, args.seed
 
 
 @_subcommand(
     "beams", "separated-beam families and orthonormalization retention",
-    BEAM_EXPERIMENT_COLUMNS,
+    xp.BEAM_EXPERIMENT_COLUMNS,
     _flag("--k", "degree when no sweep range is given", type=int, default=64),
     _flag("--k-min", "sweep start (doubling)", type=int, default=None),
     _flag("--k-max", "sweep end", type=int, default=None),
@@ -238,15 +224,10 @@ def _run_beams(args):
     deltas = args.delta or [0.5, 0.35, 0.25]
     if args.j is not None and args.exponent is not None:
         raise ValueError("--j and --exponent are mutually exclusive")
-    j_rule = args.j if args.exponent is None else beam_count_rule(args.exponent)
-    rows = [
-        row
-        for k in ks
-        for row in beam_experiment(k, deltas, j_rule=j_rule, method=args.method, seed=args.seed)
-    ]
+    j_rule = args.j if args.exponent is None else xp.beam_count_rule(args.exponent)
+    run = xp.beam_experiment(ks, deltas, j_rule=j_rule, method=args.method, seed=args.seed)
     params = {"ks": ks, "deltas": [float(d) for d in deltas], "method": args.method,
               "j": args.j, "exponent": args.exponent}
-    run = xp.ExperimentRun(rows, outputs={"rows": len(rows)}, gates=beam_gates(rows))
     return run, params, args.seed
 
 
@@ -275,16 +256,14 @@ def _run_superlevel(args):
 
 
 @_subcommand(
-    "verify", "run the exact-identity suite", VERIFY_COLUMNS,
+    "verify", "run the exact-identity suite", xp.VERIFY_COLUMNS,
     _flag("--k-max", "check all degrees up to this (default 32)", type=int, default=32),
     _flag("--points", "random points per degree (default 100)", type=int, default=100),
     _flag("--seed", "random point seed", type=int, default=0),
     print_rows=False,
 )
 def _run_verify(args):
-    suite = xp.exact_identity_suite(args.k_max, args.points, args.seed)
-    rows = [{"check": name, **info} for name, info in suite["checks"].items()]
-    run = xp.ExperimentRun(rows, outputs=suite, gates=xp.identity_gates(suite))
+    run = xp.exact_identity_suite(args.k_max, args.points, args.seed)
     return run, {"k_max": args.k_max, "points": args.points}, args.seed
 
 
@@ -305,16 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Run one subcommand: print its rows, summary and gates, then write --out."""
     command = _SUBCOMMANDS[args.command]
-    (result, params, seed), elapsed = xp.timed(command.run, args)
+    (run, params, seed), elapsed = xp.timed(command.run, args)
     if command.print_rows:
-        _print_rows(command.columns, result.rows)
-    for line in result.summary:
+        _print_rows(command.columns, run.rows)
+    for line in run.summary:
         print(line)
-    gates = result.gates
-    for passed, text in gates:
+    for passed, text in run.gates:
         print(f"[{'PASS' if passed else 'FAIL'}] {text}")
-    _emit(args, command.columns, result, params, seed, elapsed)
-    return 0 if all(passed for passed, _ in gates) else 1
+    _emit(args, command.columns, run, params, seed, elapsed)
+    return 0 if all(passed for passed, _ in run.gates) else 1
 
 
 def main(argv=None) -> int:

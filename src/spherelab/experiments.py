@@ -1,4 +1,5 @@
-"""Quantitative sweeps: scaling fits, the log-k average, envelopes, tubes, superlevel sets.
+"""The named experiments: identity suite, norms, scaling fits, the log-k average,
+envelopes, Haar Monte Carlo, beam retention, tubes and superlevel sets.
 
 Every experiment here reports raw numbers next to any fitted summary, embeds
 the quadrature exactness certificate it ran under, and uses ordinary least
@@ -10,15 +11,16 @@ Every experiment the command line runs returns one result shape,
 ``ExperimentRun``: ``rows`` (the row table), ``certificate`` (the record's
 ``grid`` block), ``outputs`` (the record's ``outputs`` block), ``gates``
 (``(passed, text)`` pairs) and ``summary`` (lines printed after the table).
-Typed results extend it with the values their callers read.  Each gate
-threshold is a module constant defined beside its experiment; the
-acceptance tests pin the constants to their literal values.
+Each experiment's row columns, and each gate threshold, are module constants
+defined beside it; the acceptance tests pin the thresholds to their literal
+values.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,8 +48,17 @@ from .legendre import (
     legendre_p,
     normalized_legendre_table,
 )
+from .beams import BeamFamily, orthonormalize, packing_bound, place_separated_axes
 from .quadrature import arc_selections, build_grid, lp_norm, superlevel_measure
-from .random_bases import _check_seed
+from .random_bases import (
+    CoefficientBasis,
+    _check_seed,
+    _mean_stderr,
+    lambda4,
+    quartic_norms,
+    sample_haar_unitary,
+    trial_rng,
+)
 from .sphere import fibonacci_axes
 
 __all__ = [
@@ -61,12 +72,11 @@ __all__ = [
     "norms_experiment",
     "IDENTITY_CHECKS",
     "exact_identity_suite",
-    "identity_gates",
-    "AverageL4Result",
     "average_l4_experiment",
-    "EnvelopeSweepResult",
     "pointwise_envelope_experiment",
-    "TubeRatioResult",
+    "monte_carlo_lambda4",
+    "beam_count_rule",
+    "beam_experiment",
     "tube_ratio_experiment",
     "superlevel_experiment",
     "write_csv",
@@ -82,64 +92,17 @@ SCALING_MAX_RESIDUAL_RMS = 0.05
 
 @dataclass
 class PowerLawFit:
-    """OLS fit of log(value) against log(k), with the lambda-variable refit alongside.
-
-    For a ``scaling_experiment`` fit, ``rows``, ``gates`` and ``summary``
-    read the norm table in the certificate and the predicted target.
-    """
+    """OLS fit of log(value) against log(k), with the lambda-variable refit alongside."""
 
     exponent: float
     intercept: float
     residual_rms: float
     k_range: tuple
-    q: float = None
-    target: float = None
-    exponent_lambda: float = None
-    residual_rms_lambda: float = None
-    certificate: dict = None
+    exponent_lambda: float
+    residual_rms_lambda: float
 
     def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "k_range": list(self.k_range),
-            "q": None if self.q is None else float(self.q),
-            "target": self.target,
-            "exponent_lambda": self.exponent_lambda,
-            "residual_rms_lambda": self.residual_rms_lambda,
-            "certificate": self.certificate,
-        }
-
-    @property
-    def rows(self) -> list:
-        norms = self.certificate["norms"]
-        return [
-            {"k": k, "band": band, "norm": norms[k]}
-            for k, band in self.certificate["bands"].items()
-        ]
-
-    @property
-    def outputs(self) -> dict:
-        return self.to_dict()
-
-    @property
-    def gates(self) -> list:
-        miss, rms = abs(self.exponent - self.target), self.residual_rms
-        return [
-            (miss <= SCALING_EXPONENT_TOLERANCE,
-             f"|exponent - target| = {miss:.4f} <= {SCALING_EXPONENT_TOLERANCE:g}"),
-            (rms <= SCALING_MAX_RESIDUAL_RMS,
-             f"log-log residual rms {rms:.2e} <= {SCALING_MAX_RESIDUAL_RMS:g}"),
-        ]
-
-    @property
-    def summary(self) -> tuple:
-        return (
-            f"fit: exponent {self.exponent:.6f} (target {self.target:.6f}), "
-            f"residual rms {self.residual_rms:.2e}, lambda-variable exponent "
-            f"{self.exponent_lambda:.6f}",
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -187,7 +150,7 @@ class ExperimentRecord:
 
 @dataclass
 class ExperimentRun:
-    """The result shape the command line reports; typed results extend it."""
+    """The result shape of every experiment the command line runs."""
 
     rows: list
     certificate: dict = field(default_factory=dict)
@@ -206,7 +169,7 @@ def _ols_loglog(x, y):
     return float(slope), float(intercept), rms
 
 
-def fit_power_law(ks, values, q=None, target=None, certificate=None) -> PowerLawFit:
+def fit_power_law(ks, values) -> PowerLawFit:
     """Least-squares power law through (k, value) pairs, fitted in log-log.
 
     Also refits against lambda = sqrt(k(k+1)); for k >= 8 the two exponents
@@ -225,11 +188,8 @@ def fit_power_law(ks, values, q=None, target=None, certificate=None) -> PowerLaw
         intercept=intercept,
         residual_rms=rms,
         k_range=(int(ks.min()), int(ks.max())),
-        q=q,
-        target=target,
         exponent_lambda=slope_lam,
         residual_rms_lambda=rms_lam,
-        certificate=certificate,
     )
 
 
@@ -281,13 +241,18 @@ def family_norm_table(family: str, q, ks, oversample: float = 1.0):
     return rows, certificate
 
 
-def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> PowerLawFit:
+SCALING_COLUMNS = ("k", "band", "norm")
+
+
+def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> ExperimentRun:
     """Fit the growth exponent of ||family_k||_q against its predicted branch.
 
     The zonal family realizes the upper branch 2(1/2 - 1/q) - 1/2 of the
     growth exponent and has a kink artifact near q = 6, so it is only
     accepted for q >= 8 or q = inf; the highest weight family realizes the
-    lower branch (1/2)(1/2 - 1/q) for every q >= 2.
+    lower branch (1/2)(1/2 - 1/q) for every q >= 2.  The rows are the norm
+    table; the outputs are the fit, q, the target exponent and the
+    certificate.
     """
     if family not in _SCALING_FAMILIES:
         raise ValueError(f"family must be one of {_SCALING_FAMILIES}")
@@ -300,10 +265,24 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> PowerLawF
     if len(ks) < 4:
         raise ValueError("need a k-range of at least 4 degrees")
     rows, certificate = family_norm_table(family, q, ks, oversample)
-    values = [row["norm"] for row in rows]
-    return fit_power_law(
-        ks, values, q=q, target=scaling_target(family, q), certificate=certificate
+    fit = fit_power_law(ks, [row["norm"] for row in rows])
+    target = scaling_target(family, q)
+    miss, rms = abs(fit.exponent - target), fit.residual_rms
+    gates = [
+        (miss <= SCALING_EXPONENT_TOLERANCE,
+         f"|exponent - target| = {miss:.4f} <= {SCALING_EXPONENT_TOLERANCE:g}"),
+        (rms <= SCALING_MAX_RESIDUAL_RMS,
+         f"log-log residual rms {rms:.2e} <= {SCALING_MAX_RESIDUAL_RMS:g}"),
+    ]
+    summary = (
+        f"fit: exponent {fit.exponent:.6f} (target {target:.6f}), "
+        f"residual rms {rms:.2e}, lambda-variable exponent {fit.exponent_lambda:.6f}",
     )
+    outputs = {**fit.to_dict(), "q": q, "target": target, "certificate": certificate}
+    return ExperimentRun(rows, certificate, outputs, gates, summary)
+
+
+NORM_COLUMNS = ("label", "q", "band", "norm")
 
 
 def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) -> ExperimentRun:
@@ -336,16 +315,6 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
 # Average-L4 gate: max/min of A_k / log k over the sweep stays at or below this.
 AVERAGE_L4_MAX_SPREAD = 5.0
 
-
-@dataclass(kw_only=True)
-class AverageL4Result(ExperimentRun):
-    """The eigenspace-averaged fourth-power norms A_k and their log-k ratios."""
-
-    strictly_increasing: bool
-    ratio_band: tuple
-    band_spread: float
-
-
 AVERAGE_L4_COLUMNS = ("k", "a_k", "a_k_over_log_k")
 
 
@@ -354,7 +323,7 @@ AVERAGE_L4_COLUMNS = ("k", "a_k", "a_k_over_log_k")
 AVERAGE_L4_MAX_DEGREE = 2**20
 
 
-def average_l4_experiment(ks) -> AverageL4Result:
+def average_l4_experiment(ks) -> ExperimentRun:
     """A_k = (2k+1)^(-1) sum_m ||Y_km||_4^4 for each k, with A_k / log k.
 
     By the Gaunt expansion of |Y_km|^2 and sum_m (k k L; m -m 0)^2 = 1/(2L+1),
@@ -366,7 +335,8 @@ def average_l4_experiment(ks) -> AverageL4Result:
     A_k carries rounding error only, about 1e-16 relative against 40-digit
     sums for k up to 1024.  Degrees lie in 0..AVERAGE_L4_MAX_DEGREE; any
     other degree is a ValueError before the sweep starts.  The log ratio is
-    reported for k >= 2.
+    reported for k >= 2; the outputs hold its band [min, max], the band's
+    spread max/min and whether A_k strictly increases across the sweep.
     """
     ks = [int(k) for k in ks]
     for k in ks:
@@ -399,27 +369,12 @@ def average_l4_experiment(ks) -> AverageL4Result:
         ),
         (increasing, "A_k strictly increasing across the sweep"),
     ]
-    return AverageL4Result(
-        rows,
-        certificate,
-        {"ratio_band": [low, high], "strictly_increasing": increasing},
-        gates,
-        strictly_increasing=increasing,
-        ratio_band=(low, high),
-        band_spread=spread,
-    )
+    outputs = {"ratio_band": [low, high], "strictly_increasing": increasing, "band_spread": spread}
+    return ExperimentRun(rows, certificate, outputs, gates)
 
 
 # Envelope gate: max/min of the per-degree sup ratios stays at or below this.
 ENVELOPE_MAX_SPREAD = 3.0
-
-
-@dataclass(kw_only=True)
-class EnvelopeSweepResult(ExperimentRun):
-    """Per-degree sup of the pointwise ell^4 bound ratio over colatitudes."""
-
-    band_spread: float
-
 
 ENVELOPE_COLUMNS = ("k", "sup_ratio", "argmax_r", "pole_ratio")
 
@@ -429,13 +384,14 @@ ENVELOPE_COLUMNS = ("k", "sup_ratio", "argmax_r", "pole_ratio")
 _ENVELOPE_COLATITUDES = 400
 
 
-def pointwise_envelope_experiment(ks) -> EnvelopeSweepResult:
+def pointwise_envelope_experiment(ks) -> ExperimentRun:
     """Scan the envelope constant over polar distances for each degree.
 
     The scan uses a colatitude grid that is geometric near the pole (to
     resolve the r ~ 1/k caps) plus uniform coverage out to the equator, and
     adds the exact pole value; a flat per-k sup across the sweep is the
-    sharpness evidence for the envelope.
+    sharpness evidence for the envelope.  The outputs hold the spread
+    max/min of the per-k sups.
     """
     rows = []
     sups = []
@@ -465,26 +421,167 @@ def pointwise_envelope_experiment(ks) -> EnvelopeSweepResult:
         spread <= ENVELOPE_MAX_SPREAD,
         f"per-k sup ratios stay within a factor {spread:.4g} <= {ENVELOPE_MAX_SPREAD:g} band",
     )
-    return EnvelopeSweepResult(
-        rows, outputs={"band_spread": spread}, gates=[gate], band_spread=spread
+    return ExperimentRun(rows, outputs={"band_spread": spread}, gates=[gate])
+
+
+MONTE_CARLO_COLUMNS = ("trial", "k", "lambda4", "seed")
+
+# Random-ONB gate: the mean/benchmark ratio lies in this closed interval.
+# The band is asymptotic: the exact Haar mean of the ratio is n/(n+1) with
+# n = 2k+1, below 0.9 for k <= 3 and exactly 0.9 at k = 4, so the gate fails
+# there by design (at k = 0 the ratio is exactly 1/2).
+HAAR_RATIO_BAND = (0.9, 1.1)
+
+
+def monte_carlo_lambda4(k: int, trials: int, seed: int) -> ExperimentRun:
+    """Monte Carlo estimate of the Haar average of the lambda4 functional.
+
+    Each trial applies an independent Haar unitary to the standard basis and
+    evaluates lambda4 on one shared band-k grid, which is exact for it.
+    Trials draw from per-trial streams, so the per-trial rows are bitwise
+    reproducible for a fixed master seed under any execution order.  The
+    outputs hold the mean and its standard error in the geometric
+    normalization of lambda4, the asymptotic benchmark (2k+1)/(2 pi) in that
+    same normalization (see ``random_bases``), and ``ratio`` = mean /
+    benchmark with its standard error, the quantity expected to drift toward
+    1 as k grows.  The certificate describes the grid.
+    """
+    k = int(k)
+    trials = int(trials)
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
+    grid = build_grid(k)
+    values = np.empty(trials)
+    for trial in range(trials):
+        u = sample_haar_unitary(2 * k + 1, trial_rng(seed, trial))
+        values[trial] = lambda4(CoefficientBasis(k, u), grid)
+    seed = int(seed)
+    mean, stderr = _mean_stderr(values)
+    benchmark = (2 * k + 1) / (2.0 * math.pi)
+    ratio, ratio_stderr = mean / benchmark, stderr / benchmark
+    rows = [{"trial": i, "k": k, "lambda4": float(v), "seed": seed} for i, v in enumerate(values)]
+    low, high = HAAR_RATIO_BAND
+    gate = (low <= ratio <= high, f"mean/benchmark ratio {ratio:.4f} in [{low:g}, {high:g}]")
+    summary = (
+        f"k={k} trials={trials} seed={seed}",
+        f"mean lambda4 {mean:.8f} +- {stderr:.8f} (geometric measure)",
+        f"benchmark (2k+1)/(2pi) = {benchmark:.8f}",
+        f"ratio {ratio:.6f} +- {ratio_stderr:.6f}",
     )
+    outputs = {"mean": mean, "stderr": stderr, "benchmark": benchmark, "ratio": ratio,
+               "ratio_stderr": ratio_stderr}
+    return ExperimentRun(rows, grid.describe(), outputs, [gate], summary)
+
+
+BEAM_EXPERIMENT_COLUMNS = (
+    "k",
+    "J",
+    "delta",
+    "method",
+    "seed",
+    "min_ret",
+    "mean_ret",
+    "gram_cond",
+    "sum_l4",
+)
+
+
+def beam_count_rule(exponent: float):
+    """The beam-count rule J = floor(k^(1 - exponent)), clamped to at least 1."""
+    exponent = float(exponent)
+    if not 0.0 <= exponent <= 1.0:
+        raise ValueError("beam-count exponent must lie in [0, 1]")
+
+    def rule(k: int, delta: float) -> int:
+        return max(1, int(math.floor(k ** (1.0 - exponent))))
+
+    return rule
+
+
+def beam_experiment(
+    ks, deltas, j_rule=None, method: str = "symmetric", seed: int = 0
+) -> ExperimentRun:
+    """Retention sweep over degrees and separation values; one row per (k, delta).
+
+    ``j_rule`` may be an integer (fixed beam count), a callable (k, delta) ->
+    count, or None for the default count sqrt(k) capped at half the packing
+    bound.  Requested counts are clamped to what the packing bound allows;
+    a fixed count below 1 is a ValueError.  Row columns follow
+    BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
+    norms after orthonormalization, to be read against the k log k growth
+    of the standard full basis.  ``seed`` is a non-negative int; at every
+    degree, delta number i places its axes with seed + i.  The one gate: every
+    configuration orthonormalized, with a finite Gram condition number and a
+    positive minimum retention.
+    """
+    _check_seed(seed)
+    if j_rule is not None and not callable(j_rule) and int(j_rule) < 1:
+        raise ValueError(f"a fixed beam count must be >= 1, got {int(j_rule)}")
+    deltas = [float(delta) for delta in deltas]
+    rows = []
+    for k in ks:
+        k = int(k)
+        grid = build_grid(k)
+        for idx, delta in enumerate(deltas):
+            if j_rule is None:
+                j_req = max(1, int(math.isqrt(k)))
+            elif callable(j_rule):
+                j_req = int(j_rule(k, delta))
+            else:
+                j_req = int(j_rule)
+            j = max(1, min(j_req, max(1, packing_bound(delta) // 2)))
+            config_seed = int(seed) + idx
+            family = BeamFamily.build(k, place_separated_axes(j, delta, seed=config_seed))
+            if family.size == 1:
+                min_ret = mean_ret = gram_cond = 1.0
+                sum_l4 = float(quartic_norms(k, family.matrix, grid).sum())
+            else:
+                _, report = orthonormalize(family, method=method, grid=grid)
+                min_ret, mean_ret = report.min_retention, report.mean_retention
+                gram_cond = report.gram_condition
+                sum_l4 = float(report.l44_after.sum())
+            rows.append(
+                {
+                    "k": k,
+                    "J": j,
+                    "delta": delta,
+                    "method": method,
+                    "seed": config_seed,
+                    "min_ret": min_ret,
+                    "mean_ret": mean_ret,
+                    "gram_cond": gram_cond,
+                    "sum_l4": sum_l4,
+                }
+            )
+    _warn_on_nonmonotone(rows)
+    done = all(math.isfinite(row["gram_cond"]) and row["min_ret"] > 0.0 for row in rows)
+    gate = (done, "orthonormalization completed for every configuration")
+    return ExperimentRun(rows, outputs={"rows": len(rows)}, gates=[gate])
+
+
+def _warn_on_nonmonotone(rows):
+    """Smoke check: at fixed (k, J), retention should not fall as delta grows."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row["k"], row["J"]), []).append(row)
+    for key, group in groups.items():
+        group = sorted(group, key=lambda r: r["delta"])
+        for a, b in zip(group, group[1:]):
+            if b["min_ret"] < a["min_ret"] - 1e-9:
+                warnings.warn(
+                    f"retention fell from {a['min_ret']:.6f} to {b['min_ret']:.6f} "
+                    f"between delta {a['delta']} and {b['delta']} at (k, J) = {key}",
+                    UserWarning,
+                )
 
 
 # Tube-ratio gate: every concentration ratio stays at or below this.
 TUBE_RATIO_MAX = 1.0
 
-
-@dataclass(kw_only=True)
-class TubeRatioResult(ExperimentRun):
-    """Tube-concentration ratios for every family member at each degree."""
-
-    max_ratio: float
-
-
 TUBE_RATIO_COLUMNS = ("k", "label", "lam", "l4", "sup_arc_mass", "ratio")
 
 
-def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> TubeRatioResult:
+def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     """Concentration-functional ratios across one eigenspace per degree.
 
     For each basis member (orders m >= 0; negative orders share the modulus)
@@ -495,7 +592,8 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
     where the sup runs over width lam^(-1/2) tubes around a sampled set of
     great circles (equator axis plus a Fibonacci family of max(64, 4k) axes)
     cut into eight unit-length arcs.  The sampled sup can only undershoot the
-    true one, which makes a boundedness gate on the ratio conservative.
+    true one, which makes a boundedness gate on the ratio conservative.  The
+    outputs hold the largest ratio.
     """
     rows = []
     max_ratio = 0.0
@@ -505,8 +603,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
         lam = info.lam
         width = lam**-0.5
         grid = build_grid(k, oversample)
-        axes_count = n_axes if n_axes is not None else max(64, 4 * k)
-        axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(axes_count)])
+        axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(max(64, 4 * k))])
 
         table = normalized_legendre_table(k, grid.t)
         profiles = table**2
@@ -555,9 +652,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0, n_axes: int = None) -> Tu
         max_ratio <= TUBE_RATIO_MAX,
         f"max concentration ratio {max_ratio:.4f} <= {TUBE_RATIO_MAX:.1f}",
     )
-    return TubeRatioResult(
-        rows, certificate, {"max_ratio": max_ratio}, [gate], max_ratio=max_ratio
-    )
+    return ExperimentRun(rows, certificate, {"max_ratio": max_ratio}, [gate])
 
 
 # Superlevel gate: at the largest threshold constant C, the scaled measure
@@ -615,24 +710,14 @@ def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) 
 
 IDENTITY_CHECKS = ("l2_identity", "addition_theorem", "theta_identity", "gram_identity")
 
+VERIFY_COLUMNS = ("check", "max_error", "tolerance", "worst_k", "passed")
+
 _IDENTITY_TOLERANCES = {
     "l2_identity": 1e-10,
     "addition_theorem": 1e-10,
     "theta_identity": 1e-10,
     "gram_identity": 1e-11,
 }
-
-
-def identity_gates(report: dict) -> list:
-    """One (passed, text) gate per check of an ``exact_identity_suite`` report."""
-    return [
-        (
-            info["passed"],
-            f"{name}: max error {info['max_error']:.3e} <= {info['tolerance']:.0e} "
-            f"(worst at k={info['worst_k']})",
-        )
-        for name, info in report["checks"].items()
-    ]
 
 
 def _random_points(rng, count):
@@ -659,7 +744,7 @@ def _identity_gram(k: int, grid) -> np.ndarray:
     return (phases @ phases.conj().T) * (table.T @ (grid.ring_weight[:, None] * table))
 
 
-def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> dict:
+def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> ExperimentRun:
     """Worst-case errors of the four exact identities over random points.
 
     Per degree k = 1..k_max, at ``points`` random points each:
@@ -680,7 +765,9 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> d
     diag(R_i) Phi, so the Gram matrix is (Phi Phi^H) o (R^T diag(w) R), an
     entrywise product of two O(k^3) matrix products, where the ring-by-ring
     sum costs O(k^4) per degree.  ``seed`` is a non-negative int.  k_max is
-    capped by the upward sweep's range (1024).
+    capped by the upward sweep's range (1024).  One row and one gate per
+    check; the outputs hold the inputs, the checks by name and whether all
+    passed.
     """
     _check_seed(seed)
     k_max = int(k_max)
@@ -751,13 +838,23 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> d
             "worst_k": at_k,
             "passed": err <= tol,
         }
-    return {
+    rows = [{"check": name, **info} for name, info in checks.items()]
+    gates = [
+        (
+            info["passed"],
+            f"{name}: max error {info['max_error']:.3e} <= {info['tolerance']:.0e} "
+            f"(worst at k={info['worst_k']})",
+        )
+        for name, info in checks.items()
+    ]
+    outputs = {
         "k_max": k_max,
         "points": int(points),
         "seed": int(seed),
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
+    return ExperimentRun(rows, outputs=outputs, gates=gates)
 
 
 def _format_cell(value) -> str:

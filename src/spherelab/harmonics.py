@@ -26,8 +26,6 @@ from .sphere import SpherePoint, rotation_to_pole
 
 __all__ = [
     "EigenvalueInfo",
-    "sigma_exponent",
-    "polar_distance",
     "eval_basis_row",
     "signed_order_table",
     "synthesize_rings",
@@ -58,26 +56,6 @@ class EigenvalueInfo:
     @property
     def multiplicity(self) -> int:
         return 2 * self.k + 1
-
-
-def sigma_exponent(q) -> float:
-    """Sharp growth exponent sigma(q) = max(2(1/2 - 1/q) - 1/2, (1/2)(1/2 - 1/q)).
-
-    Defined for q > 2 with q = inf allowed; the two branches cross at q = 6.
-    """
-    q = float(q)
-    if not q > 2.0:
-        raise ValueError("sigma_exponent requires q > 2")
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    upper = 2.0 * (0.5 - inv_q) - 0.5
-    lower = 0.5 * (0.5 - inv_q)
-    return max(upper, lower)
-
-
-def polar_distance(x) -> float:
-    """r = min over signs of dist(x, +-(0,0,1)), always in [0, pi/2]."""
-    v = x.xyz if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    return float(np.arctan2(np.hypot(v[0], v[1]), abs(v[2])))
 
 
 def _point(x) -> SpherePoint:

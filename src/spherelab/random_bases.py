@@ -9,8 +9,8 @@ Normalization note for the averaged functional.  lambda4 integrates fourth
 powers against the geometric area element (total mass 4 pi).  The asymptotic
 benchmark "2(2k+1)" for the Haar average is stated for the unit-mass
 normalization of the sphere; converting to the geometric element divides it
-by 4 pi, so the comparison value used by ``monte_carlo_lambda4`` is
-(2k+1) / (2 pi).
+by 4 pi, so the comparison value used by ``experiments.monte_carlo_lambda4``
+is (2k+1) / (2 pi).
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from .harmonics import _signed_orders
 from .legendre import normalized_legendre_table
-from .quadrature import GridResolutionError, QuadratureGrid, build_grid
+from .quadrature import GridResolutionError, QuadratureGrid
 
 __all__ = [
     "trial_rng",
@@ -28,15 +28,10 @@ __all__ = [
     "CoefficientBasis",
     "quartic_norms",
     "lambda4",
-    "MONTE_CARLO_COLUMNS",
-    "MonteCarloLambda4",
-    "monte_carlo_lambda4",
     "entry_moment",
     "GaussianMomentReport",
     "gaussian_limit_check",
 ]
-
-MONTE_CARLO_COLUMNS = ("trial", "k", "lambda4", "seed")
 
 
 def _check_seed(seed) -> None:
@@ -110,11 +105,6 @@ class CoefficientBasis:
         """The standard basis itself."""
         n = 2 * int(k) + 1
         return cls(k, np.eye(n, dtype=complex), validate=False)
-
-    @classmethod
-    def from_unitary(cls, k: int, unitary) -> "CoefficientBasis":
-        """Basis obtained by applying a unitary to the standard basis rows."""
-        return cls(k, np.asarray(unitary, dtype=complex))
 
     @property
     def size(self) -> int:
@@ -216,105 +206,6 @@ def lambda4(basis: CoefficientBasis, grid: QuadratureGrid) -> float:
     if worst > 1e-6:
         raise ValueError(f"basis rows deviate from unit L2 by {worst:.3e}")
     return float(quartic_norms(basis.k, basis.matrix, grid).sum())
-
-
-# Random-ONB gate: the mean/benchmark ratio lies in this closed interval.
-# The band is asymptotic: the exact Haar mean of the ratio is n/(n+1) with
-# n = 2k+1, below 0.9 for k <= 3 and exactly 0.9 at k = 4, so the gate fails
-# there by design (at k = 0 the ratio is exactly 1/2).
-HAAR_RATIO_BAND = (0.9, 1.1)
-
-
-@dataclass
-class MonteCarloLambda4:
-    """Sample statistics of the fourth-power functional over Haar bases.
-
-    ``mean`` and ``stderr`` are in the geometric normalization of lambda4;
-    ``benchmark`` is the asymptotic prediction (2k+1)/(2 pi) in that same
-    normalization, and ``ratio`` = mean / benchmark is the quantity expected
-    to drift toward 1 as k grows.  ``certificate`` describes the grid the
-    trials ran on.
-    """
-
-    k: int
-    trials: int
-    seed: int
-    values: np.ndarray
-    mean: float
-    stderr: float
-    benchmark: float
-    ratio: float
-    ratio_stderr: float
-    certificate: dict = None
-
-    def rows(self):
-        """Per-trial rows (trial, k, lambda4, seed) for CSV export."""
-        return [
-            {"trial": i, "k": self.k, "lambda4": float(v), "seed": self.seed}
-            for i, v in enumerate(self.values)
-        ]
-
-    @property
-    def outputs(self) -> dict:
-        names = ("mean", "stderr", "benchmark", "ratio", "ratio_stderr")
-        return {name: getattr(self, name) for name in names}
-
-    @property
-    def gates(self) -> list:
-        low, high = HAAR_RATIO_BAND
-        text = f"mean/benchmark ratio {self.ratio:.4f} in [{low:g}, {high:g}]"
-        return [(low <= self.ratio <= high, text)]
-
-    @property
-    def summary(self) -> tuple:
-        return (
-            f"k={self.k} trials={self.trials} seed={self.seed}",
-            f"mean lambda4 {self.mean:.8f} +- {self.stderr:.8f} (geometric measure)",
-            f"benchmark (2k+1)/(2pi) = {self.benchmark:.8f}",
-            f"ratio {self.ratio:.6f} +- {self.ratio_stderr:.6f}",
-        )
-
-
-def monte_carlo_lambda4(
-    k: int,
-    trials: int,
-    seed: int,
-    grid: QuadratureGrid = None,
-    oversample: float = 1.0,
-) -> MonteCarloLambda4:
-    """Monte Carlo estimate of the Haar average of the lambda4 functional.
-
-    Each trial applies an independent Haar unitary to the standard basis and
-    evaluates lambda4 on the (shared) quartic-exact grid.  Trials draw from
-    per-trial streams, so the per-value output is bitwise reproducible for a
-    fixed master seed under any execution order.
-    """
-    k = int(k)
-    trials = int(trials)
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    if grid is None:
-        grid = build_grid(k, oversample)
-    n = 2 * k + 1
-    values = np.empty(trials)
-    for trial in range(trials):
-        u = sample_haar_unitary(n, trial_rng(seed, trial))
-        basis = CoefficientBasis.from_unitary(k, u)
-        values[trial] = lambda4(basis, grid)
-    mean, stderr = _mean_stderr(values)
-    benchmark = (2 * k + 1) / (2.0 * math.pi)
-    return MonteCarloLambda4(
-        k=k,
-        trials=trials,
-        seed=int(seed),
-        values=values,
-        mean=mean,
-        stderr=stderr,
-        benchmark=benchmark,
-        ratio=mean / benchmark,
-        ratio_stderr=stderr / benchmark,
-        certificate=grid.describe(),
-    )
 
 
 def _mean_stderr(x):

@@ -56,6 +56,17 @@ class SpherePoint:
         return f"SpherePoint([{self.xyz[0]:.6f}, {self.xyz[1]:.6f}, {self.xyz[2]:.6f}])"
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b for two 3-vectors, bitwise equal to ``np.cross`` at a small fraction of its cost.
+
+    ``np.cross`` spends tens of microseconds per call on axis handling;
+    these are the same products and differences in the same order, on floats.
+    """
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+
+
 def _as_unit(x) -> np.ndarray:
     if isinstance(x, SpherePoint):
         return x.xyz
@@ -85,9 +96,9 @@ class GreatCircle:
         # Pick the coordinate axis least aligned with a for a stable cross product.
         helper = np.zeros(3)
         helper[int(np.argmin(np.abs(a)))] = 1.0
-        u = np.cross(a, helper)
+        u = _cross(a, helper)
         u /= np.linalg.norm(u)
-        v = np.cross(a, u)
+        v = _cross(a, u)
         return u, v
 
     def point_at(self, s: float) -> SpherePoint:
@@ -107,7 +118,7 @@ def geodesic_distance(x, y) -> float:
     """
     a = _as_unit(x)
     b = _as_unit(y)
-    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), float(a @ b)))
+    return float(np.arctan2(np.linalg.norm(_cross(a, b)), float(a @ b)))
 
 
 def circle_angle(axis_a, axis_b) -> float:
@@ -131,7 +142,7 @@ def rotation_to_pole(x) -> np.ndarray:
     v = _as_unit(x)
     pole = np.array([0.0, 0.0, 1.0])
     c = float(v @ pole)
-    axis = np.cross(v, pole)
+    axis = _cross(v, pole)
     s = float(np.linalg.norm(axis))
     if s < 1e-15:
         if c > 0.0:

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from spherelab.beams import (
-    BEAM_EXPERIMENT_COLUMNS,
     BeamFamily,
     PackingInfeasibleError,
     RankDeficiencyError,
     beam_coefficients,
-    beam_count_rule,
-    beam_experiment,
     beam_overlap,
     orthonormalize,
     packing_bound,
     place_separated_axes,
 )
+from spherelab.experiments import BEAM_EXPERIMENT_COLUMNS, beam_count_rule, beam_experiment
 from spherelab.harmonics import (
     beam_field,
     coefficient_field,
@@ -246,8 +244,11 @@ def test_beam_count_rule():
 
 
 def test_beam_experiment_rows():
-    rows = beam_experiment(16, deltas=(0.5, 0.35), seed=3)
+    run = beam_experiment([16], deltas=(0.5, 0.35), seed=3)
+    rows = run.rows
     assert len(rows) == 2
+    assert run.outputs == {"rows": 2}
+    assert run.gates == [(True, "orthonormalization completed for every configuration")]
     for row in rows:
         assert tuple(row.keys()) == BEAM_EXPERIMENT_COLUMNS
         assert row["k"] == 16
@@ -260,7 +261,7 @@ def test_beam_experiment_rows():
 def test_single_beam_experiment_matches_direct_norm():
     grid = build_grid(64)
     q = lp_norm(beam_field(64, [0, 0, 1], grid), 4) ** 4
-    rows = beam_experiment(64, deltas=(0.5,), j_rule=lambda k, d: 1, grid=grid)
+    rows = beam_experiment([64], deltas=(0.5,), j_rule=lambda k, d: 1).rows
     assert rows[0]["J"] == 1
     assert rows[0]["sum_l4"] == pytest.approx(q, rel=1e-10)
     assert rows[0]["min_ret"] == 1.0

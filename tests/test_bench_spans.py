@@ -26,13 +26,13 @@ assert "cli._emit" in names, sorted(names)
 # which builds its one unsigned Legendre table inside its own span.
 _HAAR_SCRIPT = """
 import spherelab.cli
-import spherelab.random_bases as rb
+import spherelab.experiments as xp
 from spans import SpanRecorder
 
 rec = SpanRecorder()
 rec.install()
 rec.on = True
-rb.monte_carlo_lambda4(3, trials=2, seed=0)
+xp.monte_carlo_lambda4(3, trials=2, seed=0)
 names = [span[0] for span in rec.spans]
 for name in ("random_bases.lambda4", "random_bases.quartic_norms",
              "legendre.normalized_legendre_table"):

@@ -39,12 +39,11 @@ from test_quadrature import dense_arc_masks
 def test_fit_power_law_exact_recovery():
     ks = np.array([4, 8, 16, 32, 64])
     values = 3.0 * ks**0.7
-    fit = fit_power_law(ks, values, q=4.0, target=0.7)
+    fit = fit_power_law(ks, values)
     assert fit.exponent == pytest.approx(0.7, abs=1e-12)
     assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-12)
     assert fit.residual_rms < 1e-12
     assert fit.k_range == (4, 64)
-    assert fit.target == 0.7
     # the lambda = sqrt(k(k+1)) refit shifts the exponent a little at low k
     assert fit.exponent_lambda == pytest.approx(0.7, abs=0.05)
     assert fit.residual_rms_lambda < 0.01
@@ -59,6 +58,10 @@ def test_scaling_target_values():
     assert scaling_target("highest_weight", 8) == pytest.approx(3 / 16)
     assert scaling_target("zonal", 8) == pytest.approx(1 / 4)
     assert scaling_target("zonal", math.inf) == pytest.approx(1 / 2)
+    # the sharp eigenspace exponent is the larger branch; they cross at q = 6
+    for q, sigma in ((4, 1 / 8), (6, 1 / 6), (8, 1 / 4), (math.inf, 1 / 2)):
+        branches = (scaling_target("zonal", q), scaling_target("highest_weight", q))
+        assert max(branches) == pytest.approx(sigma)
     with pytest.raises(ValueError):
         scaling_target("random", 4)
 
@@ -76,10 +79,11 @@ def test_scaling_experiment_validation():
 
 
 def test_scaling_experiment_small_sweep():
-    fit = scaling_experiment("highest_weight", 4, (8, 16, 32, 64))
-    assert abs(fit.exponent - 1 / 8) < 0.04
-    assert fit.certificate["bands"] == {8: 8, 16: 16, 32: 32, 64: 64}
-    assert len(fit.certificate["norms"]) == 4
+    run = scaling_experiment("highest_weight", 4, (8, 16, 32, 64))
+    assert abs(run.outputs["exponent"] - 1 / 8) < 0.04
+    assert run.outputs["target"] == scaling_target("highest_weight", 4)
+    assert run.certificate["bands"] == {8: 8, 16: 16, 32: 32, 64: 64}
+    assert len(run.certificate["norms"]) == 4
 
 
 def test_average_l4_degree_one_closed_form():
@@ -95,9 +99,9 @@ def test_average_l4_growth():
     res = average_l4_experiment([8, 16, 32])
     assert [row["k"] for row in res.rows] == [8, 16, 32]
     assert tuple(res.rows[0].keys()) == AVERAGE_L4_COLUMNS
-    assert res.strictly_increasing
-    assert res.band_spread >= 1.0
-    low, high = res.ratio_band
+    assert res.outputs["strictly_increasing"]
+    assert res.outputs["band_spread"] >= 1.0
+    low, high = res.outputs["ratio_band"]
     assert 0 < low <= high
 
 
@@ -142,7 +146,7 @@ def test_average_l4_builds_no_grid_or_table(monkeypatch):
     monkeypatch.setattr(experiments, "build_grid", refuse)
     monkeypatch.setattr(experiments, "normalized_legendre_table", refuse)
     res = average_l4_experiment([8, 16, 32, 64, 128, 256, 512, 1024])
-    assert len(res.rows) == 8 and res.strictly_increasing
+    assert len(res.rows) == 8 and res.outputs["strictly_increasing"]
     assert res.certificate["integrand_exact"] and "no quadrature" in res.certificate["note"]
 
 
@@ -162,7 +166,7 @@ def test_average_l4_degree_cap():
 def test_envelope_experiment_rows():
     res = pointwise_envelope_experiment([8, 32])
     assert tuple(res.rows[0].keys()) == ENVELOPE_COLUMNS
-    assert res.band_spread >= 1.0
+    assert res.outputs["band_spread"] >= 1.0
     for row in res.rows:
         assert 0 < row["sup_ratio"] < 1.0
         assert 0 <= row["argmax_r"] <= math.pi / 2
@@ -172,7 +176,7 @@ def test_envelope_experiment_rows():
 
 
 def test_tube_ratio_experiment_rows():
-    res = tube_ratio_experiment([8], oversample=2.0, n_axes=64)
+    res = tube_ratio_experiment([8], oversample=2.0)
     labels = [row["label"] for row in res.rows]
     assert labels.count("beam_tilted") == 1
     assert len(labels) == 8 + 2  # orders m = 0..k plus the tilted beam
@@ -182,7 +186,7 @@ def test_tube_ratio_experiment_rows():
         assert row["l4"] > 0
         assert row["sup_arc_mass"] > 0
         assert 0 < row["ratio"] < 1.0
-    assert res.max_ratio == pytest.approx(max(row["ratio"] for row in res.rows))
+    assert res.outputs["max_ratio"] == pytest.approx(max(row["ratio"] for row in res.rows))
 
 
 def test_norms_rows_share_one_table_per_grid_bitwise():
@@ -210,10 +214,10 @@ def test_tube_ratio_arc_masses_match_per_point_oracle():
     # The sweep sums standard members by per-ring point counts; the oracle
     # sums every field point by point over dense arc masks of the same axes.
     k = 8
-    res = tube_ratio_experiment([k], oversample=2.0, n_axes=16)
+    res = tube_ratio_experiment([k], oversample=2.0)
     grid = build_grid(k, 2.0)
     width = math.sqrt(k * (k + 1)) ** -0.5
-    axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(16)])
+    axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(64)])
     sels = [dense_arc_masks(grid, axis, width) for axis in axes]
     fields = [standard_field(k, m, grid) for m in range(k + 1)]
     fields.append(beam_field(k, np.ones(3) / math.sqrt(3.0), grid))
@@ -385,13 +389,16 @@ def test_superlevel_experiment_limits():
 
 
 def test_exact_identity_suite_small():
-    report = exact_identity_suite(k_max=8, points=40, seed=1)
+    run = exact_identity_suite(k_max=8, points=40, seed=1)
+    report = run.outputs
     assert report["passed"]
     assert set(report["checks"]) == set(IDENTITY_CHECKS)
     for name, entry in report["checks"].items():
         assert entry["passed"], name
         assert entry["max_error"] <= entry["tolerance"]
         assert 0 <= entry["worst_k"] <= 8
+    assert run.rows == [{"check": name, **entry} for name, entry in report["checks"].items()]
+    assert [passed for passed, _ in run.gates] == [True] * len(IDENTITY_CHECKS)
 
 
 def _ring_by_ring_gram(k, grid):
@@ -418,16 +425,17 @@ def test_gram_check_fails_on_a_perturbed_table_column(monkeypatch):
         out[:, 0] *= 1.0 + 1e-9
         return out
 
-    assert exact_identity_suite(k_max=4, points=5, seed=0)["checks"]["gram_identity"]["passed"]
+    report = exact_identity_suite(k_max=4, points=5, seed=0).outputs
+    assert report["checks"]["gram_identity"]["passed"]
     monkeypatch.setattr(experiments, "signed_order_table", perturbed)
-    report = exact_identity_suite(k_max=4, points=5, seed=0)
+    report = exact_identity_suite(k_max=4, points=5, seed=0).outputs
     assert not report["checks"]["gram_identity"]["passed"]
     assert not report["passed"]
 
 
 def test_exact_identity_suite_worst_degrees_at_seed_zero():
     # `verify --k-max 64 --seed 0` (100 points): the degrees where each check is worst
-    report = exact_identity_suite(k_max=64, points=100, seed=0)
+    report = exact_identity_suite(k_max=64, points=100, seed=0).outputs
     assert [entry["worst_k"] for entry in report["checks"].values()] == [52, 50, 51, 61]
 
 

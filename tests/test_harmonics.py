@@ -14,9 +14,7 @@ from spherelab.harmonics import (
     eval_basis_row,
     highest_weight_field,
     pointwise_envelope,
-    polar_distance,
     projection_kernel,
-    sigma_exponent,
     signed_order_table,
     standard_field,
     synthesize_rings,
@@ -38,22 +36,6 @@ def test_eigenvalue_info():
     info = EigenvalueInfo(12)
     assert info.lam == pytest.approx(math.sqrt(12 * 13))
     assert info.multiplicity == 25
-
-
-def test_sigma_exponent_branches():
-    assert sigma_exponent(4) == pytest.approx(1 / 8)
-    assert sigma_exponent(6) == pytest.approx(1 / 6)
-    assert sigma_exponent(8) == pytest.approx(1 / 4)
-    assert sigma_exponent(math.inf) == pytest.approx(1 / 2)
-    with pytest.raises(ValueError):
-        sigma_exponent(2)
-
-
-def test_polar_distance():
-    assert polar_distance([0, 0, 1]) == pytest.approx(0.0)
-    assert polar_distance([0, 0, -1]) == pytest.approx(0.0)
-    assert polar_distance([1, 0, 0]) == pytest.approx(math.pi / 2)
-    assert polar_distance([0, 1, 1]) == pytest.approx(math.pi / 4)
 
 
 def test_eval_ykm_matches_scipy_random_orders():
@@ -183,7 +165,7 @@ def test_pointwise_bound_ratio_at_pole():
     # at the pole only the zonal element survives, so the ratio is exact
     for k in (8, 64):
         expect = math.sqrt((2 * k + 1) / (4 * math.pi)) / math.sqrt(k)
-        ratio = ell_p_sum(k, [0, 0, 1], 4.0) / pointwise_envelope(k, polar_distance([0, 0, 1]))
+        ratio = ell_p_sum(k, [0, 0, 1], 4.0) / pointwise_envelope(k, 0.0)
         assert ratio == pytest.approx(expect, rel=1e-12)
 
 

@@ -6,6 +6,7 @@ import pytest
 from spherelab.sphere import (
     GreatCircle,
     SpherePoint,
+    _cross,
     circle_angle,
     fibonacci_axes,
     geodesic_distance,
@@ -95,6 +96,27 @@ def test_great_circle_frame_and_points():
         for s in (0.0, 1.0, 4.5):
             p = circle.point_at(s)
             assert abs(p.xyz @ circle.axis) < 1e-12
+
+
+def test_frame_matches_the_numpy_cross_frame_bitwise():
+    # the closed-form cross product must give np.cross's bits, zero signs included
+    rng = np.random.default_rng(5)
+    axes = np.vstack([
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1e-17, -1.0], [1.0, 0.0, 0.0]],
+        fibonacci_axes(1036),
+        rng.standard_normal((500, 3)),
+    ])
+    for axis, other in zip(axes, axes[::-1]):
+        circle = GreatCircle(axis)
+        a = circle.axis
+        helper = np.zeros(3)
+        helper[int(np.argmin(np.abs(a)))] = 1.0
+        u = np.cross(a, helper)
+        u /= np.linalg.norm(u)
+        v = np.cross(a, u)
+        got_u, got_v = circle.frame()
+        assert got_u.tobytes() == u.tobytes() and got_v.tobytes() == v.tobytes()
+        assert _cross(axis, other).tobytes() == np.cross(axis, other).tobytes()
 
 
 def test_fibonacci_axes_spread():
