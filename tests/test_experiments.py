@@ -58,10 +58,6 @@ def test_scaling_target_values():
     assert scaling_target("highest_weight", 8) == pytest.approx(3 / 16)
     assert scaling_target("zonal", 8) == pytest.approx(1 / 4)
     assert scaling_target("zonal", math.inf) == pytest.approx(1 / 2)
-    # the sharp eigenspace exponent is the larger branch; they cross at q = 6
-    for q, sigma in ((4, 1 / 8), (6, 1 / 6), (8, 1 / 4), (math.inf, 1 / 2)):
-        branches = (scaling_target("zonal", q), scaling_target("highest_weight", q))
-        assert max(branches) == pytest.approx(sigma)
     with pytest.raises(ValueError):
         scaling_target("random", 4)
 

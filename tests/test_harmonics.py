@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from spherelab.experiments import scaling_target
 from spherelab.harmonics import (
     EigenvalueInfo,
     beam_field,
@@ -36,6 +37,13 @@ def test_eigenvalue_info():
     info = EigenvalueInfo(12)
     assert info.lam == pytest.approx(math.sqrt(12 * 13))
     assert info.multiplicity == 25
+
+
+def test_sigma_exponent_branches():
+    # the sharp eigenspace exponent is the larger branch; they cross at q = 6
+    for q, sigma in ((4, 1 / 8), (6, 1 / 6), (8, 1 / 4), (math.inf, 1 / 2)):
+        branches = (scaling_target("zonal", q), scaling_target("highest_weight", q))
+        assert max(branches) == pytest.approx(sigma)
 
 
 def test_eval_ykm_matches_scipy_random_orders():
