@@ -26,20 +26,15 @@ import numpy as np
 
 from ._version import __version__
 from .harmonics import (
-    EigenvalueInfo,
-    _order_field,
     _signed_orders,
     beam_field,
-    ell4_sum_field,
     ell_p_profile,
     ell_p_sum,
     eval_basis_row,
-    highest_weight_field,
     pointwise_envelope,
     projection_kernel,
     signed_order_table,
     theta_integral,
-    zonal_field,
 )
 from .legendre import (
     _UPWARD_MAX_DEGREE,
@@ -49,7 +44,7 @@ from .legendre import (
     normalized_legendre_table,
 )
 from .beams import BeamFamily, orthonormalize, packing_bound, place_separated_axes
-from .quadrature import arc_selections, build_grid, lp_norm, superlevel_measure
+from .quadrature import arc_selections, build_grid, lp_norm, profile_norm, superlevel_measure
 from .random_bases import (
     CoefficientBasis,
     _check_seed,
@@ -66,7 +61,6 @@ __all__ = [
     "ExperimentRecord",
     "ExperimentRun",
     "fit_power_law",
-    "family_norm_table",
     "scaling_target",
     "scaling_experiment",
     "norms_experiment",
@@ -212,33 +206,12 @@ def scaling_target(family: str, q) -> float:
     return 0.5 * (0.5 - inv_q)
 
 
-def family_norm_table(family: str, q, ks, oversample: float = 1.0):
-    """Per-degree L^q norms of one named family, with the grid certificate.
-
-    For finite even q the grid band is raised to ceil(q k / 4), which makes
-    the integral exact; q = inf reads the max over grid nodes.  Returns
-    (rows, certificate) where each row is (k, band, norm).
-    """
-    q = float(q)
-    rows = []
-    exact = math.isinf(q) or (q == int(q) and int(q) % 2 == 0)
-    for k in ks:
-        k = int(k)
-        band = k if math.isinf(q) else int(math.ceil(q * k / 4.0))
-        grid = build_grid(band, oversample)
-        if family == "zonal":
-            f = zonal_field(k, grid)
-        else:
-            f = highest_weight_field(k, grid)
-        rows.append({"k": k, "band": band, "norm": lp_norm(f, q)})
-    certificate = {
-        "integrand_exact": exact,
-        "bands": {row["k"]: row["band"] for row in rows},
-        "norms": {row["k"]: row["norm"] for row in rows},
-        "oversample": oversample,
-        "note": "sup norms read the grid max, a lower bound on the true sup",
-    }
-    return rows, certificate
+def _exact_band(k: int, q: float) -> int:
+    """ceil(q k / 4): the grid band that integrates |Y_km|^q exactly for even q; k for q = inf."""
+    band = k if math.isinf(q) else q * k / 4.0
+    if not math.isfinite(band):
+        raise ValueError(f"--q {q:g} is out of range: the band q k / 4 overflows at degree {k}")
+    return int(math.ceil(band))
 
 
 SCALING_COLUMNS = ("k", "band", "norm")
@@ -250,9 +223,11 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     The zonal family realizes the upper branch 2(1/2 - 1/q) - 1/2 of the
     growth exponent and has a kink artifact near q = 6, so it is only
     accepted for q >= 8 or q = inf; the highest weight family realizes the
-    lower branch (1/2)(1/2 - 1/q) for every q >= 2.  The rows are the norm
-    table; the outputs are the fit, q, the target exponent and the
-    certificate.
+    lower branch (1/2)(1/2 - 1/q) for every q >= 2.  Each row reads the
+    family's Legendre column on the band-ceil(q k / 4) grid (band k for
+    q = inf), which makes the integral exact for even q, through
+    ``profile_norm``.  The rows are the norm table; the outputs are the fit,
+    q, the target exponent and the certificate.
     """
     if family not in _SCALING_FAMILIES:
         raise ValueError(f"family must be one of {_SCALING_FAMILIES}")
@@ -264,7 +239,19 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     ks = [int(k) for k in ks]
     if len(ks) < 4:
         raise ValueError("need a k-range of at least 4 degrees")
-    rows, certificate = family_norm_table(family, q, ks, oversample)
+    rows = []
+    for k in ks:
+        band = _exact_band(k, q)
+        grid = build_grid(band, oversample)
+        column = normalized_legendre_table(k, grid.t)[:, 0 if family == "zonal" else k]
+        rows.append({"k": k, "band": band, "norm": profile_norm(grid, column, q)})
+    certificate = {
+        "integrand_exact": math.isinf(q) or (q == int(q) and int(q) % 2 == 0),
+        "bands": {row["k"]: row["band"] for row in rows},
+        "norms": {row["k"]: row["norm"] for row in rows},
+        "oversample": oversample,
+        "note": "sup norms read the grid max, a lower bound on the true sup",
+    }
     fit = fit_power_law(ks, [row["norm"] for row in rows])
     target = scaling_target(family, q)
     miss, rms = abs(fit.exponent - target), fit.residual_rms
@@ -288,27 +275,31 @@ NORM_COLUMNS = ("label", "q", "band", "norm")
 def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) -> ExperimentRun:
     """L^q norms of Z_k, Q_k and, when ``m`` is given, Y_km, for each exponent q.
 
-    Each q reads a grid at band max(k, ceil(q k / 4)), which makes the
-    integral exact for even q; q = inf reads the max over the band-k grid.
-    One signed order table per grid serves every field on it.  The
+    |Y_km| = |N(k, m, t)| depends on colatitude only, so each norm reads one
+    column of the unsigned Legendre table through ``profile_norm``.  Each q
+    reads a grid at band max(k, ceil(q k / 4)), which makes the integral
+    exact for even q; q = inf is the max over the band-k grid's nodes of
+    |N(k, m, t_i)|.  One table per grid serves every order on it.  The
     certificate lists the bands used.  There is no gate.
     """
     k = int(k)
     orders = [(0, f"Z_{k}"), (k, f"Q_{k}")]
     if m is not None:
         m = int(m)
+        if abs(m) > k:
+            raise ValueError(f"order {m} out of range for degree {k}")
         orders.append((m, f"Y_{k}_{m}"))
     rows = []
     grids = {}
     for q in qs:
-        band = k if math.isinf(q) else max(k, int(math.ceil(q * k / 4.0)))
+        band = max(k, _exact_band(k, q))
         if band not in grids:
             grid = build_grid(band, oversample)
-            grids[band] = (grid, signed_order_table(k, grid.t))
+            grids[band] = (grid, normalized_legendre_table(k, grid.t))
         grid, table = grids[band]
         for order, label in orders:
-            f = _order_field(k, order, grid, table, label)
-            rows.append({"label": f.label, "q": float(q), "band": band, "norm": lp_norm(f, q)})
+            norm = profile_norm(grid, table[:, abs(order)], q)
+            rows.append({"label": label, "q": float(q), "band": band, "norm": norm})
     return ExperimentRun(rows, certificate={"bands": sorted(grids)})
 
 
@@ -504,9 +495,11 @@ def beam_experiment(
     """Retention sweep over degrees and separation values; one row per (k, delta).
 
     ``j_rule`` may be an integer (fixed beam count), a callable (k, delta) ->
-    count, or None for the default count sqrt(k) capped at half the packing
-    bound.  Requested counts are clamped to what the packing bound allows;
-    a fixed count below 1 is a ValueError.  Row columns follow
+    count, or None for the default count sqrt(k).  Requested counts are
+    clamped to packing_bound(delta) // 2, which the greedy axis placement
+    cannot always reach: J = 40 at delta = 0.316 (so the default count from
+    k = 1600 at that delta) raises PackingInfeasibleError.  A fixed count
+    below 1 is a ValueError.  Row columns follow
     BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
     norms after orthonormalization, to be read against the k log k growth
     of the standard full basis.  ``seed`` is a non-negative int; at every
@@ -599,8 +592,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     max_ratio = 0.0
     for k in ks:
         k = int(k)
-        info = EigenvalueInfo(k)
-        lam = info.lam
+        lam = math.sqrt(k * (k + 1))
         width = lam**-0.5
         grid = build_grid(k, oversample)
         axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(max(64, 4 * k))])
@@ -608,7 +600,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
         table = normalized_legendre_table(k, grid.t)
         profiles = table**2
         labels = [f"m={m}" for m in range(k + 1)] + ["beam_tilted"]
-        l4_norms = [grid.integrate_profile(table[:, m] ** 4) ** 0.25 for m in range(k + 1)]
+        l4_norms = [profile_norm(grid, table[:, m], 4.0) for m in range(k + 1)]
         tilt = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         beam = beam_field(k, tilt, grid)
         l4_norms.append(lp_norm(beam, 4.0))
@@ -665,24 +657,24 @@ SUPERLEVEL_COLUMNS = ("k", "c", "threshold", "measure", "scaled_measure")
 def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) -> ExperimentRun:
     """Measure of {x : ell^4 sum >= C lam^(1/2)} scaled by lam^(1/2), per (k, C).
 
-    The measure of a level set is a discretization, not a band-limited
-    integral, so the certificate records the grid resolution instead of an
-    exactness claim; the boundedness gate, on the largest C, tolerates the
-    ring-width error.
+    The ell^4 sum depends on colatitude only, so each level set is read from
+    the ring profile ``ell_p_profile(k, grid.t, 4)``.  The measure of a level
+    set is a discretization, not a band-limited integral, so the certificate
+    records the grid resolution instead of an exactness claim; the
+    boundedness gate, on the largest C, tolerates the ring-width error.
     """
     rows = []
     grids = {}
     for k in ks:
         k = int(k)
-        info = EigenvalueInfo(k)
         grid = build_grid(k, oversample)
         grids[k] = grid.describe()
-        f = ell4_sum_field(k, grid)
-        sqrt_lam = math.sqrt(info.lam)
+        profile = ell_p_profile(k, grid.t, 4.0)
+        sqrt_lam = math.sqrt(math.sqrt(k * (k + 1)))  # lam^(1/2), lam = sqrt(k(k+1))
         for c in c_grid:
             c = float(c)
             threshold = c * sqrt_lam
-            measure = superlevel_measure(f, threshold)
+            measure = superlevel_measure(grid, profile, threshold)
             rows.append(
                 {
                     "k": k,

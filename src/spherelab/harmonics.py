@@ -11,7 +11,6 @@ weight element Q_k = Y_kk is the Gaussian beam concentrated near the equator.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .quadrature import HarmonicField, QuadratureGrid
 from .sphere import SpherePoint, rotation_to_pole
 
 __all__ = [
-    "EigenvalueInfo",
     "eval_basis_row",
     "signed_order_table",
     "synthesize_rings",
@@ -34,28 +32,9 @@ __all__ = [
     "ell_p_profile",
     "theta_integral",
     "pointwise_envelope",
-    "standard_field",
-    "zonal_field",
-    "highest_weight_field",
     "beam_field",
     "coefficient_field",
-    "ell4_sum_field",
 ]
-
-
-@dataclass(frozen=True)
-class EigenvalueInfo:
-    """Spectral data of the degree-k eigenspace: lam^2 = k(k+1), dim = 2k+1."""
-
-    k: int
-
-    @property
-    def lam(self) -> float:
-        return math.sqrt(self.k * (self.k + 1))
-
-    @property
-    def multiplicity(self) -> int:
-        return 2 * self.k + 1
 
 
 def _point(x) -> SpherePoint:
@@ -186,33 +165,6 @@ def pointwise_envelope(k: int, r: float) -> float:
     return k**0.25 * r**-0.25 * log_term**0.25
 
 
-def standard_field(k: int, m: int, grid: QuadratureGrid) -> HarmonicField:
-    """Sample Y_km on the grid."""
-    k = int(k)
-    m = int(m)
-    return _order_field(k, m, grid, signed_order_table(k, grid.t), f"Y_{k}_{m}")
-
-
-def _order_field(k: int, m: int, grid: QuadratureGrid, table, label: str) -> HarmonicField:
-    """Y_km on the grid, read from ``table`` = signed_order_table(k, grid.t)."""
-    if abs(m) > k:
-        raise ValueError(f"order {m} out of range for degree {k}")
-    phases = np.exp(1j * m * grid.theta)
-    return HarmonicField(grid, table[:, m + k][:, None] * phases[None, :], label, k)
-
-
-def zonal_field(k: int, grid: QuadratureGrid) -> HarmonicField:
-    field = standard_field(k, 0, grid)
-    field.label = f"Z_{k}"
-    return field
-
-
-def highest_weight_field(k: int, grid: QuadratureGrid) -> HarmonicField:
-    field = standard_field(k, k, grid)
-    field.label = f"Q_{k}"
-    return field
-
-
 def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
     """Highest weight harmonic rebuilt around an arbitrary axis, evaluated directly.
 
@@ -244,13 +196,3 @@ def coefficient_field(k: int, coefficients, grid: QuadratureGrid, label: str = "
     k = int(k)
     values = np.concatenate(list(synthesize_rings(k, [coefficients], grid)))
     return HarmonicField(grid, values, label or f"coeff_{k}", k)
-
-
-def ell4_sum_field(k: int, grid: QuadratureGrid) -> HarmonicField:
-    """The real field x -> (sum_m |Y_km(x)|^4)^(1/4), sampled on the grid.
-
-    Longitude-independent; used by the superlevel experiments.
-    """
-    profile = ell_p_profile(k, grid.t, 4.0)
-    values = np.broadcast_to(profile[:, None], grid.shape).astype(complex)
-    return HarmonicField(grid, values.copy(), f"ell4_sum_{k}", k)

@@ -21,6 +21,7 @@ __all__ = [
     "build_grid",
     "HarmonicField",
     "lp_norm",
+    "profile_norm",
     "tube_mask",
     "tube_mass",
     "arc_selections",
@@ -216,6 +217,24 @@ def lp_norm(field: HarmonicField, p) -> float:
     return float(integral ** (1.0 / p))
 
 
+def profile_norm(grid: QuadratureGrid, profile, q) -> float:
+    """||f||_q of a longitude-independent f given per ring, such as one column N(k, m, t).
+
+    Finite q integrates |profile|^q over the rings; an even q powers the
+    signed values, because numpy's vectorized pow can round x^q an ulp away
+    from |x|^q and the frozen tube-ratio rows were recorded with x^q.  q = inf
+    is the max of |profile| over the nodes, the exact node value.
+    """
+    profile = np.asarray(profile, dtype=float)
+    q = float(q)
+    if q == np.inf:
+        return float(np.abs(profile).max())
+    if not q >= 1.0:
+        raise ValueError(f"norm exponent q must be >= 1, got {q:g}")
+    powers = profile**q if q % 2.0 == 0.0 else np.abs(profile) ** q
+    return grid.integrate_profile(powers) ** (1.0 / q)
+
+
 def tube_mask(grid: QuadratureGrid, circle, width: float) -> np.ndarray:
     """Boolean mask of grid points within angular distance width of the circle.
 
@@ -370,11 +389,10 @@ def arc_tube_masses(
     return np.array([float(dens[m].sum()) for m in member])
 
 
-def superlevel_measure(field: HarmonicField, threshold: float) -> float:
-    """Measure of the set where |f| >= threshold, by the grid weights."""
+def superlevel_measure(grid: QuadratureGrid, profile, threshold: float) -> float:
+    """Measure of {|f| >= threshold}, |f| per ring; node weights summed as over a grid mask."""
     threshold = float(threshold)
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
-    mask = np.abs(field.values) >= threshold
-    weighted = np.broadcast_to(field.grid.ring_weight[:, None], field.grid.shape)
-    return float(weighted[mask].sum())
+    rings = np.flatnonzero(np.abs(np.asarray(profile, dtype=float)) >= threshold)
+    return float(np.repeat(grid.ring_weight[rings], grid.n_theta).sum())

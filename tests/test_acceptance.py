@@ -34,14 +34,15 @@ from spherelab.experiments import (
     beam_experiment,
     exact_identity_suite,
     monte_carlo_lambda4,
+    norms_experiment,
     pointwise_envelope_experiment,
     scaling_experiment,
     superlevel_experiment,
     tube_ratio_experiment,
 )
-from spherelab.harmonics import beam_field, coefficient_field, highest_weight_field, zonal_field
+from spherelab.harmonics import beam_field, coefficient_field
 from spherelab.legendre import _sectoral_log, wallis_integral
-from spherelab.quadrature import build_grid, lp_norm, tube_mass
+from spherelab.quadrature import build_grid, tube_mass
 from spherelab.random_bases import CoefficientBasis, gaussian_limit_check, lambda4
 from spherelab.sphere import GreatCircle
 
@@ -97,8 +98,7 @@ def test_criterion_2_closed_form_norms():
     assert z1_oracle == pytest.approx(9 / (20 * math.pi), rel=1e-13)
 
     grid = build_grid(1)
-    q1 = lp_norm(highest_weight_field(1, grid), 4) ** 4
-    z1 = lp_norm(zonal_field(1, grid), 4) ** 4
+    z1, q1 = (row["norm"] ** 4 for row in norms_experiment(1, (4.0,)).rows)
     lam1 = lambda4(CoefficientBasis.identity(1), grid)
     errs = (
         abs(q1 - 3 / (10 * math.pi)),
@@ -191,7 +191,7 @@ def test_criterion_7_tube_masses():
         f = beam_field(k, [0.0, 0.0, 1.0], grid)
         masses[k] = tube_mass(f, equator, k**-0.5)
     gz = build_grid(256, oversample=2.0)
-    z_mass = tube_mass(zonal_field(256, gz), equator, 256**-0.5)
+    z_mass = tube_mass(coefficient_field(256, np.eye(513)[256], gz), equator, 256**-0.5)
     elapsed = time.monotonic() - start
     beam_ok = all(abs(masses[k] - target) <= 0.02 for k in (64, 256))
     ok = beam_ok and z_mass <= 0.15 and elapsed <= 120.0

@@ -4,6 +4,8 @@ Each generated run must exit 0, 1 or 2 and never raise.  Exit 1 comes only
 with a [FAIL] gate line; exit 2 only with a plain ``error:`` line on stderr.
 """
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -75,3 +77,54 @@ def test_verify_seed_contract(capsys, seed):
     assert code == (0 if seed >= 0 else 2)
     if seed < 0:
         assert captured.err == f"error: seed must be a non-negative int, got {seed}\n"
+
+
+# Exponents from below 1 to large, and the non-finite and overflowing edges.
+_EXPONENTS = st.one_of(
+    st.floats(-10.0, 40.0),
+    st.sampled_from([1e300, 1e308, -1e308, math.inf, -math.inf]),
+)
+
+
+@_CONTRACT
+@given(k=st.integers(-3, 12), m=st.one_of(st.none(), st.integers(-14, 14)), q=_EXPONENTS)
+@example(k=4, m=None, q=1e308)  # q k overflows the band rule
+@example(k=4, m=2, q=math.inf)
+@example(k=4, m=None, q=0.0)
+@example(k=4, m=-3, q=-3.0)
+def test_norms_order_and_exponent_contract(capsys, k, m, q):
+    argv = ["norms", "--k", str(k), f"--q={q!r}"] + ([] if m is None else ["--m", str(m)])
+    code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code != 1  # norms has no gate
+    if k >= 0 and (m is None or abs(m) <= k) and (q == math.inf or 1.0 <= q <= 40.0):
+        assert code == 0
+    if k == 4 and q == 1e308:
+        assert "--q" in captured.err
+
+
+@_CONTRACT
+@given(family=st.sampled_from(["zonal", "highest-weight"]), q=_EXPONENTS)
+@example(family="highest-weight", q=1e308)
+@example(family="zonal", q=math.inf)
+@example(family="highest-weight", q=0.0)
+@example(family="highest-weight", q=-3.0)
+def test_scaling_exponent_contract(capsys, family, q):
+    code = main(["scaling", "--family", family, f"--q={q!r}", "--k-min", "4", "--k-max", "32"])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    if q < 2.0 or q in (1e300, 1e308):
+        assert code == 2
+    if q == 1e308:
+        assert "--q" in captured.err
+
+
+def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
+    # 40 beams are within the clamp packing_bound(0.316) // 2 = 40, but the
+    # greedy placement cannot reach them
+    code = main(["beams", "--k", "64", "--delta", "0.316", "--j", "40"])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert "greedy search exhausted" in captured.err

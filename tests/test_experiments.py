@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from spherelab.experiments import (
     write_csv,
     write_json,
 )
-from spherelab.harmonics import beam_field, standard_field, synthesize_rings
+from spherelab.harmonics import beam_field, coefficient_field, synthesize_rings
 from spherelab.legendre import _zonal_3j_squares, normalized_legendre_table
 from spherelab.quadrature import build_grid, lp_norm
 from spherelab.sphere import fibonacci_axes
@@ -187,23 +188,42 @@ def test_tube_ratio_experiment_rows():
 
 def test_norms_rows_share_one_table_per_grid_bitwise():
     # `norms --k 64 --q 4 --q inf --m 5`: reading Z, Q and Y columns from one
-    # signed table per grid must give the per-field values bit for bit.  The
-    # hex literals were recorded when each field built its own table.
+    # table per grid must give the per-field values bit for bit.  The q = 4
+    # literals were recorded when each field built its own table; the sup
+    # norms of Q and Y are the exact node maxima |N(k, m, t_i)|, one ulp
+    # below the old grid max of the complex field (see the next test).
     frozen = [
         ("Z_64", 4.0, "0x1.8415b38ae3af2p-1"),
         ("Q_64", 4.0, "0x1.b12f626517e33p-1"),
         ("Y_64_5", 4.0, "0x1.5cc8fae68f693p-1"),
         ("Z_64", math.inf, "0x1.13b30dcb6f1ffp+1"),
-        ("Q_64", math.inf, "0x1.b336e6807933ap-1"),
-        ("Y_64_5", math.inf, "0x1.2242105210cc5p+0"),
+        ("Q_64", math.inf, "0x1.b336e68079338p-1"),
+        ("Y_64_5", math.inf, "0x1.2242105210cc4p+0"),
     ]
     res = norms_experiment(64, (4.0, math.inf), 5)
     assert [(row["label"], row["q"], row["norm"].hex()) for row in res.rows] == frozen
     grid = build_grid(64)
     for row, m in zip(res.rows, (0, 64, 5)):
-        assert row["norm"] == lp_norm(standard_field(64, m, grid), 4.0)
+        assert row["norm"] == lp_norm(coefficient_field(64, _one_hot(64, m), grid), 4.0)
     with pytest.raises(ValueError, match="order 65"):
         norms_experiment(64, (4.0,), 65)
+
+
+def _one_hot(k, m):
+    coefficients = np.zeros(2 * k + 1)
+    coefficients[m + k] = 1.0
+    return coefficients
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (4, 4), (9, -7), (9, 2), (64, 5), (64, 64)])
+def test_norms_sup_is_the_exact_node_max(k, m):
+    # q = inf reads |N(k, m, t_i)| at the nodes, with no longitude phase, so
+    # it never exceeds the grid max of the synthesized complex field, whose
+    # rounded |exp(i m theta)| can read an ulp or two above it.
+    grid = build_grid(k)
+    sup = norms_experiment(k, (math.inf,), m).rows[-1]["norm"]
+    assert sup == np.abs(normalized_legendre_table(k, grid.t)[:, abs(m)]).max()
+    assert sup <= lp_norm(coefficient_field(k, _one_hot(k, m), grid), math.inf)
 
 
 def test_tube_ratio_arc_masses_match_per_point_oracle():
@@ -215,7 +235,7 @@ def test_tube_ratio_arc_masses_match_per_point_oracle():
     width = math.sqrt(k * (k + 1)) ** -0.5
     axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(64)])
     sels = [dense_arc_masks(grid, axis, width) for axis in axes]
-    fields = [standard_field(k, m, grid) for m in range(k + 1)]
+    fields = [coefficient_field(k, _one_hot(k, m), grid) for m in range(k + 1)]
     fields.append(beam_field(k, np.ones(3) / math.sqrt(3.0), grid))
     for row, f in zip(res.rows, fields):
         dens = grid.ring_weight[:, None] * np.abs(f.values) ** 2
@@ -382,6 +402,31 @@ def test_superlevel_experiment_limits():
     assert rows[1e-6]["scaled_measure"] == pytest.approx(
         math.sqrt(lam) * 4 * math.pi, rel=1e-12
     )
+
+
+# One complex band-512 field: 1025 x 2049 nodes of 16 bytes, 32 MiB.
+_BAND_512_FIELD_BYTES = 1025 * 2049 * 16
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: norms_experiment(256, (4.0, 8.0, math.inf)),
+        lambda: scaling_experiment("zonal", math.inf, [64, 128, 256, 512]),
+        lambda: superlevel_experiment([512]),
+    ],
+    ids=["norms", "scaling", "superlevel"],
+)
+def test_profile_experiments_build_no_full_grid_field(run):
+    # |Y_km| and the ell^4 sum are read as ring profiles, so each run stays
+    # below the memory of one complex field on its largest grid.
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BAND_512_FIELD_BYTES
 
 
 def test_exact_identity_suite_small():

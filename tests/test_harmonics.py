@@ -4,39 +4,35 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from spherelab.experiments import scaling_target
+from spherelab.experiments import average_l4_experiment, scaling_target
 from spherelab.harmonics import (
-    EigenvalueInfo,
     beam_field,
     coefficient_field,
-    ell4_sum_field,
     ell_p_profile,
     ell_p_sum,
     eval_basis_row,
-    highest_weight_field,
     pointwise_envelope,
     projection_kernel,
     signed_order_table,
-    standard_field,
     synthesize_rings,
     theta_integral,
-    zonal_field,
 )
 from spherelab.quadrature import build_grid, lp_norm
 from spherelab.random_bases import sample_haar_unitary
 from spherelab.sphere import SpherePoint
 
 
+def _standard_field(k, m, grid):
+    """Y_km on the grid, synthesized from its one-hot coefficient vector."""
+    coefficients = np.zeros(2 * k + 1)
+    coefficients[m + k] = 1.0
+    return coefficient_field(k, coefficients, grid)
+
+
 def _random_points(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, 3))
     return [SpherePoint(row) for row in v]
-
-
-def test_eigenvalue_info():
-    info = EigenvalueInfo(12)
-    assert info.lam == pytest.approx(math.sqrt(12 * 13))
-    assert info.multiplicity == 25
 
 
 def test_sigma_exponent_branches():
@@ -88,7 +84,7 @@ def test_projection_kernel_diagonal_and_reproducing():
     assert projection_kernel(k, x, x) == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-13)
     # reproducing property: integrating the kernel against Y recovers Y(x)
     grid = build_grid(k)
-    f = standard_field(k, 3, grid)
+    f = _standard_field(k, 3, grid)
     xyz = grid.points()
     dots = xyz @ x.xyz
     from spherelab.legendre import legendre_p
@@ -209,19 +205,17 @@ def test_kernel_bound_ratio_antipodal_growth():
 
 def test_standard_field_normalization_and_labels():
     grid = build_grid(6)
-    z = zonal_field(6, grid)
-    q = highest_weight_field(6, grid)
-    y = standard_field(6, -4, grid)
-    assert z.label == "Z_6"
-    assert q.label == "Q_6"
-    for f in (z, q, y):
+    for m in (0, 6, -4):
+        f = _standard_field(6, m, grid)
         assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
         assert f.k == 6
+        assert f.label == "coeff_6"
+    assert coefficient_field(6, np.eye(13)[6], grid, "Z_6").label == "Z_6"
 
 
 def test_beam_field_at_pole_matches_highest_weight():
     grid = build_grid(10)
-    q = highest_weight_field(10, grid)
+    q = _standard_field(10, 10, grid)
     b = beam_field(10, [0, 0, 1], grid)
     assert np.allclose(np.abs(b.values), np.abs(q.values), atol=1e-12)
     # global phase only
@@ -249,8 +243,9 @@ def test_coefficient_field_one_hot():
     coeff = np.zeros(11, dtype=complex)
     coeff[7] = 1.0  # order m = +2
     f = coefficient_field(5, coeff, grid)
-    ref = standard_field(5, 2, grid)
-    assert np.allclose(f.values, ref.values, atol=1e-13)
+    # Y_52 = N(5, 2, t) exp(2 i theta), evaluated directly
+    ref = signed_order_table(5, grid.t)[:, 7][:, None] * np.exp(2j * grid.theta)[None, :]
+    assert np.allclose(f.values, ref, atol=1e-13)
     with pytest.raises(ValueError):
         coefficient_field(5, np.zeros(4), grid)
 
@@ -275,20 +270,18 @@ def test_synthesized_square_sum_is_constant():
         assert np.allclose(square_sum, target, atol=1e-10)
 
 
-def test_ell4_sum_field_matches_profile():
-    grid = build_grid(9)
-    f = ell4_sum_field(9, grid)
-    prof = ell_p_profile(9, grid.t, 4)
-    assert np.allclose(f.values.real, prof[:, None] * np.ones((1, grid.n_theta)), rtol=1e-12)
-    # quartic aggregate to the fourth power integrates to the average growth constant
-    a_k = grid.integrate(np.abs(f.values) ** 4) / (2 * 9 + 1)
-    assert a_k > 0
+def test_ell4_profile_integrates_to_the_average_l4():
+    # the ring profile superlevel reads: sum_m ||Y_km||_4^4 = integral of its fourth power
+    for k in (1, 9, 40):
+        grid = build_grid(k)
+        a_k = grid.integrate_profile(ell_p_profile(k, grid.t, 4) ** 4) / (2 * k + 1)
+        assert a_k == pytest.approx(average_l4_experiment([k]).rows[0]["a_k"], rel=1e-12)
 
 
 def test_low_degree_l4_closed_forms():
     # degree-one fields have elementary quartic integrals
     grid = build_grid(1)
-    q1 = highest_weight_field(1, grid)
-    z1 = zonal_field(1, grid)
+    q1 = _standard_field(1, 1, grid)
+    z1 = _standard_field(1, 0, grid)
     assert lp_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13)
     assert lp_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13)

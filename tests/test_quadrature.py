@@ -12,6 +12,7 @@ from spherelab.quadrature import (
     arc_tube_masses,
     build_grid,
     lp_norm,
+    profile_norm,
     superlevel_measure,
     tube_mask,
     tube_mass,
@@ -342,9 +343,35 @@ def test_tube_inputs_are_checked_by_name():
 
 def test_superlevel_measure_constant():
     g = build_grid(8)
-    f = _unit_constant_field(g)
     level = 1.0 / math.sqrt(4 * math.pi)
-    assert superlevel_measure(f, 0.5 * level) == pytest.approx(4 * math.pi, rel=1e-13)
-    assert superlevel_measure(f, 2.0 * level) == 0.0
+    profile = np.full(g.n_phi, level)
+    assert superlevel_measure(g, profile, 0.5 * level) == pytest.approx(4 * math.pi, rel=1e-13)
+    assert superlevel_measure(g, profile, 2.0 * level) == 0.0
     with pytest.raises(ValueError):
-        superlevel_measure(f, -1.0)
+        superlevel_measure(g, profile, -1.0)
+
+
+def test_superlevel_measure_sums_the_full_grid_mask_bitwise():
+    # the selected rings' node weights are summed in node order, so the
+    # measure is the sum over the full-grid mask of the same level set
+    g = build_grid(40)
+    profile = np.abs(np.sin(7.0 * g.t)) + 1.0 + g.t
+    weights = np.broadcast_to(g.ring_weight[:, None], g.shape)
+    for threshold in (0.0, 0.5, 1.2, 1.9, 3.0):
+        mask = np.broadcast_to((profile >= threshold)[:, None], g.shape)
+        assert superlevel_measure(g, profile, threshold) == float(weights[mask].sum())
+
+
+def test_profile_norm_of_a_constant_profile():
+    g = build_grid(8)
+    c = -0.7
+    profile = np.full(g.n_phi, c)
+    for q in (1.0, 2.0, 4.0, 7.5):
+        expect = abs(c) * (4 * math.pi) ** (1 / q)
+        assert profile_norm(g, profile, q) == pytest.approx(expect, rel=1e-13)
+        field = HarmonicField(g, np.full(g.shape, c))
+        assert profile_norm(g, profile, q) == pytest.approx(lp_norm(field, q), rel=1e-14)
+    assert profile_norm(g, profile, np.inf) == abs(c)
+    for q in (0.5, 0.0, -3.0, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            profile_norm(g, profile, q)
