@@ -6,181 +6,28 @@ norms), ``harmonics`` (basis evaluation and the kernel identities),
 ``random_bases`` (Haar unitaries and quartic norms), ``beams`` (separated
 beam families), ``experiments`` (every experiment the command line runs,
 fits, file output), ``cli`` (the command line tool).
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
+from . import beams, experiments, harmonics, legendre, quadrature, random_bases, sphere
 from ._version import __version__
-from .legendre import (
-    legendre_p,
-    log_factorial,
-    normalized_assoc_legendre_row,
-    normalized_legendre_table,
-    wallis_integral,
-    zonal_sup_coefficient,
-)
-from .sphere import (
-    GreatCircle,
-    SpherePoint,
-    circle_angle,
-    fibonacci_axes,
-    geodesic_distance,
-    rotation_to_pole,
-)
-from .quadrature import (
-    GridResolutionError,
-    HarmonicField,
-    QuadratureGrid,
-    TubeResolutionWarning,
-    arc_selections,
-    arc_tube_masses,
-    build_grid,
-    lp_norm,
-    profile_norm,
-    superlevel_measure,
-    tube_mask,
-    tube_mass,
-)
-from .harmonics import (
-    beam_field,
-    coefficient_field,
-    ell_p_profile,
-    ell_p_sum,
-    eval_basis_row,
-    pointwise_envelope,
-    projection_kernel,
-    signed_order_table,
-    synthesize_rings,
-    theta_integral,
-)
-from .random_bases import (
-    CoefficientBasis,
-    GaussianMomentReport,
-    entry_moment,
-    gaussian_limit_check,
-    lambda4,
-    quartic_norms,
-    sample_haar_unitary,
-    trial_rng,
-)
-from .beams import (
-    BeamFamily,
-    OrthonormalizationReport,
-    PackingInfeasibleError,
-    RankDeficiencyError,
-    beam_coefficients,
-    beam_overlap,
-    orthonormalize,
-    packing_bound,
-    place_separated_axes,
-)
-from .experiments import (
-    AVERAGE_L4_COLUMNS,
-    BEAM_EXPERIMENT_COLUMNS,
-    ENVELOPE_COLUMNS,
-    IDENTITY_CHECKS,
-    MONTE_CARLO_COLUMNS,
-    SUPERLEVEL_COLUMNS,
-    TUBE_RATIO_COLUMNS,
-    ExperimentRecord,
-    ExperimentRun,
-    PowerLawFit,
-    average_l4_experiment,
-    beam_count_rule,
-    beam_experiment,
-    exact_identity_suite,
-    fit_power_law,
-    monte_carlo_lambda4,
-    norms_experiment,
-    pointwise_envelope_experiment,
-    scaling_experiment,
-    scaling_target,
-    superlevel_experiment,
-    tube_ratio_experiment,
-    write_csv,
-    write_json,
-)
+from .legendre import *
+from .sphere import *
+from .quadrature import *
+from .harmonics import *
+from .random_bases import *
+from .beams import *
+from .experiments import *
 
 __all__ = [
     "__version__",
-    # legendre
-    "legendre_p",
-    "log_factorial",
-    "normalized_assoc_legendre_row",
-    "normalized_legendre_table",
-    "wallis_integral",
-    "zonal_sup_coefficient",
-    # sphere
-    "SpherePoint",
-    "GreatCircle",
-    "geodesic_distance",
-    "circle_angle",
-    "rotation_to_pole",
-    "fibonacci_axes",
-    # quadrature
-    "QuadratureGrid",
-    "build_grid",
-    "GridResolutionError",
-    "TubeResolutionWarning",
-    "HarmonicField",
-    "lp_norm",
-    "profile_norm",
-    "tube_mask",
-    "tube_mass",
-    "arc_selections",
-    "arc_tube_masses",
-    "superlevel_measure",
-    # harmonics
-    "eval_basis_row",
-    "signed_order_table",
-    "synthesize_rings",
-    "projection_kernel",
-    "ell_p_sum",
-    "ell_p_profile",
-    "theta_integral",
-    "pointwise_envelope",
-    "beam_field",
-    "coefficient_field",
-    # random bases
-    "trial_rng",
-    "sample_haar_unitary",
-    "CoefficientBasis",
-    "quartic_norms",
-    "lambda4",
-    "entry_moment",
-    "GaussianMomentReport",
-    "gaussian_limit_check",
-    # beams
-    "beam_coefficients",
-    "beam_overlap",
-    "packing_bound",
-    "place_separated_axes",
-    "BeamFamily",
-    "orthonormalize",
-    "OrthonormalizationReport",
-    "PackingInfeasibleError",
-    "RankDeficiencyError",
-    # experiments
-    "PowerLawFit",
-    "ExperimentRecord",
-    "ExperimentRun",
-    "fit_power_law",
-    "scaling_target",
-    "scaling_experiment",
-    "norms_experiment",
-    "average_l4_experiment",
-    "pointwise_envelope_experiment",
-    "MONTE_CARLO_COLUMNS",
-    "monte_carlo_lambda4",
-    "BEAM_EXPERIMENT_COLUMNS",
-    "beam_count_rule",
-    "beam_experiment",
-    "tube_ratio_experiment",
-    "superlevel_experiment",
-    "exact_identity_suite",
-    "IDENTITY_CHECKS",
-    "AVERAGE_L4_COLUMNS",
-    "ENVELOPE_COLUMNS",
-    "TUBE_RATIO_COLUMNS",
-    "SUPERLEVEL_COLUMNS",
-    "write_csv",
-    "write_json",
+    *legendre.__all__,
+    *sphere.__all__,
+    *quadrature.__all__,
+    *harmonics.__all__,
+    *random_bases.__all__,
+    *beams.__all__,
+    *experiments.__all__,
 ]

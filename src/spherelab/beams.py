@@ -226,10 +226,6 @@ class OrthonormalizationReport:
     def mean_retention(self) -> float:
         return float(self.retention.mean())
 
-    @property
-    def max_retention(self) -> float:
-        return float(self.retention.max())
-
 
 def orthonormalize(
     family: BeamFamily,

@@ -62,16 +62,25 @@ __all__ = [
     "ExperimentRun",
     "fit_power_law",
     "scaling_target",
+    "SCALING_COLUMNS",
     "scaling_experiment",
+    "NORM_COLUMNS",
     "norms_experiment",
     "IDENTITY_CHECKS",
+    "VERIFY_COLUMNS",
     "exact_identity_suite",
+    "AVERAGE_L4_COLUMNS",
     "average_l4_experiment",
+    "ENVELOPE_COLUMNS",
     "pointwise_envelope_experiment",
+    "MONTE_CARLO_COLUMNS",
     "monte_carlo_lambda4",
+    "BEAM_EXPERIMENT_COLUMNS",
     "beam_count_rule",
     "beam_experiment",
+    "TUBE_RATIO_COLUMNS",
     "tube_ratio_experiment",
+    "SUPERLEVEL_COLUMNS",
     "superlevel_experiment",
     "write_csv",
     "write_json",
@@ -137,9 +146,6 @@ class ExperimentRecord:
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass

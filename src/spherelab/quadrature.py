@@ -9,7 +9,6 @@ cite one exactness certificate.
 """
 
 import functools
-import json
 import warnings
 
 import numpy as np
@@ -22,10 +21,8 @@ __all__ = [
     "HarmonicField",
     "lp_norm",
     "profile_norm",
-    "tube_mask",
     "tube_mass",
     "arc_selections",
-    "arc_tube_masses",
     "superlevel_measure",
 ]
 
@@ -65,10 +62,6 @@ class QuadratureGrid:
         self.theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         self.ring_weight = np.asarray(gl_weight, dtype=float) * (2.0 * np.pi / self.n_theta)
         self._xyz = None
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.arccos(np.clip(self.t, -1.0, 1.0))
 
     @property
     def sin_phi(self) -> np.ndarray:
@@ -139,9 +132,6 @@ class QuadratureGrid:
             "trig_degree_exact": self.trig_degree_exact,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True)
-
     def __repr__(self):
         return f"QuadratureGrid(band={self.band}, n_phi={self.n_phi}, n_theta={self.n_theta})"
 
@@ -154,20 +144,22 @@ def build_grid(k: int, oversample: float = 1.0, max_points: int = DEFAULT_MAX_PO
     this integrates cos(phi)-polynomials of degree 4k+1 and trigonometric
     polynomials of degree 4k exactly, which covers |f|^4 for any degree-k
     field f.  For ||f||_q with even q build the grid with band ceil(q*k/4).
+    The point count is checked against max_points in floating point, so an
+    oversized request is refused before any integer is formed.
     """
     k = int(k)
     if k < 0:
         raise ValueError("band parameter must be >= 0")
     if not 1.0 <= oversample < np.inf:
         raise ValueError("oversample must be finite and >= 1")
-    n_phi = int(np.ceil(oversample * (2 * k + 1)))
-    n_theta = int(np.ceil(oversample * (4 * k + 1)))
+    n_phi = float(np.ceil(oversample * (2 * k + 1)))
+    n_theta = float(np.ceil(oversample * (4 * k + 1)))
     if n_phi * n_theta > max_points:
         raise GridResolutionError(
-            f"grid would need {n_phi * n_theta} points, cap is {max_points}"
+            f"grid would need {n_phi * n_theta:.3g} points, cap is {max_points}"
         )
-    t, w = _gauss_legendre(n_phi)
-    return QuadratureGrid(k, oversample, t, w, n_theta)
+    t, w = _gauss_legendre(int(n_phi))
+    return QuadratureGrid(k, oversample, t, w, int(n_theta))
 
 
 @functools.lru_cache(maxsize=128)
@@ -223,7 +215,9 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
     Finite q integrates |profile|^q over the rings; an even q powers the
     signed values, because numpy's vectorized pow can round x^q an ulp away
     from |x|^q and the frozen tube-ratio rows were recorded with x^q.  q = inf
-    is the max of |profile| over the nodes, the exact node value.
+    is the max of |profile| over the nodes, the exact node value.  A
+    nonzero profile whose integral of |profile|^q is zero, subnormal or
+    infinite has no representable norm: that is a ValueError naming q.
     """
     profile = np.asarray(profile, dtype=float)
     q = float(q)
@@ -231,27 +225,20 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
         return float(np.abs(profile).max())
     if not q >= 1.0:
         raise ValueError(f"norm exponent q must be >= 1, got {q:g}")
-    powers = profile**q if q % 2.0 == 0.0 else np.abs(profile) ** q
-    return grid.integrate_profile(powers) ** (1.0 / q)
-
-
-def tube_mask(grid: QuadratureGrid, circle, width: float) -> np.ndarray:
-    """Boolean mask of grid points within angular distance width of the circle.
-
-    Membership is |x . a| <= sin(width) decided at the node center, with no
-    partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
-    The mask is a dense scatter of the tube-local indices that ``tube_mass``
-    and ``arc_selections`` work on.
-    """
-    ring, col = _tube_points(grid, circle, width)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[ring, col] = True
-    return mask
+    with np.errstate(over="ignore"):
+        powers = profile**q if q % 2.0 == 0.0 else np.abs(profile) ** q
+    integral = grid.integrate_profile(powers)
+    if not np.finfo(float).tiny <= integral < np.inf and profile.any():
+        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |f|^q "
+                         f"is {integral:.3g}, outside the normal double range")
+    return integral ** (1.0 / q)
 
 
 def _tube_points(grid: QuadratureGrid, circle, width: float):
     """(ring, column) indices, in C order, of the nodes of the tube around a great circle.
 
+    Membership is |x . a| <= sin(width) decided at the node center, with no
+    partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
     A point within angular distance width of the circle lies at latitude at
     most alpha + width, alpha being the angle between the circle's axis and
     the nearer pole, so only the rings with |t| <= sin(alpha + width) can
@@ -298,12 +285,7 @@ def tube_mass(field: HarmonicField, circle, width: float) -> float:
             f"only {rings} colatitude rings intersect the tube; mass is under-resolved",
             TubeResolutionWarning,
         )
-    return float(_tube_density(field, ring, col).sum())
-
-
-def _tube_density(field: HarmonicField, ring, col) -> np.ndarray:
-    """ring_weight * |f|^2 at the given nodes."""
-    return field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2
+    return float((field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2).sum())
 
 
 # Arc-end band in which arc_selections re-tests points by the wrap expression.
@@ -325,7 +307,7 @@ def arc_selections(
     """Arc segments of the tube around a great circle, as tube-local indices.
 
     Returns ``(ring, col, member)``: the tube's nodes as (ring, column)
-    indices in C order, as ``tube_mask`` selects them, and a boolean array
+    indices in C order, as ``tube_mass`` sums over them, and a boolean array
     ``member`` of shape (n_arcs, n_tube).  The tube is cut into ``n_arcs``
     overlapping pieces: segment j keeps the tube points whose arc parameter,
     measured in the circle's frame, lies within arc_length/2 of the center
@@ -369,24 +351,6 @@ def arc_selections(
     member = np.zeros((n_arcs, ang.size), dtype=bool)
     member[arcs, np.arange(ang.size)] = inside
     return ring, col, member
-
-
-def arc_tube_masses(
-    field: HarmonicField,
-    circle,
-    width: float,
-    arc_length: float = 1.0,
-    n_arcs: int = 8,
-) -> np.ndarray:
-    """L2 masses over the ``arc_selections`` segments of the tube around a great circle.
-
-    With the default eight unit-length arcs the segments overlap and cover
-    the circle.  Returns the n_arcs masses; their max is a lower bound for
-    the sup over all unit arcs on that circle.
-    """
-    ring, col, member = arc_selections(field.grid, circle, width, arc_length, n_arcs)
-    dens = _tube_density(field, ring, col)
-    return np.array([float(dens[m].sum()) for m in member])
 
 
 def superlevel_measure(grid: QuadratureGrid, profile, threshold: float) -> float:

@@ -14,7 +14,7 @@ is (2k+1) / (2 pi).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "CoefficientBasis",
     "quartic_norms",
     "lambda4",
-    "entry_moment",
     "GaussianMomentReport",
     "gaussian_limit_check",
 ]
@@ -55,14 +54,8 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(trial),)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed n x n unitary from QR of a complex Ginibre matrix.
+def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary from QR of a complex Ginibre matrix drawn from rng.
 
     The raw QR factor is only unitary up to a diagonal phase ambiguity; the
     correction multiplies column j by the phase of R_jj, which reconstructs
@@ -71,7 +64,6 @@ def sample_haar_unitary(n: int, seed) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = _as_rng(seed)
     ginibre = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
     d = np.diagonal(r)
@@ -87,24 +79,23 @@ class CoefficientBasis:
 
     __slots__ = ("k", "matrix")
 
-    def __init__(self, k: int, matrix, tol: float = 1e-10, validate: bool = True):
+    def __init__(self, k: int, matrix, tol: float = 1e-10):
         self.k = int(k)
         matrix = np.asarray(matrix, dtype=complex)
         n = 2 * self.k + 1
         if matrix.ndim != 2 or matrix.shape[1] != n:
             raise ValueError(f"expected coefficient rows of length {n}")
         self.matrix = matrix
-        if validate:
-            gram = matrix @ matrix.conj().T
-            dev = float(np.abs(gram - np.eye(matrix.shape[0])).max())
-            if dev > tol:
-                raise ValueError(f"rows are not orthonormal: max Gram deviation {dev:.3e}")
+        gram = matrix @ matrix.conj().T
+        dev = float(np.abs(gram - np.eye(matrix.shape[0])).max())
+        if dev > tol:
+            raise ValueError(f"rows are not orthonormal: max Gram deviation {dev:.3e}")
 
     @classmethod
     def identity(cls, k: int) -> "CoefficientBasis":
         """The standard basis itself."""
         n = 2 * int(k) + 1
-        return cls(k, np.eye(n, dtype=complex), validate=False)
+        return cls(k, np.eye(n, dtype=complex))
 
     @property
     def size(self) -> int:
@@ -213,17 +204,16 @@ def _mean_stderr(x):
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
-def _first_row_moduli(n: int, samples: int, seed: int):
-    """|u_11|^2 and |u_12|^2 of Haar unitaries, sample i drawn from trial_rng(seed, i).
+def _first_row_moduli(n: int, samples: int, seed: int) -> np.ndarray:
+    """|u_11|^2 of Haar unitaries, sample i drawn from trial_rng(seed, i).
 
-    Two arrays of length ``samples``; |u_12|^2 reads 0 when n = 1.  Each
-    sample draws the same n x n Ginibre matrix g as ``sample_haar_unitary``
-    (one (2, n, n) draw consumes the stream as its two (n, n) draws do), so
-    the streams are unchanged, but skips its O(n^3) QR (Mezzadri 2007):
-    with R_11 > 0 the first column of the Haar factor is g_1 / ||g_1||, and
-    one Gram-Schmidt step on g_2 gives the second.  The phase correction and
-    the 1/sqrt(2) scale of g change no modulus.  ``seed`` is a non-negative
-    int: the per-sample streams are derived from it.
+    Each sample draws the same n x n Ginibre matrix g as
+    ``sample_haar_unitary`` (one (2, n, n) draw consumes the stream as its
+    two (n, n) draws do), so the streams are unchanged, but skips its
+    O(n^3) QR (Mezzadri 2007): with R_11 > 0 the first column of the Haar
+    factor is g_1 / ||g_1||.  The phase correction and the 1/sqrt(2) scale
+    of g change no modulus.  ``seed`` is a non-negative int: the per-sample
+    streams are derived from it.
     """
     n = int(n)
     samples = int(samples)
@@ -232,41 +222,12 @@ def _first_row_moduli(n: int, samples: int, seed: int):
     if samples < 2:
         raise ValueError("need at least 2 samples")
     draw = np.empty((2, n, n))
-    moduli = np.zeros((samples, 2))
+    moduli = np.zeros(samples)
     for i in range(samples):
         trial_rng(seed, i).standard_normal(out=draw)
         first = draw[0, :, 0] + 1j * draw[1, :, 0]
-        first_sq = np.vdot(first, first).real
-        moduli[i, 0] = abs(first[0]) ** 2 / first_sq
-        if n > 1:
-            second = draw[0, :, 1] + 1j * draw[1, :, 1]
-            second -= (np.vdot(first, second) / first_sq) * first
-            moduli[i, 1] = abs(second[0]) ** 2 / np.vdot(second, second).real
-    return moduli[:, 0], moduli[:, 1]
-
-
-_PATTERNS = ("|u|^2", "|u|^4", "|u|^2|u'|^2")
-
-
-def entry_moment(n: int, pattern: str, samples: int, seed: int, return_stderr: bool = False):
-    """Monte Carlo moment of Haar-unitary entries.
-
-    Patterns: "|u|^2" and "|u|^4" use the (1,1) entry; "|u|^2|u'|^2" pairs
-    the (1,1) and (1,2) entries of the same row.  These are the two index
-    pairings that dominate fourth-moment averages at large n, where the
-    scaled entries sqrt(n) U_1j approach independent complex Gaussians.
-    """
-    n = int(n)
-    if pattern not in _PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}; choose from {_PATTERNS}")
-    if pattern == "|u|^2|u'|^2" and n < 2:
-        raise ValueError("the pairing pattern needs n >= 2")
-    a2, b2 = _first_row_moduli(n, samples, seed)
-    x = {"|u|^2": a2, "|u|^4": a2 * a2, "|u|^2|u'|^2": a2 * b2}[pattern]
-    mean, stderr = _mean_stderr(x)
-    if return_stderr:
-        return mean, stderr
-    return mean
+        moduli[i] = abs(first[0]) ** 2 / np.vdot(first, first).real
+    return moduli
 
 
 @dataclass
@@ -286,16 +247,7 @@ class GaussianMomentReport:
         self.distance = math.hypot(self.second_moment - 1.0, self.fourth_moment - 2.0)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "samples": self.samples,
-            "seed": self.seed,
-            "second_moment": self.second_moment,
-            "second_stderr": self.second_stderr,
-            "fourth_moment": self.fourth_moment,
-            "fourth_stderr": self.fourth_stderr,
-            "distance": self.distance,
-        }
+        return asdict(self)
 
 
 def gaussian_limit_check(k: int, samples: int, seed: int) -> GaussianMomentReport:
@@ -310,7 +262,7 @@ def gaussian_limit_check(k: int, samples: int, seed: int) -> GaussianMomentRepor
         raise ValueError("the Gaussian comparison is quoted for k >= 8")
     n = 2 * k + 1
     samples = int(samples)
-    z2 = n * _first_row_moduli(n, samples, seed)[0]
+    z2 = n * _first_row_moduli(n, samples, seed)
     m2, se2 = _mean_stderr(z2)
     m4, se4 = _mean_stderr(z2 * z2)
     return GaussianMomentReport(

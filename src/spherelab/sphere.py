@@ -20,7 +20,7 @@ __all__ = [
 class SpherePoint:
     """A point on the unit sphere.
 
-    Construct from a nonzero 3-vector (normalized on entry) or from angles.
+    Construct from a nonzero 3-vector (normalized on entry).
     ``xyz`` is stored as a read-only float array with unit norm to machine
     precision.
     """
@@ -35,12 +35,6 @@ class SpherePoint:
         v /= norm
         v.setflags(write=False)
         self.xyz = v
-
-    @classmethod
-    def from_angles(cls, phi: float, theta: float) -> "SpherePoint":
-        """Point at colatitude phi in [0, pi] and longitude theta."""
-        sp = np.sin(phi)
-        return cls([sp * np.cos(theta), sp * np.sin(theta), np.cos(phi)])
 
     @property
     def phi(self) -> float:
@@ -100,10 +94,6 @@ class GreatCircle:
         u /= np.linalg.norm(u)
         v = _cross(a, u)
         return u, v
-
-    def point_at(self, s: float) -> SpherePoint:
-        u, v = self.frame()
-        return SpherePoint(u * np.cos(s) + v * np.sin(s))
 
     def __repr__(self):
         return f"GreatCircle(axis=[{self.axis[0]:.6f}, {self.axis[1]:.6f}, {self.axis[2]:.6f}])"

@@ -196,8 +196,8 @@ def test_orthonormalize_symmetric_properties():
     assert np.allclose(gram, np.eye(5), atol=1e-9)
     assert report.method == "symmetric"
     assert report.gram_condition >= 1.0
-    assert report.min_retention <= report.mean_retention <= report.max_retention
-    assert 0 < report.min_retention <= report.max_retention < 2.0
+    assert report.min_retention <= report.mean_retention <= report.retention.max()
+    assert 0 < report.min_retention <= report.retention.max() < 2.0
 
 
 def test_symmetric_orthonormalization_permutation_equivariance():

@@ -100,7 +100,7 @@ def test_norms_order_and_exponent_contract(capsys, k, m, q):
     assert code != 1  # norms has no gate
     if k >= 0 and (m is None or abs(m) <= k) and (q == math.inf or 1.0 <= q <= 40.0):
         assert code == 0
-    if k == 4 and q == 1e308:
+    if k == 4 and q == 1e308 and (m is None or abs(m) <= k):  # the order is checked first
         assert "--q" in captured.err
 
 
@@ -128,3 +128,45 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
     _check_contract(code, captured)
     assert code == 2
     assert "greedy search exhausted" in captured.err
+
+
+# Small runs of every subcommand with --oversample; each passes its gates at
+# oversample 1 and 1.5.
+_OVERSAMPLE_RUNS = {
+    "norms": ["norms", "--k", "8"],
+    "scaling": ["scaling", "--k-min", "4", "--k-max", "32"],
+    "superlevel": ["superlevel", "--k-min", "16", "--k-max", "32"],
+    "tube-ratio": ["tube-ratio", "--k-min", "8", "--k-max", "8"],
+}
+
+
+@pytest.mark.parametrize("oversample", ["1", "1.5", "1e300", "1e308"])
+@pytest.mark.parametrize("command", sorted(_OVERSAMPLE_RUNS))
+def test_oversample_contract(capsys, command, oversample):
+    # a grid count beyond a double is refused with its %.3g form, never formed as an int
+    code = main(_OVERSAMPLE_RUNS[command] + ["--oversample", oversample])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    if float(oversample) < 2.0:
+        assert code == 0
+    else:
+        assert code == 2
+        assert captured.err == "error: grid would need inf points, cap is 50000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # the band q k / 4 fits a double, the band's grid count does not
+        (["norms", "--k", "1", "--q", "1e308"], "grid would need inf points"),
+        # |Q_4|^2000 and |Z_0|^1000 underflow to zero on every ring
+        (["norms", "--k", "4", "--q", "2000"], "q = 2000 is out of range"),
+        (["norms", "--k", "0", "--q", "1000"], "q = 1000 is out of range"),
+    ],
+)
+def test_out_of_range_runs_exit_2_with_one_short_error_line(capsys, argv, reason):
+    code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert reason in captured.err and len(captured.err) < 200

@@ -1,0 +1,49 @@
+import importlib
+import inspect
+
+import spherelab
+
+# Layer order, bottom up; each module's __all__ is the one list of its public names.
+MODULES = ("legendre", "sphere", "quadrature", "harmonics", "random_bases", "beams", "experiments")
+
+COLUMNS = (
+    "SCALING_COLUMNS",
+    "NORM_COLUMNS",
+    "VERIFY_COLUMNS",
+    "AVERAGE_L4_COLUMNS",
+    "ENVELOPE_COLUMNS",
+    "MONTE_CARLO_COLUMNS",
+    "BEAM_EXPERIMENT_COLUMNS",
+    "TUBE_RATIO_COLUMNS",
+    "SUPERLEVEL_COLUMNS",
+)
+
+RETIRED = ("tube_mask", "arc_tube_masses", "entry_moment")
+
+
+def test_package_surface():
+    modules = [importlib.import_module(f"spherelab.{name}") for name in MODULES]
+    assert spherelab.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    assert len(set(spherelab.__all__)) == len(spherelab.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(spherelab, name) is getattr(module, name), name
+    assert set(COLUMNS) <= set(spherelab.__all__)
+    assert set(COLUMNS) == {name for name in vars(spherelab.experiments) if name.endswith("_COLUMNS")}
+    for name in RETIRED:
+        assert name not in spherelab.__all__
+        assert not any(hasattr(module, name) for module in (spherelab, *modules))
+
+
+def test_retired_members_are_gone():
+    members = {
+        spherelab.QuadratureGrid: ("phi", "to_json"),
+        spherelab.SpherePoint: ("from_angles",),
+        spherelab.GreatCircle: ("point_at",),
+        spherelab.OrthonormalizationReport: ("max_retention",),
+        spherelab.ExperimentRecord: ("to_json",),
+    }
+    for cls, names in members.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    assert "validate" not in inspect.signature(spherelab.CoefficientBasis).parameters

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from spherelab.quadrature import (
     QuadratureGrid,
     TubeResolutionWarning,
     arc_selections,
-    arc_tube_masses,
     build_grid,
     lp_norm,
     profile_norm,
     superlevel_measure,
-    tube_mask,
     tube_mass,
 )
 from spherelab.harmonics import beam_field
@@ -32,7 +31,7 @@ def test_grid_sizes_and_certificate():
     assert g2.n_theta == 26
     d = g.describe()
     assert d["band"] == 4 and d["n_points"] == 9 * 17
-    assert "cos_degree_exact" in g.to_json()
+    assert d["cos_degree_exact"] == 17 and d["trig_degree_exact"] == 16
 
 
 def test_weights_sum_to_sphere_area():
@@ -86,6 +85,10 @@ def test_build_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             build_grid(4, oversample=bad)
+    # the count is formed in floating point, so no integer overflows or is printed in full
+    for k, oversample, count in ((8, 1e5, "5.61e+12"), (8, 1e308, "inf"), (2**80, 1.0, "1.17e+49")):
+        with pytest.raises(GridResolutionError, match=f"^grid would need {re.escape(count)} points, cap"):
+            build_grid(k, oversample)
 
 
 def test_grids_of_one_size_share_read_only_nodes():
@@ -160,14 +163,17 @@ def _unit_constant_field(grid):
 
 
 def test_tube_mask_geometry():
+    # the equatorial tube is the rings with |t| <= sin(width), every column of them
     g = build_grid(16)
-    mask = tube_mask(g, GreatCircle([0, 0, 1]), 0.2)
+    ring, col, _ = arc_selections(g, GreatCircle([0, 0, 1]), 0.2)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[ring, col] = True
     expect_rows = np.abs(g.t) <= math.sin(0.2)
     assert np.array_equal(mask.all(axis=1), expect_rows)
     assert np.array_equal(mask.any(axis=1), expect_rows)
-    assert tube_mask(g, [0, 0, 1], math.pi / 2).all()
+    assert arc_selections(g, [0, 0, 1], math.pi / 2)[0].size == g.n_points
     with pytest.raises(ValueError):
-        tube_mask(g, [0, 0, 1], 0.0)
+        arc_selections(g, [0, 0, 1], 0.0)
 
 
 def test_tube_mass_of_uniform_density():
@@ -204,7 +210,9 @@ def test_arc_masses_cover_the_tube():
     f = _unit_constant_field(g)
     circle = GreatCircle([0.2, -0.4, 0.9])
     mass = tube_mass(f, circle, 0.25)
-    arcs = arc_tube_masses(f, circle, 0.25)
+    ring, col, member = arc_selections(g, circle, 0.25)
+    dens = g.ring_weight[ring] / (4 * math.pi)
+    arcs = np.array([dens[m].sum() for m in member])
     assert arcs.shape == (8,)
     assert arcs.sum() >= mass * (1 - 1e-12)
     assert arcs.max() <= mass * (1 + 1e-12)
@@ -263,8 +271,9 @@ def test_tube_masses_equal_the_dense_sums_bitwise():
         assert tube_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
         for arc_length, n_arcs in ARC_SETTINGS:
             sels = dense_arc_masks(g, axis, width, arc_length, n_arcs)
-            masses = arc_tube_masses(f, axis, width, arc_length, n_arcs)
-            assert masses.tolist() == [dens[sel].sum() for sel in sels]
+            ring, col, member = arc_selections(g, axis, width, arc_length, n_arcs)
+            masses = [dens[ring, col][m].sum() for m in member]
+            assert masses == [dens[sel].sum() for sel in sels]
 
 
 @pytest.mark.parametrize(
@@ -288,7 +297,6 @@ def test_arc_selections_match_the_dense_oracle(k, oversample):
     cases += [(axis, w, settings) for axis, w in zip(special, (math.pi / 2, math.inf) * 2)]
     for axis, w, arc_settings in cases:
         tube = dense_tube(g, axis, w)
-        assert np.array_equal(tube_mask(g, axis, w), tube)
         expect_ring, expect_col = np.nonzero(tube)
         for arc_length, n_arcs in arc_settings:
             ring, col, member = arc_selections(g, axis, w, arc_length, n_arcs)
@@ -320,23 +328,18 @@ def test_tube_inputs_are_checked_by_name():
     f = _unit_constant_field(g)
     circle = GreatCircle([0.2, -0.4, 0.9])
     with pytest.raises(ValueError, match="width"):
-        tube_mask(g, circle, math.nan)
-    with pytest.raises(ValueError, match="width"):
         tube_mass(f, circle, math.nan)
     with pytest.raises(ValueError, match="width"):
         arc_selections(g, circle, math.nan)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="arc_length"):
             arc_selections(g, circle, 0.3, arc_length=bad)
-        with pytest.raises(ValueError, match="arc_length"):
-            arc_tube_masses(f, circle, 0.3, arc_length=bad)
     for bad in (0, -2, 2.5, 8.0, True, "8"):
         with pytest.raises(ValueError, match="n_arcs"):
             arc_selections(g, circle, 0.3, n_arcs=bad)
     assert arc_selections(g, circle, 0.3, n_arcs=np.int64(3))[2].shape[0] == 3
     # width >= pi/2, inf included, is the whole sphere
     for w in (math.pi / 2, math.inf):
-        assert tube_mask(g, circle, w).all()
         assert tube_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
         assert arc_selections(g, circle, w)[0].size == g.n_points
 
@@ -375,3 +378,14 @@ def test_profile_norm_of_a_constant_profile():
     for q in (0.5, 0.0, -3.0, -np.inf, np.nan):
         with pytest.raises(ValueError, match="q must be >= 1"):
             profile_norm(g, profile, q)
+
+
+def test_profile_norm_refuses_an_unrepresentable_integral():
+    # |c|^q underflows to zero or a subnormal, or overflows, for a nonzero
+    # profile; the zero profile keeps its zero norm
+    g = build_grid(8)
+    for c, q in ((0.28, 1000.0), (0.28, 560.0), (0.5, 1073.0), (1e10, 40.0), (1e10, 31.5)):
+        with pytest.raises(ValueError, match=f"q = {q:g} is out of range"):
+            profile_norm(g, np.full(g.n_phi, c), q)
+    assert profile_norm(g, np.zeros(g.n_phi), 1000.0) == 0.0
+    assert profile_norm(g, np.full(g.n_phi, 0.28), 500.0) > 0.0

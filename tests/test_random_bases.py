@@ -9,7 +9,7 @@ from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import (
     CoefficientBasis,
     _first_row_moduli,
-    entry_moment,
+    _mean_stderr,
     gaussian_limit_check,
     lambda4,
     quartic_norms,
@@ -152,10 +152,9 @@ def test_quartic_norms_rejects_rows_of_the_wrong_length():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65])
 def test_first_row_moduli_match_the_qr_sampler(n):
-    a2, b2 = _first_row_moduli(n, 50, 9)
-    rows = [np.abs(sample_haar_unitary(n, trial_rng(9, i))[0, :2]) ** 2 for i in range(50)]
-    assert np.abs(a2 - [row[0] for row in rows]).max() <= 1e-14
-    assert np.abs(b2 - [row[1] if n > 1 else 0.0 for row in rows]).max() <= 1e-14
+    a2 = _first_row_moduli(n, 50, 9)
+    u11 = [abs(sample_haar_unitary(n, trial_rng(9, i))[0, 0]) ** 2 for i in range(50)]
+    assert np.abs(a2 - u11).max() <= 1e-14
 
 
 def test_monte_carlo_reproducible_and_subset_consistent():
@@ -181,15 +180,11 @@ def test_monte_carlo_mean_tracks_dimension_correction():
 
 
 def test_entry_moment_closed_forms_n2():
-    # exact moments for 2x2 Haar unitaries: 1/2, 1/3, 1/6
-    m2, s2 = entry_moment(2, "|u|^2", samples=4000, seed=1, return_stderr=True)
-    m4, s4 = entry_moment(2, "|u|^4", samples=4000, seed=2, return_stderr=True)
-    mc, sc = entry_moment(2, "|u|^2|u'|^2", samples=4000, seed=3, return_stderr=True)
+    # exact moments of |u_11|^2 for 2x2 Haar unitaries: 1/2 and 1/3
+    m2, s2 = _mean_stderr(_first_row_moduli(2, 4000, 1))
+    m4, s4 = _mean_stderr(_first_row_moduli(2, 4000, 2) ** 2)
     assert m2 == pytest.approx(1 / 2, abs=4 * s2)
     assert m4 == pytest.approx(1 / 3, abs=4 * s4)
-    assert mc == pytest.approx(1 / 6, abs=4 * sc)
-    with pytest.raises(ValueError):
-        entry_moment(2, "|u|^6", samples=10, seed=0)
 
 
 def test_gaussian_limit_check_frozen_run():
@@ -206,13 +201,12 @@ def test_gaussian_limit_check_frozen_run():
 
 def test_entry_moments_share_one_first_row_sampler():
     # The (1,1) moments of one seed read the same sampled unitaries.
-    m2 = entry_moment(3, "|u|^2", samples=50, seed=5)
-    m4 = entry_moment(3, "|u|^4", samples=50, seed=5)
+    a2 = _first_row_moduli(3, 50, 5)
     u11 = [abs(sample_haar_unitary(3, trial_rng(5, i))[0, 0]) ** 2 for i in range(50)]
-    assert m2 == pytest.approx(np.mean(u11), rel=1e-14)
-    assert m4 == pytest.approx(np.mean(np.square(u11)), rel=1e-14)
+    assert a2.mean() == pytest.approx(np.mean(u11), rel=1e-14)
+    assert np.mean(a2 * a2) == pytest.approx(np.mean(np.square(u11)), rel=1e-14)
     # A 1x1 unitary is a phase: |u_11|^2 = 1 with zero spread.
-    mean, stderr = entry_moment(1, "|u|^2", samples=5, seed=0, return_stderr=True)
+    mean, stderr = _mean_stderr(_first_row_moduli(1, 5, 0))
     assert mean == pytest.approx(1.0, rel=1e-14) and stderr < 1e-15
     with pytest.raises(ValueError):
         gaussian_limit_check(8, samples=1, seed=0)
@@ -222,11 +216,9 @@ def test_entry_moments_share_one_first_row_sampler():
 def test_moment_seeds_must_be_non_negative_ints(seed):
     # Per-sample streams are derived from the seed, so a generator cannot stand in.
     with pytest.raises(ValueError, match="seed"):
-        entry_moment(3, "|u|^2", samples=5, seed=seed)
+        _first_row_moduli(3, 5, seed)
     with pytest.raises(ValueError, match="seed"):
         gaussian_limit_check(8, samples=5, seed=seed)
     with pytest.raises(ValueError, match="seed"):
         monte_carlo_lambda4(1, trials=2, seed=seed)
-    assert entry_moment(3, "|u|^2", samples=5, seed=np.int64(5)) == entry_moment(
-        3, "|u|^2", samples=5, seed=5
-    )
+    assert np.array_equal(_first_row_moduli(3, 5, np.int64(5)), _first_row_moduli(3, 5, 5))
