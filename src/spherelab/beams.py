@@ -1,4 +1,4 @@
-"""Gaussian-beam partial bases: separated axes, overlaps, orthonormalization, retention.
+"""Gaussian-beam partial bases: separated axes, overlaps, orthonormalization.
 
 A beam is the highest weight harmonic rebuilt around an arbitrary great
 circle; it concentrates in a k^(-1/2) tube around that circle.  Families of
@@ -9,26 +9,24 @@ intact is the experiment (``experiments.beam_experiment``); nothing here
 asserts an answer.
 
 Beams live in coefficient space: a beam's expansion over {Y_km} is one
-closed-form column of a Wigner rotation matrix, so building a family needs
-no grid.  Grids enter only where fourth-power norms are integrated.
+closed-form column of a Wigner rotation matrix, and orthonormalization is
+linear algebra on coefficient rows, so nothing here builds a grid.  The
+fourth-power norms before and after, and so the retention, are integrated
+by ``experiments.beam_experiment`` on its band-k grid.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
 from .legendre import log_factorial
-from .quadrature import QuadratureGrid, build_grid
-from .random_bases import CoefficientBasis, quartic_norms
+from .random_bases import CoefficientBasis
 from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
 
 __all__ = [
     "PackingInfeasibleError",
     "RankDeficiencyError",
-    "BeamFamily",
-    "OrthonormalizationReport",
     "beam_coefficients",
     "beam_overlap",
     "packing_bound",
@@ -175,78 +173,25 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-@dataclass
-class BeamFamily:
-    """Beams along a set of circle axes, held in coefficient space."""
-
-    k: int
-    axes: np.ndarray
-    matrix: np.ndarray
-    delta: float
-
-    @classmethod
-    def build(cls, k: int, axes) -> "BeamFamily":
-        k = int(k)
-        axes = np.atleast_2d(np.asarray(axes, dtype=float))
-        rows = np.array([beam_coefficients(k, a) for a in axes])
-        if axes.shape[0] > 1:
-            delta = min(
-                circle_angle(axes[i], axes[jj])
-                for i in range(axes.shape[0])
-                for jj in range(i + 1, axes.shape[0])
-            )
-        else:
-            # A single circle has no pair; pi/2 is the largest possible angle.
-            delta = math.pi / 2.0
-        return cls(k=k, axes=axes, matrix=rows, delta=float(delta))
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
-class OrthonormalizationReport:
-    """What orthonormalization did to a family's fourth-power norms."""
-
-    method: str
-    gram_condition: float
-    l44_before: np.ndarray
-    l44_after: np.ndarray
-
-    @property
-    def retention(self) -> np.ndarray:
-        return self.l44_after / self.l44_before
-
-    @property
-    def min_retention(self) -> float:
-        return float(self.retention.min())
-
-    @property
-    def mean_retention(self) -> float:
-        return float(self.retention.mean())
-
-
-def orthonormalize(
-    family: BeamFamily,
-    method: str = "symmetric",
-    grid: QuadratureGrid = None,
-):
-    """Orthonormalize a beam family; returns (fragment, report).
+def orthonormalize(k: int, rows, method: str = "symmetric"):
+    """Orthonormalize (J, 2k+1) coefficient rows; returns (basis, gram_condition).
 
     method "symmetric" applies the inverse-square-root of the Gram matrix,
     the orthonormal family closest to the original in least squares and
     equivariant under relabeling.  method "sequential" is Gram-Schmidt in the
     given order with one reorthogonalization pass; earlier rows are preserved
-    at the expense of later ones.  Raises RankDeficiencyError when the Gram
-    spectrum touches the 1e-10 floor (duplicate or near-duplicate axes).
+    at the expense of later ones.  Pure linear algebra: no grid is built and
+    nothing is integrated.  Raises RankDeficiencyError when the Gram spectrum
+    touches the 1e-10 floor (duplicate or near-duplicate axes), or when the
+    Gram condition number is too large for the result to be orthonormal to
+    1e-9.
     """
     if method not in ("symmetric", "sequential"):
         raise ValueError("method must be 'symmetric' or 'sequential'")
-    k = family.k
-    if grid is None:
-        grid = build_grid(k)
-    m = family.matrix
+    m = np.asarray(rows, dtype=complex)
+    n = 2 * int(k) + 1
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ValueError(f"expected coefficient rows of length {n}")
     gram = m @ m.conj().T
     eigvals = np.linalg.eigvalsh(gram)
     if float(eigvals.min()) <= _GRAM_EIGENVALUE_FLOOR:
@@ -266,13 +211,11 @@ def orthonormalize(
                 for p in range(i):
                     v_i = v_i - np.vdot(out[p], v_i) * out[p]
             out[i] = v_i / np.linalg.norm(v_i)
-    l44_before = quartic_norms(k, m, grid)
-    l44_after = quartic_norms(k, out, grid)
-    fragment = CoefficientBasis(k, out, tol=1e-9)
-    report = OrthonormalizationReport(
-        method=method,
-        gram_condition=condition,
-        l44_before=l44_before,
-        l44_after=l44_after,
-    )
-    return fragment, report
+    try:
+        basis = CoefficientBasis(k, out, tol=1e-9)
+    except ValueError as exc:
+        raise RankDeficiencyError(
+            f"Gram condition number {condition:.3e} is too large to orthonormalize "
+            f"in double precision ({exc})"
+        ) from None
+    return basis, condition

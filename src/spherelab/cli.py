@@ -21,10 +21,12 @@ from ._version import __version__
 from .beams import PackingInfeasibleError, RankDeficiencyError
 from .quadrature import GridResolutionError
 
-# A refused allocation (say, --trials far beyond memory) is reported like a bad flag.
+# A refused allocation (say, --trials far beyond memory) and a degree beyond the
+# double range are reported like a bad flag.
 _USAGE_ERRORS = (
     ValueError,
     MemoryError,
+    OverflowError,
     GridResolutionError,
     PackingInfeasibleError,
     RankDeficiencyError,
@@ -222,10 +224,8 @@ def _run_beams(args):
     else:
         ks = [args.k]
     deltas = args.delta or [0.5, 0.35, 0.25]
-    if args.j is not None and args.exponent is not None:
-        raise ValueError("--j and --exponent are mutually exclusive")
-    j_rule = args.j if args.exponent is None else xp.beam_count_rule(args.exponent)
-    run = xp.beam_experiment(ks, deltas, j_rule=j_rule, method=args.method, seed=args.seed)
+    run = xp.beam_experiment(ks, deltas, j=args.j, exponent=args.exponent,
+                             method=args.method, seed=args.seed)
     params = {"ks": ks, "deltas": [float(d) for d in deltas], "method": args.method,
               "j": args.j, "exponent": args.exponent}
     return run, params, args.seed

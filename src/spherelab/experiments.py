@@ -43,7 +43,7 @@ from .legendre import (
     legendre_p,
     normalized_legendre_table,
 )
-from .beams import BeamFamily, orthonormalize, packing_bound, place_separated_axes
+from .beams import beam_coefficients, orthonormalize, packing_bound, place_separated_axes
 from .quadrature import arc_selections, build_grid, lp_norm, profile_norm, superlevel_measure
 from .random_bases import (
     CoefficientBasis,
@@ -76,7 +76,6 @@ __all__ = [
     "MONTE_CARLO_COLUMNS",
     "monte_carlo_lambda4",
     "BEAM_EXPERIMENT_COLUMNS",
-    "beam_count_rule",
     "beam_experiment",
     "TUBE_RATIO_COLUMNS",
     "tube_ratio_experiment",
@@ -483,66 +482,65 @@ BEAM_EXPERIMENT_COLUMNS = (
 )
 
 
-def beam_count_rule(exponent: float):
-    """The beam-count rule J = floor(k^(1 - exponent)), clamped to at least 1."""
-    exponent = float(exponent)
-    if not 0.0 <= exponent <= 1.0:
-        raise ValueError("beam-count exponent must lie in [0, 1]")
-
-    def rule(k: int, delta: float) -> int:
-        return max(1, int(math.floor(k ** (1.0 - exponent))))
-
-    return rule
-
-
 def beam_experiment(
-    ks, deltas, j_rule=None, method: str = "symmetric", seed: int = 0
+    ks, deltas, j=None, exponent=None, method: str = "symmetric", seed: int = 0
 ) -> ExperimentRun:
     """Retention sweep over degrees and separation values; one row per (k, delta).
 
-    ``j_rule`` may be an integer (fixed beam count), a callable (k, delta) ->
-    count, or None for the default count sqrt(k).  Requested counts are
-    clamped to packing_bound(delta) // 2, which the greedy axis placement
-    cannot always reach: J = 40 at delta = 0.316 (so the default count from
-    k = 1600 at that delta) raises PackingInfeasibleError.  A fixed count
-    below 1 is a ValueError.  Row columns follow
-    BEAM_EXPERIMENT_COLUMNS; sum_l4 is the family total of fourth-power
-    norms after orthonormalization, to be read against the k log k growth
-    of the standard full basis.  ``seed`` is a non-negative int; at every
-    degree, delta number i places its axes with seed + i.  The one gate: every
-    configuration orthonormalized, with a finite Gram condition number and a
-    positive minimum retention.
+    The beam count is ``j`` when given (a fixed count, >= 1), floor(k^(1 -
+    exponent)) clamped to at least 1 when ``exponent`` in [0, 1] is given,
+    and sqrt(k) otherwise; giving both is a ValueError, raised before any
+    grid is built.  Requested counts are clamped to packing_bound(delta) // 2,
+    which the greedy axis placement cannot always reach: J = 40 at delta =
+    0.316 (so the default count from k = 1600 at that delta) raises
+    PackingInfeasibleError.  Each family's beam coefficient rows are
+    orthonormalized by ``beams.orthonormalize``; retention is each row's
+    fourth-power norm after orthonormalization over its norm before, both
+    on the band-k grid.  Row columns follow BEAM_EXPERIMENT_COLUMNS; sum_l4
+    is the family total of fourth-power norms after orthonormalization, to
+    be read against the k log k growth of the standard full basis.
+    ``seed`` is a non-negative int; at every degree, delta number i places
+    its axes with seed + i.  The one gate: every configuration
+    orthonormalized, with a finite Gram condition number and a positive
+    minimum retention.
     """
     _check_seed(seed)
-    if j_rule is not None and not callable(j_rule) and int(j_rule) < 1:
-        raise ValueError(f"a fixed beam count must be >= 1, got {int(j_rule)}")
+    if j is not None and exponent is not None:
+        raise ValueError("give a fixed beam count j or a count exponent, not both")
+    if j is not None and int(j) < 1:
+        raise ValueError(f"a fixed beam count must be >= 1, got {int(j)}")
+    if exponent is not None and not 0.0 <= float(exponent) <= 1.0:
+        raise ValueError("beam-count exponent must lie in [0, 1]")
     deltas = [float(delta) for delta in deltas]
     rows = []
     for k in ks:
         k = int(k)
         grid = build_grid(k)
+        if j is not None:
+            j_req = int(j)
+        elif exponent is not None:
+            j_req = max(1, int(math.floor(k ** (1.0 - float(exponent)))))
+        else:
+            j_req = max(1, math.isqrt(k))
         for idx, delta in enumerate(deltas):
-            if j_rule is None:
-                j_req = max(1, int(math.isqrt(k)))
-            elif callable(j_rule):
-                j_req = int(j_rule(k, delta))
-            else:
-                j_req = int(j_rule)
-            j = max(1, min(j_req, max(1, packing_bound(delta) // 2)))
+            count = max(1, min(j_req, max(1, packing_bound(delta) // 2)))
             config_seed = int(seed) + idx
-            family = BeamFamily.build(k, place_separated_axes(j, delta, seed=config_seed))
-            if family.size == 1:
+            axes = place_separated_axes(count, delta, seed=config_seed)
+            coefficients = np.array([beam_coefficients(k, axis) for axis in axes])
+            if count == 1:
+                # One beam is already orthonormal; a 1 x 1 orthonormalization would only round.
                 min_ret = mean_ret = gram_cond = 1.0
-                sum_l4 = float(quartic_norms(k, family.matrix, grid).sum())
+                sum_l4 = float(quartic_norms(k, coefficients, grid).sum())
             else:
-                _, report = orthonormalize(family, method=method, grid=grid)
-                min_ret, mean_ret = report.min_retention, report.mean_retention
-                gram_cond = report.gram_condition
-                sum_l4 = float(report.l44_after.sum())
+                basis, gram_cond = orthonormalize(k, coefficients, method)
+                l44_after = quartic_norms(k, basis.matrix, grid)
+                retention = l44_after / quartic_norms(k, coefficients, grid)
+                min_ret, mean_ret = float(retention.min()), float(retention.mean())
+                sum_l4 = float(l44_after.sum())
             rows.append(
                 {
                     "k": k,
-                    "J": j,
+                    "J": count,
                     "delta": delta,
                     "method": method,
                     "seed": config_seed,

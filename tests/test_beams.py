@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spherelab.beams import (
-    BeamFamily,
     PackingInfeasibleError,
     RankDeficiencyError,
     beam_coefficients,
@@ -13,7 +12,7 @@ from spherelab.beams import (
     packing_bound,
     place_separated_axes,
 )
-from spherelab.experiments import BEAM_EXPERIMENT_COLUMNS, beam_count_rule, beam_experiment
+from spherelab.experiments import BEAM_EXPERIMENT_COLUMNS, beam_experiment
 from spherelab.harmonics import (
     beam_field,
     coefficient_field,
@@ -21,6 +20,7 @@ from spherelab.harmonics import (
     synthesize_rings,
 )
 from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
+from spherelab.random_bases import quartic_norms
 from spherelab.sphere import circle_angle
 
 
@@ -40,6 +40,17 @@ def analyze(k, values, grid):
     table = signed_order_table(k, grid.t)
     conj_phases = np.exp(-1j * np.outer(grid.theta, np.arange(-k, k + 1)))
     return ((grid.ring_weight[:, None] * table) * (values @ conj_phases)).sum(axis=0)
+
+
+def _rows(k, axes):
+    """Beam coefficient rows along the given axes, shape (J, 2k+1)."""
+    return np.array([beam_coefficients(k, axis) for axis in axes])
+
+
+def _retention(k, rows, basis):
+    """Fourth-power norm of each orthonormalized row over that of its beam."""
+    grid = build_grid(k)
+    return quartic_norms(k, basis.matrix, grid) / quartic_norms(k, rows, grid)
 
 
 def _oracle_axes():
@@ -99,14 +110,16 @@ def test_closed_form_stays_unit_norm_at_high_degree():
 
 
 def test_beam_coefficients_build_no_grid(monkeypatch):
-    import spherelab.beams as beams
+    import spherelab.quadrature as quadrature
 
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(beams, "build_grid", no_grid)
-    family = BeamFamily.build(16, place_separated_axes(3, 0.6))
-    assert family.matrix.shape == (3, 33)
+    monkeypatch.setattr(quadrature, "build_grid", no_grid)
+    rows = _rows(16, place_separated_axes(3, 0.6))
+    assert rows.shape == (3, 33)
+    basis, _ = orthonormalize(16, rows)
+    assert basis.matrix.shape == (3, 33)
     alpha = 0.7
     overlap = beam_overlap(16, [0.0, 0.0, 1.0], [math.sin(alpha), 0.0, math.cos(alpha)])
     assert abs(overlap) == pytest.approx(math.cos(alpha / 2) ** 32, abs=1e-12)
@@ -175,72 +188,63 @@ def test_place_separated_axes():
         place_separated_axes(0, 0.5)
 
 
-def test_family_build_records_min_separation():
-    axes = place_separated_axes(4, 0.6)
-    fam = BeamFamily.build(8, axes)
-    assert fam.size == 4
-    assert fam.matrix.shape == (4, 17)
-    pairwise = min(
-        circle_angle(axes[i], axes[j]) for i in range(4) for j in range(i + 1, 4)
-    )
-    assert fam.delta == pytest.approx(pairwise, rel=1e-12)
-    single = BeamFamily.build(8, [[0.0, 0.0, 1.0]])
-    assert single.delta == pytest.approx(math.pi / 2)
-
-
 def test_orthonormalize_symmetric_properties():
     k = 16
-    fam = BeamFamily.build(k, place_separated_axes(5, 0.5))
-    basis, report = orthonormalize(fam)
+    rows = _rows(k, place_separated_axes(5, 0.5))
+    basis, gram_condition = orthonormalize(k, rows)
     gram = basis.matrix @ basis.matrix.conj().T
     assert np.allclose(gram, np.eye(5), atol=1e-9)
-    assert report.method == "symmetric"
-    assert report.gram_condition >= 1.0
-    assert report.min_retention <= report.mean_retention <= report.retention.max()
-    assert 0 < report.min_retention <= report.retention.max() < 2.0
+    assert gram_condition >= 1.0
+    retention = _retention(k, rows, basis)
+    assert retention.min() <= retention.mean() <= retention.max()
+    assert 0 < retention.min() <= retention.max() < 2.0
 
 
 def test_symmetric_orthonormalization_permutation_equivariance():
     k = 12
     axes = place_separated_axes(5, 0.5)
     perm = np.array([3, 0, 4, 1, 2])
-    b1, _ = orthonormalize(BeamFamily.build(k, axes))
-    b2, _ = orthonormalize(BeamFamily.build(k, axes[perm]))
+    b1, _ = orthonormalize(k, _rows(k, axes))
+    b2, _ = orthonormalize(k, _rows(k, axes[perm]))
     assert np.max(np.abs(b2.matrix - b1.matrix[perm])) < 1e-12
 
 
 def test_sequential_orthonormalization_keeps_first_beam():
     k = 12
-    fam = BeamFamily.build(k, place_separated_axes(4, 0.6))
-    basis, report = orthonormalize(fam, method="sequential")
-    assert report.method == "sequential"
-    first = fam.matrix[0] / np.linalg.norm(fam.matrix[0])
+    rows = _rows(k, place_separated_axes(4, 0.6))
+    basis, _ = orthonormalize(k, rows, method="sequential")
+    first = rows[0] / np.linalg.norm(rows[0])
     assert np.max(np.abs(basis.matrix[0] - first)) < 1e-12
     gram = basis.matrix @ basis.matrix.conj().T
     assert np.allclose(gram, np.eye(4), atol=1e-9)
     with pytest.raises(ValueError):
-        orthonormalize(fam, method="overlapping")
+        orthonormalize(k, rows, method="overlapping")
+    with pytest.raises(ValueError):
+        orthonormalize(k + 1, rows)
 
 
 def test_orthonormalize_rejects_degenerate_family():
-    fam = BeamFamily.build(8, [[0, 0, 1.0], [0, 0, 1.0]])
-    with pytest.raises(RankDeficiencyError):
-        orthonormalize(fam)
+    with pytest.raises(RankDeficiencyError, match="floor"):
+        orthonormalize(8, _rows(8, [[0, 0, 1.0], [0, 0, 1.0]]))
+    # Separated but too many for the degree: the Gram spectrum clears the floor,
+    # and the condition number is too large for an orthonormal result.
+    for k, j, delta in ((8, 16, 0.5), (4, 9, 0.35)):
+        with pytest.raises(RankDeficiencyError, match="Gram condition number"):
+            orthonormalize(k, _rows(k, place_separated_axes(j, delta)))
 
 
 def test_two_well_separated_beams_keep_their_mass():
     k = 64
-    fam = BeamFamily.build(k, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    _, report = orthonormalize(fam)
-    assert report.min_retention >= 0.99
+    rows = _rows(k, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    basis, _ = orthonormalize(k, rows)
+    assert _retention(k, rows, basis).min() >= 0.99
 
 
 def test_beam_count_rule():
-    rule = beam_count_rule(0.5)
-    assert rule(16, 0.3) == 4
-    assert rule(1, 0.3) == 1
+    assert beam_experiment([16], deltas=(0.3,), exponent=0.5).rows[0]["J"] == 4
+    assert beam_experiment([1], deltas=(0.3,), exponent=0.5).rows[0]["J"] == 1
     with pytest.raises(ValueError):
-        beam_count_rule(-0.1)
+        beam_experiment([16], deltas=(0.3,), exponent=-0.1)
 
 
 def test_beam_experiment_rows():
@@ -261,7 +265,7 @@ def test_beam_experiment_rows():
 def test_single_beam_experiment_matches_direct_norm():
     grid = build_grid(64)
     q = lp_norm(beam_field(64, [0, 0, 1], grid), 4) ** 4
-    rows = beam_experiment([64], deltas=(0.5,), j_rule=lambda k, d: 1).rows
+    rows = beam_experiment([64], deltas=(0.5,), j=1).rows
     assert rows[0]["J"] == 1
     assert rows[0]["sum_l4"] == pytest.approx(q, rel=1e-10)
     assert rows[0]["min_ret"] == 1.0
@@ -275,3 +279,63 @@ def test_single_beam_l4_scaling_between_degrees():
     v64 = lp_norm(beam_field(64, [0, 0, 1], g64), 4) ** 4 / math.sqrt(64)
     v128 = lp_norm(beam_field(128, [0, 0, 1], g128), 4) ** 4 / math.sqrt(128)
     assert v128 == pytest.approx(v64, rel=0.03)
+
+
+# Rows of the paths no golden digest covers, recorded as hex literals before
+# orthonormalize became linear algebra on plain coefficient rows:
+# (k, J, delta, method, seed, min_ret, mean_ret, gram_cond, sum_l4).
+BEAM_ROWS_FROZEN = {
+    "single": (
+        dict(ks=[16, 64], deltas=(0.5, 0.35), j=1, seed=5),
+        [
+            (16, 1, 0.5, "symmetric", 5, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.0d26b57f0c6fdp-2"),
+            (16, 1, 0.35, "symmetric", 6, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.0d26b57f0c6fdp-2"),
+            (64, 1, 0.5, "symmetric", 5, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.065a131bf821cp-1"),
+            (64, 1, 0.35, "symmetric", 6, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.065a131bf821cp-1"),
+        ],
+    ),
+    "exponent": (
+        dict(ks=[16, 32], deltas=(0.5, 0.35), exponent=0.25),
+        [
+            (16, 8, 0.5, "symmetric", 0, "0x1.c2a6194487b5bp-1", "0x1.e8925c39af530p-1",
+             "0x1.557c37b07de44p+3", "0x1.00d5d58220a96p+1"),
+            (16, 8, 0.35, "symmetric", 1, "0x1.3bd2c2b923d93p-1", "0x1.cb6bfbbef36bcp-1",
+             "0x1.28d19903e88fcp+10", "0x1.e305ef465dff1p+0"),
+            (32, 13, 0.5, "symmetric", 0, "0x1.fb06e4780df96p-1", "0x1.fd5e9d71b124fp-1",
+             "0x1.b39f7a50582c4p+0", "0x1.2e818aaf10daap+2"),
+            (32, 13, 0.35, "symmetric", 1, "0x1.a3466e69f4005p-1", "0x1.dde54eba874dfp-1",
+             "0x1.f753dac2d8030p+4", "0x1.1bd071473ffebp+2"),
+        ],
+    ),
+    "sequential": (
+        dict(ks=[16, 32], deltas=(0.5, 0.35), method="sequential", seed=2),
+        [
+            (16, 4, 0.5, "sequential", 2, "0x1.d8391fc8b7d76p-1", "0x1.e516033fd772cp-1",
+             "0x1.fb02c4da8dd70p+1", "0x1.fe017a97dea32p-1"),
+            (16, 4, 0.35, "sequential", 3, "0x1.9563dc0d5acd5p-1", "0x1.c27a93d635073p-1",
+             "0x1.34d2f767f7f54p+4", "0x1.d99eeaea42b98p-1"),
+            (32, 5, 0.5, "sequential", 2, "0x1.fa0005f9ed0f9p-1", "0x1.fc5af0c48ce5dp-1",
+             "0x1.7fd58e7be1198p+0", "0x1.d07793daa47e1p+0"),
+            (32, 5, 0.35, "sequential", 3, "0x1.9df32dd8e4586p-1", "0x1.d787345702890p-1",
+             "0x1.7836c87c9aaeap+2", "0x1.aed1c599f2779p+0"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(BEAM_ROWS_FROZEN))
+def test_beam_experiment_rows_are_frozen(path):
+    kwargs, frozen = BEAM_ROWS_FROZEN[path]
+    rows = beam_experiment(**kwargs).rows
+    got = [
+        (
+            row["k"], row["J"], row["delta"], row["method"], row["seed"],
+            *(row[col].hex() for col in ("min_ret", "mean_ret", "gram_cond", "sum_l4")),
+        )
+        for row in rows
+    ]
+    assert got == frozen

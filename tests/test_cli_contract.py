@@ -130,6 +130,75 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
     assert "greedy search exhausted" in captured.err
 
 
+@_CONTRACT
+@given(
+    k=st.integers(0, 16),
+    j=st.one_of(st.none(), st.integers(-2, 40)),
+    exponent=st.one_of(st.none(), st.floats(-0.5, 1.5)),
+    delta=st.floats(0.25, math.pi / 2),
+    method=st.sampled_from(["symmetric", "sequential"]),
+)
+@example(k=16, j=None, exponent=None, delta=0.5, method="symmetric")
+@example(k=8, j=16, exponent=None, delta=0.5, method="symmetric")  # ill-conditioned
+@example(k=0, j=5, exponent=None, delta=0.25, method="sequential")  # rank one
+@example(k=16, j=None, exponent=0.0, delta=0.25, method="symmetric")
+@example(k=4, j=2, exponent=0.5, delta=1.0, method="symmetric")
+@example(k=4, j=None, exponent=1.5, delta=1.0, method="symmetric")
+def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
+    argv = ["beams", "--k", str(k), f"--delta={delta!r}", "--method", method]
+    argv += [] if j is None else ["--j", str(j)]
+    argv += [] if exponent is None else [f"--exponent={exponent!r}"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    if j is not None and exponent is not None:
+        assert code == 2 and "not both" in captured.err
+    elif j is not None and j < 1:
+        assert code == 2 and "beam count" in captured.err
+    elif exponent is not None and not 0.0 <= exponent <= 1.0:
+        assert code == 2 and "exponent" in captured.err
+    elif code == 2:
+        # a valid count that the degree or the packing cannot carry
+        assert "Gram" in captured.err or "axes" in captured.err, captured.err
+
+
+# One line per subcommand whose degree is beyond the double range.
+_HUGE_DEGREE = "9" * 320
+_OVERFLOW_RUNS = {
+    "norms": ["norms", "--k", _HUGE_DEGREE],
+    "tube-ratio": ["tube-ratio", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
+    "random-onb": ["random-onb", "--k", _HUGE_DEGREE],
+    "beams": ["beams", "--k", _HUGE_DEGREE],
+    "superlevel": ["superlevel", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
+    "pointwise": ["pointwise", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOW_RUNS))
+def test_degree_beyond_the_double_range_is_usage_error(capsys, command):
+    code = main(_OVERFLOW_RUNS[command])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beams", "--k", "8", "--j", "16", "--delta", "0.5"],
+        ["beams", "--k", "4", "--j", "9", "--delta", "0.35"],
+    ],
+)
+def test_ill_conditioned_beam_family_names_the_gram_condition(capsys, argv):
+    # the Gram spectrum clears the 1e-10 floor, but not by enough for an
+    # orthonormal result in double precision
+    code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert captured.err.startswith("error: Gram condition number ")
+
+
 # Small runs of every subcommand with --oversample; each passes its gates at
 # oversample 1 and 1.5.
 _OVERSAMPLE_RUNS = {

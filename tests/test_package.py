@@ -18,7 +18,14 @@ COLUMNS = (
     "SUPERLEVEL_COLUMNS",
 )
 
-RETIRED = ("tube_mask", "arc_tube_masses", "entry_moment")
+RETIRED = (
+    "tube_mask",
+    "arc_tube_masses",
+    "entry_moment",
+    "BeamFamily",
+    "OrthonormalizationReport",
+    "beam_count_rule",
+)
 
 
 def test_package_surface():
@@ -40,10 +47,11 @@ def test_retired_members_are_gone():
         spherelab.QuadratureGrid: ("phi", "to_json"),
         spherelab.SpherePoint: ("from_angles",),
         spherelab.GreatCircle: ("point_at",),
-        spherelab.OrthonormalizationReport: ("max_retention",),
         spherelab.ExperimentRecord: ("to_json",),
     }
     for cls, names in members.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
     assert "validate" not in inspect.signature(spherelab.CoefficientBasis).parameters
+    assert "grid" not in inspect.signature(spherelab.orthonormalize).parameters
+    assert "j_rule" not in inspect.signature(spherelab.beam_experiment).parameters
