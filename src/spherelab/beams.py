@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 
-class PackingInfeasibleError(Exception):
+class PackingInfeasibleError(ValueError):
     """Requested more separated great circles than the packing bound allows."""
 
 
-class RankDeficiencyError(Exception):
+class RankDeficiencyError(ValueError):
     """Gram matrix of the family is numerically singular (eigenvalue floor 1e-10)."""
 
 
@@ -94,16 +94,22 @@ def beam_overlap(k: int, axis1, axis2) -> complex:
     return complex(np.vdot(c2, c1))
 
 
+# Cap on the placement lattice's 32/delta^2 axes; it sets the smallest separation, about 0.0055.
+_MAX_LATTICE_AXES = 2**20
+_MIN_SEPARATION = math.sqrt(32.0 / _MAX_LATTICE_AXES)
+
+
 def packing_bound(delta: float) -> int:
     """Largest number of axes any placement could separate at circle-angle delta.
 
     Spherical caps of radius delta/2 around the axes are disjoint on the
     projective hemisphere, so J <= 1/(1 - cos(delta/2)), about 8/delta^2 for
-    small delta.
+    small delta.  delta must lie in [_MIN_SEPARATION, pi/2].
     """
     delta = float(delta)
-    if delta <= 0.0 or delta > np.pi / 2 + 1e-12:
-        raise ValueError("separation must lie in (0, pi/2]")
+    if not _MIN_SEPARATION <= delta <= np.pi / 2 + 1e-12:
+        raise ValueError(f"separation must lie in [{_MIN_SEPARATION:.4g}, pi/2], got {delta:g}; "
+                         f"a smaller one needs more than {_MAX_LATTICE_AXES} lattice axes")
     return int(math.floor(1.0 / (1.0 - math.cos(delta / 2.0))))
 
 

@@ -18,19 +18,11 @@ from typing import Callable
 
 from . import experiments as xp
 from ._version import __version__
-from .beams import PackingInfeasibleError, RankDeficiencyError
-from .quadrature import GridResolutionError
 
 # A refused allocation (say, --trials far beyond memory) and a degree beyond the
-# double range are reported like a bad flag.
-_USAGE_ERRORS = (
-    ValueError,
-    MemoryError,
-    OverflowError,
-    GridResolutionError,
-    PackingInfeasibleError,
-    RankDeficiencyError,
-)
+# double range are reported like a bad flag; the library's own refusals
+# (grid, packing, rank) are ValueErrors.
+_USAGE_ERRORS = (ValueError, MemoryError, OverflowError)
 
 _PRINT_LIMIT = 24
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .harmonics import (
+    _phases,
     _signed_orders,
     beam_field,
     ell_p_profile,
@@ -490,8 +491,9 @@ def beam_experiment(
     The beam count is ``j`` when given (a fixed count, >= 1), floor(k^(1 -
     exponent)) clamped to at least 1 when ``exponent`` in [0, 1] is given,
     and sqrt(k) otherwise; giving both is a ValueError, raised before any
-    grid is built.  Requested counts are clamped to packing_bound(delta) // 2,
-    which the greedy axis placement cannot always reach: J = 40 at delta =
+    grid is built, as is a separation outside ``packing_bound``'s range.
+    Requested counts are clamped to packing_bound(delta) // 2, which the
+    greedy axis placement cannot always reach: J = 40 at delta =
     0.316 (so the default count from k = 1600 at that delta) raises
     PackingInfeasibleError.  Each family's beam coefficient rows are
     orthonormalized by ``beams.orthonormalize``; retention is each row's
@@ -512,6 +514,7 @@ def beam_experiment(
     if exponent is not None and not 0.0 <= float(exponent) <= 1.0:
         raise ValueError("beam-count exponent must lie in [0, 1]")
     deltas = [float(delta) for delta in deltas]
+    bounds = [packing_bound(delta) for delta in deltas]
     rows = []
     for k in ks:
         k = int(k)
@@ -522,8 +525,8 @@ def beam_experiment(
             j_req = max(1, int(math.floor(k ** (1.0 - float(exponent)))))
         else:
             j_req = max(1, math.isqrt(k))
-        for idx, delta in enumerate(deltas):
-            count = max(1, min(j_req, max(1, packing_bound(delta) // 2)))
+        for idx, (delta, bound) in enumerate(zip(deltas, bounds)):
+            count = max(1, min(j_req, max(1, bound // 2)))
             config_seed = int(seed) + idx
             axes = place_separated_axes(count, delta, seed=config_seed)
             coefficients = np.array([beam_coefficients(k, axis) for axis in axes])
@@ -736,7 +739,7 @@ def _identity_gram(k: int, grid) -> np.ndarray:
     instead of one O(k^3) product per ring.
     """
     table = signed_order_table(k, grid.t)
-    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
+    phases = _phases(k, grid.theta)
     return (phases @ phases.conj().T) * (table.T @ (grid.ring_weight[:, None] * table))
 
 
@@ -756,14 +759,13 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> E
     eval_basis_row, theta_integral), which run the downward recurrence in
     order, and folds into the same maxima.  The Gram check integrates the
     standard basis against itself on the band-k grid, from the signed order
-    table and the longitude phases that ``synthesize_rings`` (and so
-    ``coefficient_field``) combine.  Each ring of the identity synthesis is
-    diag(R_i) Phi, so the Gram matrix is (Phi Phi^H) o (R^T diag(w) R), an
-    entrywise product of two O(k^3) matrix products, where the ring-by-ring
-    sum costs O(k^4) per degree.  ``seed`` is a non-negative int.  k_max is
-    capped by the upward sweep's range (1024).  One row and one gate per
-    check; the outputs hold the inputs, the checks by name and whether all
-    passed.
+    table and the longitude phases that ``coefficient_field`` combines.  Each
+    ring of the identity synthesis is diag(R_i) Phi, so the Gram matrix is
+    (Phi Phi^H) o (R^T diag(w) R), an entrywise product of two O(k^3) matrix
+    products, where the ring-by-ring sum costs O(k^4) per degree.  ``seed``
+    is a non-negative int.  k_max is capped by the upward sweep's range
+    (1024).  One row and one gate per check; the outputs hold the inputs,
+    the checks by name and whether all passed.
     """
     _check_seed(seed)
     k_max = int(k_max)

@@ -20,13 +20,12 @@ from .legendre import (
     normalized_assoc_legendre_row,
     normalized_legendre_table,
 )
-from .quadrature import HarmonicField, QuadratureGrid
+from .quadrature import HarmonicField, QuadratureGrid, _norm_exponent
 from .sphere import SpherePoint, rotation_to_pole
 
 __all__ = [
     "eval_basis_row",
     "signed_order_table",
-    "synthesize_rings",
     "projection_kernel",
     "ell_p_sum",
     "ell_p_profile",
@@ -69,21 +68,9 @@ def _signed_orders(k: int, base) -> np.ndarray:
     return base[:, np.abs(m)] * sign[None, :]
 
 
-def synthesize_rings(k: int, coefficients, grid: QuadratureGrid):
-    """Iterate over the grid rings of the fields sum_m c_jm Y_km, one per row of c.
-
-    ``coefficients`` has shape (rows, 2k+1), orders m = -k..k.  The radial
-    table and the longitude phases are built once; each step yields one
-    ring's values, shape (rows, n_theta), so memory stays at one ring
-    however many fields are synthesized.
-    """
-    k = int(k)
-    coefficients = np.asarray(coefficients, dtype=complex)
-    if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
-        raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
-    table = signed_order_table(k, grid.t)
-    phases = np.exp(1j * np.outer(np.arange(-k, k + 1), grid.theta))
-    return ((coefficients * radial[None, :]) @ phases for radial in table)
+def _phases(k: int, theta) -> np.ndarray:
+    """Longitude phases exp(i m theta_j), shape (2k+1, len(theta)), orders m = -k..k."""
+    return np.exp(1j * np.outer(np.arange(-k, k + 1), theta))
 
 
 def projection_kernel(k: int, x, y) -> float:
@@ -102,12 +89,10 @@ def ell_p_sum(k: int, x, p) -> float:
     """
     k = int(k)
     pt = _point(x)
+    p = _norm_exponent(p)
     base = np.abs(normalized_assoc_legendre_row(k, math.cos(pt.phi)))
-    if p == np.inf or p == float("inf"):
+    if p == np.inf:
         return float(base.max())
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("ell_p_sum requires p >= 1")
     powers = base**p
     total = powers[0] + 2.0 * powers[1:].sum()
     return float(total ** (1.0 / p))
@@ -119,9 +104,9 @@ def ell_p_profile(k: int, t, p: float) -> np.ndarray:
     The sum is longitude-independent, so sweeps over many points should use
     this table-driven form; agrees with per-point ell_p_sum to rounding.
     """
+    p = _norm_exponent(p)
     base = np.abs(normalized_legendre_table(k, t))
-    p = float(p)
-    if not math.isfinite(p):
+    if p == np.inf:
         return base.max(axis=1)
     powers = base**p
     total = powers[:, 0] + 2.0 * powers[:, 1:].sum(axis=1)
@@ -188,11 +173,16 @@ def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
     values = np.where(s > 0.0, np.exp(log_mag), 0.0) * np.exp(1j * k * alpha)
     if k == 0:
         values = np.full(grid.shape, 1.0 / np.sqrt(4.0 * np.pi), dtype=complex)
-    return HarmonicField(grid, values, f"beam_{k}", k)
+    return HarmonicField(grid, values)
 
 
-def coefficient_field(k: int, coefficients, grid: QuadratureGrid, label: str = "") -> HarmonicField:
-    """Synthesize sum_m c_m Y_km on the grid from a coefficient vector (m = -k..k)."""
+def coefficient_field(k: int, coefficients, grid: QuadratureGrid) -> HarmonicField:
+    """Synthesize sum_m c_m Y_km on the grid, ring by ring, from coefficients m = -k..k."""
     k = int(k)
-    values = np.concatenate(list(synthesize_rings(k, [coefficients], grid)))
-    return HarmonicField(grid, values, label or f"coeff_{k}", k)
+    row = np.asarray(coefficients, dtype=complex)
+    if row.shape != (2 * k + 1,):
+        raise ValueError(f"expected a coefficient vector of length {2 * k + 1} for degree {k}")
+    row = row[None, :]
+    phases = _phases(k, grid.theta)
+    values = np.concatenate([(row * radial) @ phases for radial in signed_order_table(k, grid.t)])
+    return HarmonicField(grid, values)

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 
+from .sphere import GreatCircle
+
 __all__ = [
     "GridResolutionError",
     "TubeResolutionWarning",
@@ -26,10 +28,10 @@ __all__ = [
     "superlevel_measure",
 ]
 
-DEFAULT_MAX_POINTS = 50_000_000
+MAX_GRID_POINTS = 50_000_000
 
 
-class GridResolutionError(Exception):
+class GridResolutionError(ValueError):
     """Raised when a grid is too small (or too large) for the requested task."""
 
 
@@ -136,7 +138,7 @@ class QuadratureGrid:
         return f"QuadratureGrid(band={self.band}, n_phi={self.n_phi}, n_theta={self.n_theta})"
 
 
-def build_grid(k: int, oversample: float = 1.0, max_points: int = DEFAULT_MAX_POINTS) -> QuadratureGrid:
+def build_grid(k: int, oversample: float = 1.0) -> QuadratureGrid:
     """Grid exact for products of up to four degree-k harmonics.
 
     n_phi = ceil(oversample * (2k+1)) Gauss-Legendre nodes and
@@ -144,8 +146,8 @@ def build_grid(k: int, oversample: float = 1.0, max_points: int = DEFAULT_MAX_PO
     this integrates cos(phi)-polynomials of degree 4k+1 and trigonometric
     polynomials of degree 4k exactly, which covers |f|^4 for any degree-k
     field f.  For ||f||_q with even q build the grid with band ceil(q*k/4).
-    The point count is checked against max_points in floating point, so an
-    oversized request is refused before any integer is formed.
+    The point count is checked against MAX_GRID_POINTS in floating point, so
+    an oversized request is refused before any integer is formed.
     """
     k = int(k)
     if k < 0:
@@ -154,9 +156,9 @@ def build_grid(k: int, oversample: float = 1.0, max_points: int = DEFAULT_MAX_PO
         raise ValueError("oversample must be finite and >= 1")
     n_phi = float(np.ceil(oversample * (2 * k + 1)))
     n_theta = float(np.ceil(oversample * (4 * k + 1)))
-    if n_phi * n_theta > max_points:
+    if n_phi * n_theta > MAX_GRID_POINTS:
         raise GridResolutionError(
-            f"grid would need {n_phi * n_theta:.3g} points, cap is {max_points}"
+            f"grid would need {n_phi * n_theta:.3g} points, cap is {MAX_GRID_POINTS}"
         )
     t, w = _gauss_legendre(int(n_phi))
     return QuadratureGrid(k, oversample, t, w, int(n_theta))
@@ -172,24 +174,49 @@ def _gauss_legendre(n: int):
 
 
 class HarmonicField:
-    """Complex values of one function sampled on a grid, plus a label."""
+    """Complex values of one function sampled on a grid."""
 
-    __slots__ = ("grid", "values", "label", "k")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: QuadratureGrid, values, label: str = "", k: int | None = None):
+    def __init__(self, grid: QuadratureGrid, values):
         values = np.asarray(values)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.values = values.astype(np.complex128, copy=False)
-        self.label = label
-        self.k = k
-
-    def l2_norm(self) -> float:
-        return lp_norm(self, 2.0)
 
     def __repr__(self):
-        return f"HarmonicField({self.label!r}, grid={self.grid!r})"
+        return f"HarmonicField(grid={self.grid!r})"
+
+
+def _norm_exponent(q) -> float:
+    """q as a float; anything but q >= 1 or q = inf (nan included) is a ValueError."""
+    q = float(q)
+    if not q >= 1.0:
+        raise ValueError(f"norm exponent q must be >= 1, got {q:g}")
+    return q
+
+
+def _lq_norm(values, q, integrate) -> float:
+    """(integrate(|values|^q))^(1/q), the one L^q rule; q = inf is the max of |values|.
+
+    An even q powers real values signed, because numpy's vectorized pow can
+    round x^q an ulp away from |x|^q and the frozen tube-ratio rows were
+    recorded with x^q; complex values always take |f|^q.  Nonzero values
+    whose integral of |f|^q is zero, subnormal or infinite have no
+    representable norm: that is a ValueError naming q.
+    """
+    q = _norm_exponent(q)
+    if q == np.inf:
+        return float(np.abs(values).max())
+    signed = q % 2.0 == 0.0 and not np.iscomplexobj(values)
+    with np.errstate(over="ignore"):
+        powers = values**q if signed else np.abs(values) ** q
+    integral = integrate(powers)
+    if not np.finfo(float).tiny <= integral < np.inf and values.any():
+        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |f|^q "
+                         f"is {integral:.3g}, outside the normal double range")
+    return float(integral ** (1.0 / q))
 
 
 def lp_norm(field: HarmonicField, p) -> float:
@@ -197,41 +224,19 @@ def lp_norm(field: HarmonicField, p) -> float:
 
     The grid max under-estimates a true sup that falls between nodes, which is
     fine for the slope experiments here (the offset is a constant factor), but
-    quote sup norms with that caveat.
+    quote sup norms with that caveat.  p must be >= 1 or inf, and the integral
+    of |f|^p of a nonzero field must be a normal double; else a ValueError.
     """
-    if p == np.inf or p == float("inf"):
-        return float(np.abs(field.values).max())
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("lp_norm requires p >= 1")
-    absval = np.abs(field.values)
-    integral = field.grid.integrate(absval**p)
-    return float(integral ** (1.0 / p))
+    return _lq_norm(field.values, p, field.grid.integrate)
 
 
 def profile_norm(grid: QuadratureGrid, profile, q) -> float:
     """||f||_q of a longitude-independent f given per ring, such as one column N(k, m, t).
 
-    Finite q integrates |profile|^q over the rings; an even q powers the
-    signed values, because numpy's vectorized pow can round x^q an ulp away
-    from |x|^q and the frozen tube-ratio rows were recorded with x^q.  q = inf
-    is the max of |profile| over the nodes, the exact node value.  A
-    nonzero profile whose integral of |profile|^q is zero, subnormal or
-    infinite has no representable norm: that is a ValueError naming q.
+    q = inf is the max of |profile| over the nodes, the exact node value.
+    Exponents and range follow ``lp_norm``.
     """
-    profile = np.asarray(profile, dtype=float)
-    q = float(q)
-    if q == np.inf:
-        return float(np.abs(profile).max())
-    if not q >= 1.0:
-        raise ValueError(f"norm exponent q must be >= 1, got {q:g}")
-    with np.errstate(over="ignore"):
-        powers = profile**q if q % 2.0 == 0.0 else np.abs(profile) ** q
-    integral = grid.integrate_profile(powers)
-    if not np.finfo(float).tiny <= integral < np.inf and profile.any():
-        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |f|^q "
-                         f"is {integral:.3g}, outside the normal double range")
-    return integral ** (1.0 / q)
+    return _lq_norm(np.asarray(profile, dtype=float), q, grid.integrate_profile)
 
 
 def _tube_points(grid: QuadratureGrid, circle, width: float):
@@ -245,8 +250,6 @@ def _tube_points(grid: QuadratureGrid, circle, width: float):
     meet the tube.  They are one contiguous slice of the ascending nodes; the
     node test |x . a| <= sin(width) runs on that slice only.
     """
-    from .sphere import GreatCircle
-
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
     width = float(width)
@@ -275,7 +278,7 @@ def tube_mass(field: HarmonicField, circle, width: float) -> float:
     nodes only, in C order.  Emits ``TubeResolutionWarning`` when fewer than
     8 colatitude rings meet the tube.
     """
-    l2 = field.l2_norm()
+    l2 = lp_norm(field, 2.0)
     if abs(l2 - 1.0) > 1e-6:
         raise ValueError(f"tube_mass expects a unit field, got L2 norm {l2!r}")
     ring, col = _tube_points(field.grid, circle, width)
@@ -317,8 +320,6 @@ def arc_selections(
     Memberships are those of the wrap distance |((s - c + pi) mod 2 pi) - pi|
     tested at every center, bit for bit.
     """
-    from .sphere import GreatCircle
-
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
     arc_length = float(arc_length)

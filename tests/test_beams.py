@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spherelab.beams import (
+    _MAX_LATTICE_AXES,
+    _MIN_SEPARATION,
     PackingInfeasibleError,
     RankDeficiencyError,
     beam_coefficients,
@@ -17,7 +19,6 @@ from spherelab.harmonics import (
     beam_field,
     coefficient_field,
     signed_order_table,
-    synthesize_rings,
 )
 from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
 from spherelab.random_bases import quartic_norms
@@ -71,9 +72,8 @@ def test_analyze_inverts_synthesis():
     for k in (0, 1, 17):
         grid = build_grid(k)
         coeffs = rng.standard_normal((3, 2 * k + 1)) + 1j * rng.standard_normal((3, 2 * k + 1))
-        values = np.stack(list(synthesize_rings(k, coeffs, grid)), axis=1)
-        assert values.shape == (3,) + grid.shape
-        for row, field in zip(coeffs, values):
+        for row in coeffs:
+            field = coefficient_field(k, row, grid).values
             assert np.abs(analyze(k, field, grid) - row).max() <= 1e-12
     grid = build_grid(6)
     with pytest.raises(ValueError):
@@ -168,9 +168,13 @@ def test_packing_bound_values():
     assert packing_bound(math.pi / 2) == 3
     assert packing_bound(0.5) > packing_bound(1.0)
     with pytest.raises(ValueError):
-        packing_bound(0.0)
-    with pytest.raises(ValueError):
         packing_bound(2.0)
+    # the smallest separation keeps the placement lattice within its cap
+    assert 32.0 / _MIN_SEPARATION**2 == pytest.approx(_MAX_LATTICE_AXES, rel=1e-12)
+    assert packing_bound(_MIN_SEPARATION) > 0
+    for delta in (math.nextafter(_MIN_SEPARATION, 0.0), 1e-10, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"more than {_MAX_LATTICE_AXES} lattice axes"):
+            packing_bound(delta)
 
 
 def test_place_separated_axes():
@@ -269,6 +273,17 @@ def test_single_beam_experiment_matches_direct_norm():
     assert rows[0]["J"] == 1
     assert rows[0]["sum_l4"] == pytest.approx(q, rel=1e-10)
     assert rows[0]["min_ret"] == 1.0
+
+
+def test_beam_experiment_refuses_a_tiny_separation_before_any_grid(monkeypatch):
+    import spherelab.experiments as experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(experiments, "build_grid", refuse)
+    with pytest.raises(ValueError, match="separation must lie in"):
+        beam_experiment([4], [0.5, 1e-3])
 
 
 def test_single_beam_l4_scaling_between_degrees():

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from spherelab.beams import PackingInfeasibleError, RankDeficiencyError
 from spherelab.cli import _SUBCOMMANDS, _doubling_ks, _parse_q, build_parser, main
 from spherelab.experiments import ExperimentRun
+from spherelab.quadrature import GridResolutionError
 
 
 def test_parse_q():
@@ -140,6 +142,17 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_library_refusals_are_the_one_usage_error_type():
+    # grid, packing and rank refusals exit 2 as ValueErrors, so cli names none of them
+    import spherelab.cli as cli
+
+    assert cli._USAGE_ERRORS == (ValueError, MemoryError, OverflowError)
+    for error in (GridResolutionError, PackingInfeasibleError, RankDeficiencyError):
+        assert issubclass(error, ValueError)
+    layers = ("spherelab.beams", "spherelab.quadrature")
+    assert not [name for name, v in vars(cli).items() if getattr(v, "__module__", None) in layers]
 
 
 def test_avg_l4_small_sweep(capsys):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spherelab.experiments as experiments
+from spherelab.beams import _MAX_LATTICE_AXES, _MIN_SEPARATION
 from spherelab.cli import main
 from spherelab.experiments import AVERAGE_L4_MAX_DEGREE
 
@@ -135,7 +136,7 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
     k=st.integers(0, 16),
     j=st.one_of(st.none(), st.integers(-2, 40)),
     exponent=st.one_of(st.none(), st.floats(-0.5, 1.5)),
-    delta=st.floats(0.25, math.pi / 2),
+    delta=st.one_of(st.floats(0.25, 2.0), st.floats(-1.0, 4e-3)),
     method=st.sampled_from(["symmetric", "sequential"]),
 )
 @example(k=16, j=None, exponent=None, delta=0.5, method="symmetric")
@@ -144,6 +145,10 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
 @example(k=16, j=None, exponent=0.0, delta=0.25, method="symmetric")
 @example(k=4, j=2, exponent=0.5, delta=1.0, method="symmetric")
 @example(k=4, j=None, exponent=1.5, delta=1.0, method="symmetric")
+# below the smallest separation, refused before any lattice is built
+@example(k=4, j=None, exponent=None, delta=1e-3, method="symmetric")
+@example(k=4, j=None, exponent=None, delta=1e-10, method="symmetric")
+@example(k=4, j=None, exponent=None, delta=1e-300, method="symmetric")
 def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
     argv = ["beams", "--k", str(k), f"--delta={delta!r}", "--method", method]
     argv += [] if j is None else ["--j", str(j)]
@@ -157,9 +162,72 @@ def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
         assert code == 2 and "beam count" in captured.err
     elif exponent is not None and not 0.0 <= exponent <= 1.0:
         assert code == 2 and "exponent" in captured.err
+    elif not _MIN_SEPARATION <= delta <= math.pi / 2 + 1e-12:
+        assert code == 2 and "separation must lie in" in captured.err
+        assert f"more than {_MAX_LATTICE_AXES} lattice axes" in captured.err
     elif code == 2:
         # a valid count that the degree or the packing cannot carry
         assert "Gram" in captured.err or "axes" in captured.err, captured.err
+
+
+@_CONTRACT
+@given(k_min=st.integers(-3, 64), k_max=st.integers(-3, 64))
+@example(k_min=1, k_max=8)  # the envelope starts at k = 2
+@example(k_min=2, k_max=2)
+def test_pointwise_degree_range_contract(capsys, k_min, k_max):
+    code = main(["pointwise", "--k-min", str(k_min), "--k-max", str(k_max)])
+    _check_contract(code, capsys.readouterr())
+    assert (code == 2) == (k_min < 2 or k_max < k_min)
+
+
+@_CONTRACT
+@given(cs=st.lists(st.floats(-2.0, 1e308), min_size=1, max_size=3))
+@example(cs=[0.0])  # the whole sphere: the gate fails
+@example(cs=[1e308])  # the threshold overflows to inf: an empty set
+@example(cs=[-1e-300, 1.0])
+def test_superlevel_threshold_contract(capsys, cs):
+    argv = ["superlevel", "--k-min", "4", "--k-max", "8"] + [f"--c={c!r}" for c in cs]
+    code = main(argv)
+    _check_contract(code, capsys.readouterr())
+    assert (code == 2) == (min(cs) < 0.0)
+
+
+@_CONTRACT
+@given(k_min=st.integers(-3, 16), k_max=st.integers(-3, 16))
+@example(k_min=1, k_max=16)
+@example(k_min=0, k_max=1)
+def test_tube_ratio_degree_range_contract(capsys, k_min, k_max):
+    code = main(["tube-ratio", "--k-min", str(k_min), "--k-max", str(k_max)])
+    _check_contract(code, capsys.readouterr())
+    assert (code == 2) == (k_min < 1 or k_max < k_min)
+
+
+@_CONTRACT
+@given(
+    k=st.integers(-2, 4),
+    trials=st.integers(-2, 20),
+    seed=st.one_of(st.integers(-2, 2), st.integers(2**62, 2**70)),
+)
+@example(k=0, trials=2, seed=0)
+@example(k=4, trials=1, seed=0)  # one trial has no standard error
+@example(k=-1, trials=2, seed=0)
+def test_random_onb_contract(capsys, k, trials, seed):
+    argv = ["random-onb", "--k", str(k), "--trials", str(trials), "--seed", str(seed)]
+    code = main(argv)
+    _check_contract(code, capsys.readouterr())
+    assert (code == 2) == (k < 0 or trials < 2 or seed < 0)
+
+
+@_CONTRACT
+@given(k_max=st.one_of(st.integers(-2, 6), st.just(1025)), points=st.integers(-2, 5))
+@example(k_max=1, points=1)
+@example(k_max=0, points=2)
+@example(k_max=1025, points=1)  # beyond the upward sweep's range
+@example(k_max=2, points=0)
+def test_verify_size_contract(capsys, k_max, points):
+    code = main(["verify", "--k-max", str(k_max), "--points", str(points)])
+    _check_contract(code, capsys.readouterr())
+    assert code == (0 if 1 <= k_max <= 1024 and points >= 1 else 2)
 
 
 # One line per subcommand whose degree is beyond the double range.

@@ -30,7 +30,7 @@ from spherelab.experiments import (
     write_csv,
     write_json,
 )
-from spherelab.harmonics import beam_field, coefficient_field, synthesize_rings
+from spherelab.harmonics import beam_field, coefficient_field
 from spherelab.legendre import _zonal_3j_squares, normalized_legendre_table
 from spherelab.quadrature import build_grid, lp_norm
 from spherelab.sphere import fibonacci_axes
@@ -444,8 +444,9 @@ def test_exact_identity_suite_small():
 
 def _ring_by_ring_gram(k, grid):
     n = 2 * k + 1
+    fields = np.array([coefficient_field(k, row, grid).values for row in np.eye(n)])
     gram = np.zeros((n, n), dtype=complex)
-    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, np.eye(n), grid)):
+    for weight, ring in zip(grid.ring_weight, fields.transpose(1, 0, 2)):
         gram += weight * (ring @ ring.conj().T)
     return gram
 

@@ -25,6 +25,7 @@ RETIRED = (
     "BeamFamily",
     "OrthonormalizationReport",
     "beam_count_rule",
+    "synthesize_rings",
 )
 
 
@@ -48,6 +49,7 @@ def test_retired_members_are_gone():
         spherelab.SpherePoint: ("from_angles",),
         spherelab.GreatCircle: ("point_at",),
         spherelab.ExperimentRecord: ("to_json",),
+        spherelab.HarmonicField: ("label", "k", "l2_norm"),
     }
     for cls, names in members.items():
         for name in names:
@@ -55,3 +57,6 @@ def test_retired_members_are_gone():
     assert "validate" not in inspect.signature(spherelab.CoefficientBasis).parameters
     assert "grid" not in inspect.signature(spherelab.orthonormalize).parameters
     assert "j_rule" not in inspect.signature(spherelab.beam_experiment).parameters
+    assert "max_points" not in inspect.signature(spherelab.build_grid).parameters
+    assert "label" not in inspect.signature(spherelab.coefficient_field).parameters
+    assert list(inspect.signature(spherelab.HarmonicField).parameters) == ["grid", "values"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherelab.experiments import monte_carlo_lambda4
-from spherelab.harmonics import synthesize_rings
+from spherelab.harmonics import coefficient_field
 from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import (
     CoefficientBasis,
@@ -91,10 +91,9 @@ def test_lambda4_rotation_invariant_for_identity():
 
 def _full_sphere_quartic_norms(k, coefficients, grid):
     """Every ring, northern and southern, summed at its own weight."""
-    out = np.zeros(len(coefficients))
-    for weight, ring in zip(grid.ring_weight, synthesize_rings(k, coefficients, grid)):
-        out += weight * (np.abs(ring) ** 4).sum(axis=1)
-    return out
+    return np.array([
+        grid.integrate(np.abs(coefficient_field(k, row, grid).values) ** 4) for row in coefficients
+    ])
 
 
 def _coefficient_sets(k):
