@@ -18,7 +18,6 @@ by ``experiments.beam_experiment`` on its band-k grid.
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .legendre import log_factorial
 from .random_bases import CoefficientBasis
@@ -80,11 +79,16 @@ def beam_coefficients(k: int, axis, grid=None) -> np.ndarray:
     down = up[::-1]
     log_mag = (
         0.5 * (log_factorial(2 * k) - log_factorial(up) - log_factorial(down))
-        + xlogy(up, abs(xi))
-        + xlogy(down, abs(eta))
+        + _xlogy(up, abs(xi))
+        + _xlogy(down, abs(eta))
     )
     phase = up * np.angle(xi) + down * np.angle(eta)
     return (-1.0) ** k * np.exp(log_mag + 1j * phase)
+
+
+def _xlogy(n: np.ndarray, y: float) -> np.ndarray:
+    """n log(y) for integers n >= 0 and a scalar y >= 0, 0 where n == 0: scipy's xlogy."""
+    return np.where(n == 0, 0.0, n * math.log(y) if y > 0.0 else -np.inf)
 
 
 def beam_overlap(k: int, axis1, axis2) -> complex:

@@ -273,8 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_degrees(args) -> None:
+    """Refuse a degree flag beyond the double range, naming the flag."""
+    for name in ("k", "k_min", "k_max"):
+        value = getattr(args, name, None)
+        if value is not None and abs(value) > sys.float_info.max:
+            raise ValueError(f"--{name.replace('_', '-')} is beyond the double range: "
+                             f"a {len(str(abs(value)))}-digit degree")
+
+
 def _run(args) -> int:
     """Run one subcommand: print its rows, summary and gates, then write --out."""
+    _check_degrees(args)
     command = _SUBCOMMANDS[args.command]
     (run, params, seed), elapsed = xp.timed(command.run, args)
     if command.print_rows:

@@ -599,9 +599,9 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     max_ratio = 0.0
     for k in ks:
         k = int(k)
+        grid = build_grid(k, oversample)
         lam = math.sqrt(k * (k + 1))
         width = lam**-0.5
-        grid = build_grid(k, oversample)
         axes = np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(max(64, 4 * k))])
 
         table = normalized_legendre_table(k, grid.t)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from spherelab.beams import (
     _MAX_LATTICE_AXES,
     _MIN_SEPARATION,
     PackingInfeasibleError,
     RankDeficiencyError,
+    _xlogy,
     beam_coefficients,
     beam_overlap,
     orthonormalize,
@@ -22,7 +24,7 @@ from spherelab.harmonics import (
 )
 from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
 from spherelab.random_bases import quartic_norms
-from spherelab.sphere import circle_angle
+from spherelab.sphere import circle_angle, rotation_to_pole
 
 
 def analyze(k, values, grid):
@@ -65,6 +67,42 @@ def _oracle_axes():
         [1e-17, 0.0, -1.0],
     ]
     return [np.array(a) for a in fixed] + list(np.random.default_rng(29).standard_normal((4, 3)))
+
+
+def _scipy_beam_coefficients(k, axis):
+    """The closed form of beam_coefficients with scipy's gammaln and xlogy."""
+    rot = rotation_to_pole(axis)
+    a = rot[0] + 1j * rot[1]
+    xi_sq, eta_sq = (a[0] - 1j * a[1]) / 2.0, -(a[0] + 1j * a[1]) / 2.0
+    if abs(xi_sq) >= abs(eta_sq):
+        xi = np.sqrt(xi_sq)
+        eta = -a[2] / (2.0 * xi)
+    else:
+        eta = np.sqrt(eta_sq)
+        xi = -a[2] / (2.0 * eta)
+    up = np.arange(2 * k + 1)
+    down = up[::-1]
+    log_mag = (
+        0.5 * (gammaln(2 * k + 1.0) - gammaln(up + 1.0) - gammaln(down + 1.0))
+        + xlogy(up, abs(xi))
+        + xlogy(down, abs(eta))
+    )
+    return (-1.0) ** k * np.exp(log_mag + 1j * (up * np.angle(xi) + down * np.angle(eta)))
+
+
+def test_xlogy_is_scipy_bit_for_bit():
+    n = np.arange(300)
+    rng = np.random.default_rng(41)
+    for y in [0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 - 2**-53, *rng.uniform(0.0, 1.0, 20)]:
+        assert _xlogy(n, y).tobytes() == xlogy(n, y).tobytes(), y
+
+
+def test_beam_coefficients_match_the_scipy_reference_bitwise():
+    # poles, near-poles, the equator and random axes
+    for k in (0, 1, 2, 7, 64, 128, 300):
+        for axis in _oracle_axes():
+            expected = _scipy_beam_coefficients(k, axis)
+            assert beam_coefficients(k, axis).tobytes() == expected.tobytes(), (k, axis)
 
 
 def test_analyze_inverts_synthesis():

@@ -230,7 +230,8 @@ def test_verify_size_contract(capsys, k_max, points):
     assert code == (0 if 1 <= k_max <= 1024 and points >= 1 else 2)
 
 
-# One line per subcommand whose degree is beyond the double range.
+# One line per subcommand whose degree is beyond the double range; the
+# refusal names the first flag given.
 _HUGE_DEGREE = "9" * 320
 _OVERFLOW_RUNS = {
     "norms": ["norms", "--k", _HUGE_DEGREE],
@@ -244,10 +245,22 @@ _OVERFLOW_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(_OVERFLOW_RUNS))
 def test_degree_beyond_the_double_range_is_usage_error(capsys, command):
-    code = main(_OVERFLOW_RUNS[command])
+    argv = _OVERFLOW_RUNS[command]
+    code = main(argv)
     captured = capsys.readouterr()
     _check_contract(code, captured)
     assert code == 2
+    assert captured.err.startswith(f"error: {argv[1]} is beyond the double range")
+
+
+def test_tube_ratio_refuses_the_grid_before_lambda_overflows(capsys):
+    # k (k + 1) leaves the double range from k ~ 1e154 on, far below the flag check
+    huge = str(10**200)
+    code = main(["tube-ratio", "--k-min", huge, "--k-max", huge])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert captured.err.startswith("error: grid would need ")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from spherelab.harmonics import signed_order_table
 from spherelab.legendre import (
@@ -47,6 +48,34 @@ def test_log_factorial_against_lgamma():
         assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-14, abs=1e-14)
     arr = log_factorial(np.array([3, 5, 8]))
     assert np.allclose(arr, [math.lgamma(4), math.lgamma(6), math.lgamma(9)])
+
+
+def test_log_factorial_is_gammaln_bit_for_bit():
+    # Every integer to 2^20, through the shared table and past its end.
+    n = np.arange(2**20 + 1)
+    assert log_factorial(n).tobytes() == gammaln(n + 1.0).tobytes()
+    assert log_factorial(n[:-1]).tobytes() == gammaln(n[:-1] + 1.0).tobytes()
+    # Cephes branch edges (x = n + 1 < 13, >= 1000, > 1e8) and far beyond.
+    edges = [0, 11, 12, 13, 998, 999, 1000, 10**8 - 1, 10**8, 10**8 + 1,
+             2 * 10**8 + 1, 10**9 + 1, 2**40 + 1, 10**15, 2**53, 2**63 - 1]
+    for value in edges:
+        expected = float(gammaln(np.int64(value) + 1.0))
+        assert log_factorial(value) == expected, value
+        assert log_factorial(np.int64(value)) == expected, value
+    assert log_factorial(np.array(edges)).tobytes() == gammaln(np.array(edges) + 1.0).tobytes()
+
+
+def test_log_factorial_shapes_and_domain():
+    zero_d = log_factorial(np.array(7))
+    assert type(zero_d) is float and zero_d == float(gammaln(8.0))
+    grid = np.arange(12).reshape(3, 4)
+    assert log_factorial(grid).shape == (3, 4)
+    assert log_factorial(np.array([], dtype=np.int64)).shape == (0,)
+    for bad in (-1, np.array([3, -2])):
+        with pytest.raises(ValueError):
+            log_factorial(bad)
+    with pytest.raises(OverflowError):
+        log_factorial(2**63)
 
 
 def test_legendre_p_explicit_polynomials():
