@@ -45,7 +45,14 @@ from .legendre import (
     normalized_legendre_table,
 )
 from .beams import beam_coefficients, orthonormalize, packing_bound, place_separated_axes
-from .quadrature import arc_selections, build_grid, lp_norm, profile_norm, superlevel_measure
+from .quadrature import (
+    MAX_GRID_POINTS,
+    arc_selections,
+    build_grid,
+    lp_norm,
+    profile_norm,
+    superlevel_measure,
+)
 from .random_bases import (
     CoefficientBasis,
     _check_seed,
@@ -338,9 +345,11 @@ def average_l4_experiment(ks) -> ExperimentRun:
     ks = [int(k) for k in ks]
     for k in ks:
         if not 0 <= k <= AVERAGE_L4_MAX_DEGREE:
+            digits = len(str(abs(k)))  # a long degree is named by its length
+            got = k if digits <= 20 else f"a {digits}-digit degree"
             raise ValueError(
                 f"avg-l4 degrees must lie in 0..{AVERAGE_L4_MAX_DEGREE} "
-                f"(AVERAGE_L4_MAX_DEGREE), got {k}"
+                f"(AVERAGE_L4_MAX_DEGREE), got {got}"
             )
     rows = []
     a_values = []
@@ -377,7 +386,7 @@ ENVELOPE_COLUMNS = ("k", "sup_ratio", "argmax_r", "pole_ratio")
 
 
 # Polar distances scanned per degree by the envelope sweep, before the pole
-# and branch points are added.
+# and branch points (2.0 / k and pi / 2) are added.
 _ENVELOPE_COLATITUDES = 400
 
 
@@ -388,12 +397,22 @@ def pointwise_envelope_experiment(ks) -> ExperimentRun:
     resolve the r ~ 1/k caps) plus uniform coverage out to the equator, and
     adds the exact pole value; a flat per-k sup across the sweep is the
     sharpness evidence for the envelope.  The outputs hold the spread
-    max/min of the per-k sups.
+    max/min of the per-k sups.  A degree whose (402, k+1) Legendre table
+    would hold more than MAX_GRID_POINTS entries is a ValueError before any
+    table is built.
     """
+    ks = [int(k) for k in ks]
+    for k in ks:
+        entries = (_ENVELOPE_COLATITUDES + 2) * (float(k) + 1.0)
+        if entries > MAX_GRID_POINTS:
+            raise ValueError(
+                f"pointwise envelope table would need {entries:.6g} entries, cap is "
+                f"{MAX_GRID_POINTS} (MAX_GRID_POINTS): degrees above "
+                f"{MAX_GRID_POINTS // (_ENVELOPE_COLATITUDES + 2) - 1} are refused"
+            )
     rows = []
     sups = []
     for k in ks:
-        k = int(k)
         fine = np.geomspace(1e-3 / k, math.pi / 2.0, int(0.7 * _ENVELOPE_COLATITUDES))
         coarse = np.linspace(0.3, math.pi / 2.0, _ENVELOPE_COLATITUDES - fine.size)
         r_values = np.unique(np.concatenate([fine, coarse, [2.0 / k, math.pi / 2.0]]))
@@ -612,6 +631,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
         beam = beam_field(k, tilt, grid)
         l4_norms.append(lp_norm(beam, 4.0))
         beam_dens = grid.ring_weight[:, None] * np.abs(beam.values) ** 2
+        del beam  # the sweep reads only the density
 
         # Standard members are longitude-independent, so an arc's mass needs
         # only its per-ring point counts; the tilted beam is summed per point.

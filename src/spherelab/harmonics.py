@@ -150,6 +150,11 @@ def pointwise_envelope(k: int, r: float) -> float:
     return k**0.25 * r**-0.25 * log_term**0.25
 
 
+# Points per ring block of beam_field: each temporary of a block is at most
+# a few hundred kB, while each numpy call still covers thousands of points.
+_BLOCK_POINTS = 2**14
+
+
 def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
     """Highest weight harmonic rebuilt around an arbitrary axis, evaluated directly.
 
@@ -158,21 +163,34 @@ def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
     global phase depends on R.  The power is taken in log space so large k
     cannot underflow the profile.  This pointwise evaluation shares no code
     with the closed-form ``beams.beam_coefficients``, so synthesizing those
-    coefficients and comparing against this field checks both.
+    coefficients and comparing against this field checks both.  The field is
+    filled block by block of whole rings, so the temporaries stay a block's
+    size whatever the grid.
     """
     k = int(k)
     rot = rotation_to_pole(axis)
-    xyz = grid.points()
-    rotated = xyz @ rot.T
-    y1 = rotated[..., 0]
-    y2 = rotated[..., 1]
-    s = np.hypot(y1, y2)
-    with np.errstate(divide="ignore"):
-        log_mag = _sectoral_log(k) + k * np.log(np.where(s > 0.0, s, 1.0))
-    alpha = np.arctan2(y2, y1)
-    values = np.where(s > 0.0, np.exp(log_mag), 0.0) * np.exp(1j * k * alpha)
+    values = np.empty(grid.shape, dtype=complex)
     if k == 0:
-        values = np.full(grid.shape, 1.0 / np.sqrt(4.0 * np.pi), dtype=complex)
+        values.fill(1.0 / np.sqrt(4.0 * np.pi))
+        return HarmonicField(grid, values)
+    xyz = grid.points()
+    log_c = _sectoral_log(k)
+    rings = max(1, _BLOCK_POINTS // grid.n_theta)
+    for lo in range(0, grid.n_phi, rings):
+        rotated = xyz[lo : lo + rings] @ rot.T
+        y1 = rotated[..., 0]
+        y2 = rotated[..., 1]
+        s = np.hypot(y1, y2)
+        with np.errstate(divide="ignore"):
+            log_mag = log_c + k * np.log(np.where(s > 0.0, s, 1.0))
+        alpha = np.arctan2(y2, y1)
+        # The modulus multiplies the phase in place, the operation numpy's
+        # temporary elision ran on the whole grid when the field was built in
+        # one shot; the out-of-place product can flip the sign of an
+        # underflowed zero imaginary part at large k.
+        phase = np.exp(1j * k * alpha)
+        phase *= np.where(s > 0.0, np.exp(log_mag), 0.0)
+        values[lo : lo + rings] = phase
     return HarmonicField(grid, values)
 
 
@@ -184,5 +202,7 @@ def coefficient_field(k: int, coefficients, grid: QuadratureGrid) -> HarmonicFie
         raise ValueError(f"expected a coefficient vector of length {2 * k + 1} for degree {k}")
     row = row[None, :]
     phases = _phases(k, grid.theta)
-    values = np.concatenate([(row * radial) @ phases for radial in signed_order_table(k, grid.t)])
+    values = np.empty(grid.shape, dtype=complex)
+    for i, radial in enumerate(signed_order_table(k, grid.t)):
+        values[i] = (row * radial) @ phases
     return HarmonicField(grid, values)

@@ -264,10 +264,13 @@ def _tube_points(grid: QuadratureGrid, circle, width: float):
     # rounding; the test itself decides membership.
     t_max = np.sin(min(np.pi / 2, alpha + width)) + 1e-6
     lo, hi = np.searchsorted(grid.t, [-t_max, t_max])
-    band = grid.points()[lo:hi]
-    inside = np.flatnonzero(np.abs(band @ a) <= np.sin(width))
+    dots = grid.points()[lo:hi] @ a
+    np.abs(dots, out=dots)
+    inside = np.flatnonzero(dots <= np.sin(width))
+    del dots
     ring, col = np.divmod(inside, grid.n_theta)
-    return ring + lo, col
+    ring += lo
+    return ring, col
 
 
 def tube_mass(field: HarmonicField, circle, width: float) -> float:
@@ -332,6 +335,7 @@ def arc_selections(
     u, v = circle.frame()
     xyz = np.take(grid.points().reshape(-1, 3), ring * grid.n_theta + col, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
+    del xyz
     centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
     half = 0.5 * arc_length
     step = 2.0 * np.pi / n_arcs
@@ -344,10 +348,15 @@ def arc_selections(
     # expression only by rounding, far below _ARC_TIE, so the wrap expression
     # decides just the pairs within _ARC_TIE of an arc end.
     near = np.rint(ang / step).astype(np.intp) + np.arange(-reach, reach + 1)[:, None]
-    arcs = near % n_arcs
-    dist = np.abs(ang - step * near)
+    # dist and then |dist - half| share one buffer; arcs takes over near's.
+    dist = np.multiply(step, near)
+    np.subtract(ang, dist, out=dist)
+    np.abs(dist, out=dist)
+    arcs = np.remainder(near, n_arcs, out=near)
     inside = dist <= half
-    tie = np.nonzero(np.abs(dist - half) <= _ARC_TIE)
+    np.subtract(dist, half, out=dist)
+    np.abs(dist, out=dist)
+    tie = np.nonzero(dist <= _ARC_TIE)
     inside[tie] = _arc_distance(ang[tie[1]], centers[arcs[tie]]) <= half
     member = np.zeros((n_arcs, ang.size), dtype=bool)
     member[arcs, np.arange(ang.size)] = inside

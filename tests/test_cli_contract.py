@@ -6,6 +6,7 @@ with a [FAIL] gate line; exit 2 only with a plain ``error:`` line on stderr.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ import spherelab.experiments as experiments
 from spherelab.beams import _MAX_LATTICE_AXES, _MIN_SEPARATION
 from spherelab.cli import main
 from spherelab.experiments import AVERAGE_L4_MAX_DEGREE
+from spherelab.quadrature import MAX_GRID_POINTS
 
 _CONTRACT = settings(
     max_examples=60,
@@ -178,6 +180,41 @@ def test_pointwise_degree_range_contract(capsys, k_min, k_max):
     code = main(["pointwise", "--k-min", str(k_min), "--k-max", str(k_max)])
     _check_contract(code, capsys.readouterr())
     assert (code == 2) == (k_min < 2 or k_max < k_min)
+
+
+_POINTWISE_MAX_DEGREE = MAX_GRID_POINTS // 402 - 1  # a (402, k+1) envelope table
+
+
+@pytest.mark.parametrize("k", [_POINTWISE_MAX_DEGREE, _POINTWISE_MAX_DEGREE + 1, 10**20])
+def test_pointwise_refuses_an_envelope_table_beyond_the_grid_cap(capsys, k):
+    seen = []
+
+    def spy(degree, t, p):  # stands in for the table, 400 MB at the cap
+        seen.append(degree)
+        return np.ones(len(t))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "ell_p_profile", spy)
+        code = main(["pointwise", "--k-min", str(k), "--k-max", str(k)])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    if k <= _POINTWISE_MAX_DEGREE:
+        assert seen == [k]
+    else:
+        assert code == 2 and seen == []
+        assert captured.err.startswith("error: pointwise envelope table would need ")
+        assert f"cap is {MAX_GRID_POINTS}" in captured.err
+        assert f"degrees above {_POINTWISE_MAX_DEGREE} are refused" in captured.err
+
+
+def test_avg_l4_refusal_counts_the_digits_of_a_long_degree(capsys):
+    huge = str(10**300)
+    code = main(["avg-l4", "--k-min", huge, "--k-max", huge])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert captured.err == (f"error: avg-l4 degrees must lie in 0..{AVERAGE_L4_MAX_DEGREE} "
+                            "(AVERAGE_L4_MAX_DEGREE), got a 301-digit degree\n")
 
 
 @_CONTRACT

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+import spherelab.harmonics as harmonics
 from spherelab.experiments import average_l4_experiment, scaling_target
 from spherelab.harmonics import (
     beam_field,
@@ -16,9 +17,10 @@ from spherelab.harmonics import (
     signed_order_table,
     theta_integral,
 )
+from spherelab.legendre import _sectoral_log
 from spherelab.quadrature import build_grid, lp_norm
 from spherelab.random_bases import sample_haar_unitary
-from spherelab.sphere import SpherePoint
+from spherelab.sphere import SpherePoint, rotation_to_pole
 
 
 def _standard_field(k, m, grid):
@@ -231,6 +233,46 @@ def test_beam_field_tilted_is_normalized():
     near = dens[dots < 0.2].sum()
     far = dens[dots > 0.6].sum()
     assert near > 100 * far
+
+
+def _one_shot_beam(k, axis, grid):
+    """The beam formula over the whole grid at once, the reference for beam_field's ring blocks."""
+    rot = rotation_to_pole(axis)
+    xyz = grid.points()
+    rotated = xyz @ rot.T
+    y1 = rotated[..., 0]
+    y2 = rotated[..., 1]
+    s = np.hypot(y1, y2)
+    with np.errstate(divide="ignore"):
+        log_mag = _sectoral_log(k) + k * np.log(np.where(s > 0.0, s, 1.0))
+    alpha = np.arctan2(y2, y1)
+    values = np.where(s > 0.0, np.exp(log_mag), 0.0) * np.exp(1j * k * alpha)
+    if k == 0:
+        values = np.full(grid.shape, 1.0 / np.sqrt(4.0 * np.pi), dtype=complex)
+    return values
+
+
+_BEAM_AXES = {
+    "north": [0.0, 0.0, 1.0],
+    "south": [0.0, 0.0, -1.0],
+    "equator": [1.0, 0.0, 0.0],
+    "tilted": [1.0, -2.0, 0.5],
+}
+
+
+@pytest.mark.parametrize("oversample", [1.0, 2.0])
+@pytest.mark.parametrize("k", [0, 1, 8, 64, 128])
+def test_ring_blocked_beam_field_is_the_one_shot_formula_bitwise(monkeypatch, k, oversample):
+    grid = build_grid(k, oversample)
+    rings = harmonics._BLOCK_POINTS // grid.n_theta
+    if k >= 64:  # several blocks, the last one short
+        assert grid.n_phi > rings and grid.n_phi % rings != 0
+    for name, axis in _BEAM_AXES.items():
+        reference = _one_shot_beam(k, axis, grid).tobytes()
+        assert beam_field(k, axis, grid).values.tobytes() == reference, name
+        with monkeypatch.context() as patch:  # one ring per block
+            patch.setattr(harmonics, "_BLOCK_POINTS", 1)
+            assert beam_field(k, axis, grid).values.tobytes() == reference, name
 
 
 def test_coefficient_field_one_hot():
