@@ -115,6 +115,22 @@ class PowerLawFit:
         return asdict(self)
 
 
+def _plain_json(obj):
+    """obj with numpy scalars and arrays as Python values and non-str keys as json.dumps(key)."""
+    if isinstance(obj, dict):
+        return {
+            key if isinstance(key, str) else json.dumps(key): _plain_json(val)
+            for key, val in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_plain_json(val) for val in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_plain_json(val) for val in obj.tolist()]
+    return obj
+
+
 @dataclass
 class ExperimentRecord:
     """Provenance for one experiment run: inputs, grid, outputs, timing, version."""
@@ -129,27 +145,12 @@ class ExperimentRecord:
 
     def to_dict(self) -> dict:
         """The record as plain JSON values, keys converted to strings the way json does."""
-
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {
-                    key if isinstance(key, str) else json.dumps(key): clean(val)
-                    for key, val in obj.items()
-                }
-            if isinstance(obj, (list, tuple)):
-                return [clean(val) for val in obj]
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, np.ndarray):
-                return [clean(val) for val in obj.tolist()]
-            return obj
-
         return {
             "name": self.name,
-            "params": clean(self.params),
-            "grid": clean(self.grid),
+            "params": _plain_json(self.params),
+            "grid": _plain_json(self.grid),
             "seed": self.seed,
-            "outputs": clean(self.outputs),
+            "outputs": _plain_json(self.outputs),
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
@@ -902,20 +903,11 @@ def write_json(path, record: ExperimentRecord, columns, rows) -> None:
     payload = {
         "record": record.to_dict(),
         "columns": list(columns),
-        "rows": [
-            {col: _json_cell(row[col]) for col in columns}
-            for row in rows
-        ],
+        "rows": [{col: _plain_json(row[col]) for col in columns} for row in rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _json_cell(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def timed(fn, *args, **kwargs):

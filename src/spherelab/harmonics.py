@@ -105,10 +105,12 @@ def ell_p_profile(k: int, t, p: float) -> np.ndarray:
     this table-driven form; agrees with per-point ell_p_sum to rounding.
     """
     p = _norm_exponent(p)
-    base = np.abs(normalized_legendre_table(k, t))
+    # |N| and |N|^p overwrite the fresh table, so one table is held at a time.
+    powers = normalized_legendre_table(k, t)
+    np.abs(powers, out=powers)
     if p == np.inf:
-        return base.max(axis=1)
-    powers = base**p
+        return powers.max(axis=1)
+    powers **= p
     total = powers[:, 0] + 2.0 * powers[:, 1:].sum(axis=1)
     return total ** (1.0 / p)
 

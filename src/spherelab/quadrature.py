@@ -9,7 +9,6 @@ cite one exactness certificate.
 """
 
 import functools
-import warnings
 
 import numpy as np
 
@@ -17,13 +16,11 @@ from .sphere import GreatCircle
 
 __all__ = [
     "GridResolutionError",
-    "TubeResolutionWarning",
     "QuadratureGrid",
     "build_grid",
     "HarmonicField",
     "lp_norm",
     "profile_norm",
-    "tube_mass",
     "arc_selections",
     "superlevel_measure",
 ]
@@ -33,10 +30,6 @@ MAX_GRID_POINTS = 50_000_000
 
 class GridResolutionError(ValueError):
     """Raised when a grid is too small (or too large) for the requested task."""
-
-
-class TubeResolutionWarning(UserWarning):
-    """Fewer than 8 colatitude rings intersect a tube; its mass is under-resolved."""
 
 
 class QuadratureGrid:
@@ -88,7 +81,10 @@ class QuadratureGrid:
         return self.n_theta - 1
 
     def points(self) -> np.ndarray:
-        """Cartesian coordinates of all nodes, shape (n_phi, n_theta, 3)."""
+        """Cartesian coordinates of all nodes, shape (n_phi, n_theta, 3).
+
+        Cached for the grid's lifetime: the arc sweep reads them once per axis.
+        """
         if self._xyz is None:
             s = self.sin_phi
             ct = np.cos(self.theta)
@@ -239,61 +235,6 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
     return _lq_norm(np.asarray(profile, dtype=float), q, grid.integrate_profile)
 
 
-def _tube_points(grid: QuadratureGrid, circle, width: float):
-    """(ring, column) indices, in C order, of the nodes of the tube around a great circle.
-
-    Membership is |x . a| <= sin(width) decided at the node center, with no
-    partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
-    A point within angular distance width of the circle lies at latitude at
-    most alpha + width, alpha being the angle between the circle's axis and
-    the nearer pole, so only the rings with |t| <= sin(alpha + width) can
-    meet the tube.  They are one contiguous slice of the ascending nodes; the
-    node test |x . a| <= sin(width) runs on that slice only.
-    """
-    if not isinstance(circle, GreatCircle):
-        circle = GreatCircle(circle)
-    width = float(width)
-    if not width > 0.0:
-        raise ValueError(f"tube width must be positive, got {width!r}")
-    if width >= np.pi / 2:
-        ring, col = np.indices(grid.shape)
-        return ring.ravel(), col.ravel()
-    a = circle.axis
-    alpha = np.arctan2(np.hypot(a[0], a[1]), abs(a[2]))
-    # The margin keeps every ring whose nodes could pass the node test by
-    # rounding; the test itself decides membership.
-    t_max = np.sin(min(np.pi / 2, alpha + width)) + 1e-6
-    lo, hi = np.searchsorted(grid.t, [-t_max, t_max])
-    dots = grid.points()[lo:hi] @ a
-    np.abs(dots, out=dots)
-    inside = np.flatnonzero(dots <= np.sin(width))
-    del dots
-    ring, col = np.divmod(inside, grid.n_theta)
-    ring += lo
-    return ring, col
-
-
-def tube_mass(field: HarmonicField, circle, width: float) -> float:
-    """L2 mass of a unit field inside the tube of the given half-width.
-
-    The field must be L2-normalized within 1e-6 (checked; this functional is
-    only quoted for unit fields).  The density is summed over the tube's
-    nodes only, in C order.  Emits ``TubeResolutionWarning`` when fewer than
-    8 colatitude rings meet the tube.
-    """
-    l2 = lp_norm(field, 2.0)
-    if abs(l2 - 1.0) > 1e-6:
-        raise ValueError(f"tube_mass expects a unit field, got L2 norm {l2!r}")
-    ring, col = _tube_points(field.grid, circle, width)
-    rings = np.unique(ring).size
-    if rings < 8:
-        warnings.warn(
-            f"only {rings} colatitude rings intersect the tube; mass is under-resolved",
-            TubeResolutionWarning,
-        )
-    return float((field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2).sum())
-
-
 # Arc-end band in which arc_selections re-tests points by the wrap expression.
 _ARC_TIE = 1e-9
 
@@ -313,15 +254,24 @@ def arc_selections(
     """Arc segments of the tube around a great circle, as tube-local indices.
 
     Returns ``(ring, col, member)``: the tube's nodes as (ring, column)
-    indices in C order, as ``tube_mass`` sums over them, and a boolean array
-    ``member`` of shape (n_arcs, n_tube).  The tube is cut into ``n_arcs``
-    overlapping pieces: segment j keeps the tube points whose arc parameter,
-    measured in the circle's frame, lies within arc_length/2 of the center
-    2 pi j / n_arcs.  Each point is tested only against the centers within
-    ceil(arc_length / (2 step)) steps of its nearest one (step = 2 pi /
-    n_arcs); the others are at least half a step farther than arc_length/2.
-    Memberships are those of the wrap distance |((s - c + pi) mod 2 pi) - pi|
-    tested at every center, bit for bit.
+    indices in C order and a boolean array ``member`` of shape (n_arcs,
+    n_tube).  A tube mass is a sum over those nodes in that order, such as
+    ``(grid.ring_weight[ring] * np.abs(values[ring, col]) ** 2).sum()``.
+
+    Membership is |x . a| <= sin(width) decided at the node center, with no
+    partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
+    A point within angular distance width of the circle lies at latitude at
+    most alpha + width, alpha being the angle between the circle's axis and
+    the nearer pole, so only the rings with |t| <= sin(alpha + width), one
+    band of the ascending nodes, can meet the tube; the node test runs there.
+
+    The tube is cut into ``n_arcs`` overlapping pieces: segment j keeps the
+    tube points whose arc parameter, measured in the circle's frame, lies
+    within arc_length/2 of the center 2 pi j / n_arcs.  Each point is tested
+    only against the centers within ceil(arc_length / (2 step)) steps of its
+    nearest one (step = 2 pi / n_arcs); the others are at least half a step
+    farther than arc_length/2.  Memberships are those of the wrap distance
+    |((s - c + pi) mod 2 pi) - pi| tested at every center, bit for bit.
     """
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
@@ -331,9 +281,28 @@ def arc_selections(
     if isinstance(n_arcs, bool) or not isinstance(n_arcs, (int, np.integer)) or n_arcs < 1:
         raise ValueError(f"n_arcs must be an int >= 1, got {n_arcs!r}")
     n_arcs = int(n_arcs)
-    ring, col = _tube_points(grid, circle, width)
+    width = float(width)
+    if not width > 0.0:
+        raise ValueError(f"tube width must be positive, got {width!r}")
+    a = circle.axis
+    if width >= np.pi / 2:
+        lo, hi, sin_width = 0, grid.n_phi, np.inf
+    else:
+        alpha = np.arctan2(np.hypot(a[0], a[1]), abs(a[2]))
+        # The margin keeps every ring whose nodes could pass the node test by
+        # rounding; the test itself decides membership.
+        t_max = np.sin(min(np.pi / 2, alpha + width)) + 1e-6
+        lo, hi = np.searchsorted(grid.t, [-t_max, t_max])
+        sin_width = np.sin(width)
+    band = grid.points()[lo:hi]
+    dots = band @ a
+    np.abs(dots, out=dots)
+    tube = np.flatnonzero(dots <= sin_width)
+    del dots
+    ring, col = np.divmod(tube, grid.n_theta)
+    ring += lo
     u, v = circle.frame()
-    xyz = np.take(grid.points().reshape(-1, 3), ring * grid.n_theta + col, axis=0)
+    xyz = np.take(band.reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     del xyz
     centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import spherelab
 
@@ -26,6 +28,9 @@ RETIRED = (
     "OrthonormalizationReport",
     "beam_count_rule",
     "synthesize_rings",
+    "tube_mass",
+    "TubeResolutionWarning",
+    "_tube_points",
 )
 
 
@@ -60,3 +65,34 @@ def test_retired_members_are_gone():
     assert "max_points" not in inspect.signature(spherelab.build_grid).parameters
     assert "label" not in inspect.signature(spherelab.coefficient_field).parameters
     assert list(inspect.signature(spherelab.HarmonicField).parameters) == ["grid", "values"]
+
+
+def _unused_imports(source: str) -> list:
+    """Module-level imports of source that no name load, attribute root or __all__ entry uses."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_rule_catches_what_it_should():
+    source = "import os\nimport sys as system\nfrom math import pi, tau\nprint(pi)\n"
+    assert _unused_imports(source) == ["line 1: os", "line 2: system", "line 3: tau"]
+    used = "import numpy as np\nfrom .x import *\nfrom .v import V\n__all__ = ['V']\nnp.pi\n"
+    assert _unused_imports(used) == []
+
+
+def test_package_has_no_unused_imports():
+    package = Path(spherelab.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in unused.items() if lines} == {}

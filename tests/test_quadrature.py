@@ -8,13 +8,11 @@ from spherelab.quadrature import (
     GridResolutionError,
     HarmonicField,
     QuadratureGrid,
-    TubeResolutionWarning,
     arc_selections,
     build_grid,
     lp_norm,
     profile_norm,
     superlevel_measure,
-    tube_mass,
 )
 from spherelab.harmonics import beam_field, ell_p_profile, ell_p_sum
 from spherelab.sphere import GreatCircle, fibonacci_axes
@@ -173,31 +171,23 @@ def test_tube_mask_geometry():
         arc_selections(g, [0, 0, 1], 0.0)
 
 
+def node_mass(field, circle, width):
+    """The field's L2 mass on the tube's nodes, summed in arc_selections' C order."""
+    ring, col, _ = arc_selections(field.grid, circle, width)
+    return (field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2).sum()
+
+
 def test_tube_mass_of_uniform_density():
     # The band |x . a| <= sin(w) has area 4 pi sin(w); a unit constant field
     # has density 1/(4 pi), so the mass is sin(w) up to one ring of rounding.
     g = build_grid(64)
     f = _unit_constant_field(g)
     for w in (0.3, 0.7):
-        mass = tube_mass(f, GreatCircle([0, 0, 1]), w)
+        mass = node_mass(f, GreatCircle([0, 0, 1]), w)
         assert mass == pytest.approx(math.sin(w), abs=2.5 / g.n_phi)
     # independent of the circle orientation for the uniform field
-    slanted = tube_mass(f, GreatCircle([1, 1, 1]), 0.3)
+    slanted = node_mass(f, GreatCircle([1, 1, 1]), 0.3)
     assert slanted == pytest.approx(math.sin(0.3), abs=0.02)
-
-
-def test_tube_mass_requires_unit_field():
-    g = build_grid(8)
-    f = HarmonicField(g, np.full(g.shape, 1.0))
-    with pytest.raises(ValueError):
-        tube_mass(f, GreatCircle([0, 0, 1]), 0.3)
-
-
-def test_tube_resolution_warning():
-    g = build_grid(8)  # 17 rings, spacing ~ 0.12 in t
-    f = _unit_constant_field(g)
-    with pytest.warns(TubeResolutionWarning):
-        tube_mass(f, GreatCircle([0, 0, 1]), 0.02)
 
 
 def test_arc_masses_cover_the_tube():
@@ -206,7 +196,7 @@ def test_arc_masses_cover_the_tube():
     g = build_grid(32)
     f = _unit_constant_field(g)
     circle = GreatCircle([0.2, -0.4, 0.9])
-    mass = tube_mass(f, circle, 0.25)
+    mass = node_mass(f, circle, 0.25)
     ring, col, member = arc_selections(g, circle, 0.25)
     dens = g.ring_weight[ring] / (4 * math.pi)
     arcs = np.array([dens[m].sum() for m in member])
@@ -265,7 +255,7 @@ def test_tube_masses_equal_the_dense_sums_bitwise():
     f = beam_field(16, [0.3, 0.5, -0.8], g)
     dens = g.ring_weight[:, None] * np.abs(f.values) ** 2
     for axis, width in (([0.2, -0.4, 0.9], 0.25), ([1, 0, 0], 0.1), ([0, 0, 1], math.inf)):
-        assert tube_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
+        assert node_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
         for arc_length, n_arcs in ARC_SETTINGS:
             sels = dense_arc_masks(g, axis, width, arc_length, n_arcs)
             ring, col, member = arc_selections(g, axis, width, arc_length, n_arcs)
@@ -324,10 +314,9 @@ def test_tube_inputs_are_checked_by_name():
     g = build_grid(8)
     f = _unit_constant_field(g)
     circle = GreatCircle([0.2, -0.4, 0.9])
-    with pytest.raises(ValueError, match="width"):
-        tube_mass(f, circle, math.nan)
-    with pytest.raises(ValueError, match="width"):
-        arc_selections(g, circle, math.nan)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="width"):
+            arc_selections(g, circle, bad)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="arc_length"):
             arc_selections(g, circle, 0.3, arc_length=bad)
@@ -337,7 +326,7 @@ def test_tube_inputs_are_checked_by_name():
     assert arc_selections(g, circle, 0.3, n_arcs=np.int64(3))[2].shape[0] == 3
     # width >= pi/2, inf included, is the whole sphere
     for w in (math.pi / 2, math.inf):
-        assert tube_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
+        assert node_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
         assert arc_selections(g, circle, w)[0].size == g.n_points
 
 
