@@ -304,7 +304,7 @@ def arc_selections(
     u, v = circle.frame()
     xyz = np.take(band.reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
-    del xyz
+    del xyz, tube
     centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
     half = 0.5 * arc_length
     step = 2.0 * np.pi / n_arcs

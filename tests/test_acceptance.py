@@ -185,7 +185,7 @@ def test_criterion_7_tube_masses():
     target = math.erf(1.0)
     equator = GreatCircle([0.0, 0.0, 1.0])
 
-    def tube_mass(f, width):
+    def node_mass(f, width):
         ring, col, _ = arc_selections(f.grid, equator, width)
         return float((f.grid.ring_weight[ring] * np.abs(f.values[ring, col]) ** 2).sum())
 
@@ -193,9 +193,9 @@ def test_criterion_7_tube_masses():
     for k in (64, 256):
         grid = build_grid(k, oversample=2.0)
         f = beam_field(k, [0.0, 0.0, 1.0], grid)
-        masses[k] = tube_mass(f, k**-0.5)
+        masses[k] = node_mass(f, k**-0.5)
     gz = build_grid(256, oversample=2.0)
-    z_mass = tube_mass(coefficient_field(256, np.eye(513)[256], gz), 256**-0.5)
+    z_mass = node_mass(coefficient_field(256, np.eye(513)[256], gz), 256**-0.5)
     elapsed = time.monotonic() - start
     beam_ok = all(abs(masses[k] - target) <= 0.02 for k in (64, 256))
     ok = beam_ok and z_mass <= 0.15 and elapsed <= 120.0
