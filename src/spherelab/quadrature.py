@@ -57,6 +57,8 @@ class QuadratureGrid:
         self.theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         self.ring_weight = np.asarray(gl_weight, dtype=float) * (2.0 * np.pi / self.n_theta)
         self._xyz = None
+        # random_bases.quartic_norms' set-up per degree k, built on first use.
+        self._quartic = {}
 
     @property
     def sin_phi(self) -> np.ndarray:

@@ -145,6 +145,12 @@ def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     and (2 rows, k) @ (k, h) with h = n_theta // 2 + 1, about
     4 rows k n_theta flops against 8 rows (2k+1) n_theta for one complex
     (rows, 2k+1) @ (2k+1, n_theta) product over all longitudes.
+
+    The Legendre table, the trig tables and the ring weights are built once
+    per grid and degree (``_quartic_plan``) and reused by every call on that
+    grid; each call runs its rings in buffers it allocates once.  Rings are
+    not stacked into one product: BLAS picks its kernel by shape, and a
+    stacked product can round an ulp apart.
     """
     _check_quartic_grid(k, grid)
     k = int(k)
@@ -152,6 +158,56 @@ def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     if coefficients.ndim != 2 or coefficients.shape[1] != 2 * k + 1:
         raise ValueError(f"expected coefficient rows of length {2 * k + 1} for degree {k}")
     rows = coefficients.shape[0]
+    table, cos_table, sin_table, ring_weights, signs = _quartic_plan(k, grid)
+
+    # (-1)^m c_{-m} for m = 0..k, the sign read from the one negative-order rule.
+    mirrored = (coefficients * signs)[:, k::-1]
+    plus = coefficients[:, k:] + mirrored
+    plus[:, 0] = coefficients[:, k]
+    minus = coefficients[:, k + 1 :] - mirrored[:, 1:]
+    del mirrored
+    plus = np.concatenate([plus.real, plus.imag])
+    minus = np.concatenate([minus.real, minus.imag])
+
+    scaled_plus = np.empty_like(plus)
+    scaled_minus = np.empty_like(minus)
+    p = np.empty((2 * rows, cos_table.shape[1]))
+    s = np.empty_like(p)
+    square, cross, term = np.empty((3, rows, p.shape[1]))
+    p_re, p_im = p[:rows], p[rows:]
+    s_re, s_im = s[:rows], s[rows:]
+    out = np.zeros(rows)
+    for radial, ring_weight in zip(table, ring_weights):
+        np.matmul(np.multiply(plus, radial, out=scaled_plus), cos_table, out=p)
+        np.matmul(np.multiply(minus, radial[1:], out=scaled_minus), sin_table, out=s)
+        # square = p_re^2 + p_im^2 + s_re^2 + s_im^2 and cross = p_im s_re - p_re s_im,
+        # summed left to right; then square^2 + (4 cross) cross.
+        np.multiply(p_re, p_re, out=square)
+        square += np.multiply(p_im, p_im, out=term)
+        square += np.multiply(s_re, s_re, out=term)
+        square += np.multiply(s_im, s_im, out=term)
+        np.multiply(p_im, s_re, out=cross)
+        cross -= np.multiply(p_re, s_im, out=term)
+        square *= square
+        np.multiply(4.0, cross, out=term)
+        term *= cross
+        square += term
+        out += square @ ring_weight
+    return out
+
+
+def _quartic_plan(k: int, grid: QuadratureGrid):
+    """The per-grid set-up of ``quartic_norms`` at degree k, built once and kept on the grid.
+
+    Returns read-only (table, cos_table, sin_table, ring_weights, signs): the
+    unsigned Legendre table on the t >= 0 rings, cos(m theta_j) for m = 0..k
+    and sin(m theta_j) for m = 1..k over j = 0..n_theta // 2, each ring's
+    weight times the longitude multiplicities (rows of ring_weights), and
+    the (-1)^m order signs over m = -k..k.
+    """
+    plan = grid._quartic.get(k)
+    if plan is not None:
+        return plan
     half = grid.n_phi // 2
     weights = 2.0 * grid.ring_weight[half:]
     if grid.n_phi % 2:
@@ -161,28 +217,18 @@ def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     multiplicity[0] = 1.0
     if grid.n_theta % 2 == 0:
         multiplicity[-1] = 1.0
-
-    # (-1)^m c_{-m} for m = 0..k, the sign read from the one negative-order rule.
-    mirrored = (coefficients * _signed_orders(k, np.ones((1, k + 1))))[:, k::-1]
-    plus = coefficients[:, k:] + mirrored
-    plus[:, 0] = coefficients[:, k]
-    minus = coefficients[:, k + 1 :] - mirrored[:, 1:]
-    plus = np.concatenate([plus.real, plus.imag])
-    minus = np.concatenate([minus.real, minus.imag])
     angles = np.outer(np.arange(k + 1), grid.theta[:h])
-    cos_table = np.cos(angles)
-    sin_table = np.sin(angles[1:])
-
-    out = np.zeros(rows)
-    for weight, radial in zip(weights, normalized_legendre_table(k, grid.t[half:])):
-        p = (plus * radial) @ cos_table
-        s = (minus * radial[1:]) @ sin_table
-        p_re, p_im = p[:rows], p[rows:]
-        s_re, s_im = s[:rows], s[rows:]
-        square = p_re * p_re + p_im * p_im + s_re * s_re + s_im * s_im
-        cross = p_im * s_re - p_re * s_im
-        out += (square * square + 4.0 * cross * cross) @ (weight * multiplicity)
-    return out
+    plan = (
+        normalized_legendre_table(k, grid.t[half:]),
+        np.cos(angles),
+        np.sin(angles[1:]),
+        weights[:, None] * multiplicity,
+        _signed_orders(k, np.ones((1, k + 1))),
+    )
+    for array in plan:
+        array.flags.writeable = False
+    grid._quartic[k] = plan
+    return plan
 
 
 def lambda4(basis: CoefficientBasis, grid: QuadratureGrid) -> float:

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spherelab import random_bases
 from spherelab.experiments import monte_carlo_lambda4
-from spherelab.harmonics import coefficient_field
+from spherelab.harmonics import _signed_orders, coefficient_field
+from spherelab.legendre import normalized_legendre_table
 from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import (
     CoefficientBasis,
     _first_row_moduli,
     _mean_stderr,
+    _quartic_plan,
     gaussian_limit_check,
     lambda4,
     quartic_norms,
@@ -139,6 +143,117 @@ def test_quartic_norms_agree_on_every_exact_grid(k):
         base, *others = [quartic_norms(k, coefficients, grid) for grid in grids]
         for other in others:
             np.testing.assert_allclose(other, base, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def _reference_quartic_norms(k, coefficients, grid):
+    """The folded ring loop with its set-up rebuilt and fresh temporaries on every call."""
+    coefficients = np.asarray(coefficients, dtype=complex)
+    rows = coefficients.shape[0]
+    half = grid.n_phi // 2
+    weights = 2.0 * grid.ring_weight[half:]
+    if grid.n_phi % 2:
+        weights[0] = grid.ring_weight[half]
+    h = grid.n_theta // 2 + 1
+    multiplicity = np.full(h, 2.0)
+    multiplicity[0] = 1.0
+    if grid.n_theta % 2 == 0:
+        multiplicity[-1] = 1.0
+    mirrored = (coefficients * _signed_orders(k, np.ones((1, k + 1))))[:, k::-1]
+    plus = coefficients[:, k:] + mirrored
+    plus[:, 0] = coefficients[:, k]
+    minus = coefficients[:, k + 1 :] - mirrored[:, 1:]
+    plus = np.concatenate([plus.real, plus.imag])
+    minus = np.concatenate([minus.real, minus.imag])
+    angles = np.outer(np.arange(k + 1), grid.theta[:h])
+    cos_table = np.cos(angles)
+    sin_table = np.sin(angles[1:])
+    out = np.zeros(rows)
+    for weight, radial in zip(weights, normalized_legendre_table(k, grid.t[half:])):
+        p = (plus * radial) @ cos_table
+        s = (minus * radial[1:]) @ sin_table
+        p_re, p_im = p[:rows], p[rows:]
+        s_re, s_im = s[:rows], s[rows:]
+        square = p_re * p_re + p_im * p_im + s_re * s_re + s_im * s_im
+        cross = p_im * s_re - p_re * s_im
+        out += (square * square + 4.0 * cross * cross) @ (weight * multiplicity)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 16, 17, 33, 64])
+@pytest.mark.parametrize("oversample", [1.0, 1.5, 2.0])
+def test_quartic_norms_bitwise_match_the_fresh_loop(k, oversample):
+    # The cached plan and the reused buffers keep every product's shape and
+    # every elementwise step, so the values agree bit for bit.  The second
+    # pass runs on a warm grid.
+    n = 2 * k + 1
+    grid = build_grid(k, oversample)
+    haar = sample_haar_unitary(n, trial_rng(11, k))
+    rng = np.random.default_rng(k)
+    gaussian = rng.standard_normal((3 * k + 2, n)) + 1j * rng.standard_normal((3 * k + 2, n))
+    for _ in range(2):
+        for source in (haar, gaussian):
+            for rows in sorted({1, 3, n, 3 * k + 2}):
+                if rows > len(source):
+                    continue
+                coefficients = source[:rows]
+                assert np.array_equal(
+                    quartic_norms(k, coefficients, grid),
+                    _reference_quartic_norms(k, coefficients, grid),
+                ), rows
+
+
+def test_quartic_plan_is_built_once_per_grid_and_degree(monkeypatch):
+    calls = []
+
+    def counting_table(k, t):
+        calls.append(k)
+        return normalized_legendre_table(k, t)
+
+    monkeypatch.setattr(random_bases, "normalized_legendre_table", counting_table)
+    grid = build_grid(6)
+    rows = sample_haar_unitary(13, trial_rng(2, 0))
+    first = quartic_norms(6, rows, grid)
+    assert calls == [6]
+    assert np.array_equal(quartic_norms(6, rows, grid), first)
+    lambda4(CoefficientBasis(6, rows), grid)
+    assert calls == [6]
+
+
+def test_one_grid_serves_several_degrees():
+    # A band-5 grid is quartic-exact for k = 3 as well; each degree keeps its
+    # own plan, and the values match fresh grids.
+    shared = build_grid(5)
+    for k in (3, 5):
+        rows = sample_haar_unitary(2 * k + 1, trial_rng(4, k))
+        assert np.array_equal(quartic_norms(k, rows, shared), quartic_norms(k, rows, build_grid(5)))
+    assert sorted(shared._quartic) == [3, 5]
+
+
+def test_quartic_plan_arrays_are_read_only():
+    grid = build_grid(4)
+    for array in _quartic_plan(4, grid):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    assert _quartic_plan(4, grid) is _quartic_plan(4, grid)
+
+
+def test_quartic_norms_memory_on_a_warm_grid():
+    # At k = 64 the plan is about 0.23 MB and a full-basis call peaks at
+    # about 1.7 MB: the coefficient folds and one set of ring buffers.
+    k = 64
+    grid = build_grid(k)
+    rows = sample_haar_unitary(2 * k + 1, trial_rng(0, 0))
+    quartic_norms(k, rows, grid)
+    plan_bytes = sum(array.nbytes for array in grid._quartic[k])
+    assert plan_bytes <= 0.25e6
+    tracemalloc.start()
+    try:
+        quartic_norms(k, rows, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6, peak
 
 
 def test_quartic_norms_rejects_rows_of_the_wrong_length():
