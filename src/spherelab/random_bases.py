@@ -180,8 +180,9 @@ def quartic_norms(k: int, coefficients, grid: QuadratureGrid) -> np.ndarray:
     for radial, ring_weight in zip(table, ring_weights):
         np.matmul(np.multiply(plus, radial, out=scaled_plus), cos_table, out=p)
         np.matmul(np.multiply(minus, radial[1:], out=scaled_minus), sin_table, out=s)
-        # square = p_re^2 + p_im^2 + s_re^2 + s_im^2 and cross = p_im s_re - p_re s_im,
-        # summed left to right; then square^2 + (4 cross) cross.
+        # The steps, in order, of square = p_re*p_re + p_im*p_im + s_re*s_re + s_im*s_im,
+        # cross = p_im*s_re - p_re*s_im and square*square + 4.0*cross*cross, so each
+        # value rounds as in those expressions.
         np.multiply(p_re, p_re, out=square)
         square += np.multiply(p_im, p_im, out=term)
         square += np.multiply(s_re, s_re, out=term)
