@@ -27,7 +27,6 @@ __all__ = [
     "PackingInfeasibleError",
     "RankDeficiencyError",
     "beam_coefficients",
-    "beam_overlap",
     "packing_bound",
     "place_separated_axes",
     "orthonormalize",
@@ -89,13 +88,6 @@ def beam_coefficients(k: int, axis, grid=None) -> np.ndarray:
 def _xlogy(n: np.ndarray, y: float) -> np.ndarray:
     """n log(y) for integers n >= 0 and a scalar y >= 0, 0 where n == 0: scipy's xlogy."""
     return np.where(n == 0, 0.0, n * math.log(y) if y > 0.0 else -np.inf)
-
-
-def beam_overlap(k: int, axis1, axis2) -> complex:
-    """Hermitian inner product of two beams; |overlap| depends only on the axis angle."""
-    c1 = beam_coefficients(k, axis1)
-    c2 = beam_coefficients(k, axis2)
-    return complex(np.vdot(c2, c1))
 
 
 # Cap on the placement lattice's 32/delta^2 axes; it sets the smallest separation, about 0.0055.

@@ -62,7 +62,7 @@ from .random_bases import (
     sample_haar_unitary,
     trial_rng,
 )
-from .sphere import fibonacci_axes
+from .sphere import SpherePoint, fibonacci_axes
 
 __all__ = [
     "PowerLawFit",
@@ -806,8 +806,9 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> E
         diag = n / (4.0 * np.pi)
         x = _random_points(rng, points)
         y = _random_points(rng, points)
-        radial_x = _signed_orders(k, _upward_degree_table(k, x[:, 2]))
-        radial_y = _signed_orders(k, _upward_degree_table(k, y[:, 2]))
+        # One sweep over both point sets: each point's column is independent.
+        radial = _signed_orders(k, _upward_degree_table(k, np.concatenate([x[:, 2], y[:, 2]])))
+        radial_x, radial_y = radial[:points], radial[points:]
         theta_x = np.arctan2(x[:, 1], x[:, 0])
         theta_y = np.arctan2(y[:, 1], y[:, 0])
         orders = np.arange(-k, k + 1)
@@ -833,15 +834,16 @@ def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> E
         update("theta_identity", (np.abs(lhs - rhs) / rhs).max(), k)
 
         for _ in range(_SPOT_POINTS):
-            p = _random_points(rng, 2)
-            s2_pt = ell_p_sum(k, p[0], 2.0) ** 2
+            # Built once per point; each entry point would build the same one.
+            pt_a, pt_b = (SpherePoint(xyz) for xyz in _random_points(rng, 2))
+            s2_pt = ell_p_sum(k, pt_a, 2.0) ** 2
             update("l2_identity", abs(s2_pt - diag) / n, k)
-            row_a = eval_basis_row(k, p[0])
-            row_b = eval_basis_row(k, p[1])
-            err = abs(np.vdot(row_b, row_a) - projection_kernel(k, p[0], p[1]))
+            row_a = eval_basis_row(k, pt_a)
+            row_b = eval_basis_row(k, pt_b)
+            err = abs(np.vdot(row_b, row_a) - projection_kernel(k, pt_a, pt_b))
             update("addition_theorem", err, k)
-            lhs_pt = 2.0 * np.pi * ell_p_sum(k, p[0], 4.0) ** 4
-            rhs_pt = theta_integral(k, p[0])
+            lhs_pt = 2.0 * np.pi * ell_p_sum(k, pt_a, 4.0) ** 4
+            rhs_pt = theta_integral(k, pt_a)
             update("theta_identity", abs(lhs_pt - rhs_pt) / rhs_pt, k)
 
         gram = _identity_gram(k, build_grid(k))

@@ -63,9 +63,10 @@ def signed_order_table(k: int, t) -> np.ndarray:
 
 def _signed_orders(k: int, base) -> np.ndarray:
     """Spread a (len(t), k+1) table over m = -k..k with the (-1)^m sign on negative orders."""
-    m = np.arange(-k, k + 1)
-    sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
-    return base[:, np.abs(m)] * sign[None, :]
+    out = base[:, np.abs(np.arange(-k, k + 1))]
+    # Columns k-1, k-3, ... hold the odd negative orders m = -1, -3, ...
+    out[:, :k][:, ::-2] *= -1.0
+    return out
 
 
 def _phases(k: int, theta) -> np.ndarray:
@@ -77,7 +78,7 @@ def projection_kernel(k: int, x, y) -> float:
     """Reproducing kernel of the degree-k eigenspace, ((2k+1)/4pi) P_k(x . y)."""
     a = _point(x).xyz
     b = _point(y).xyz
-    dot = float(np.clip(a @ b, -1.0, 1.0))
+    dot = min(1.0, max(-1.0, float(a @ b)))
     return float((2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dot))
 
 

@@ -21,10 +21,11 @@ k up to at least 2048.
 There is one recurrence for N, fixed degree and downward in order, O(k) per
 point with no cap on k, in two forms: ``normalized_legendre_table`` (all
 orders at many points, vectorized over the points) and its scalar one-point
-form ``normalized_assoc_legendre_row``, which is several times faster than
-a one-point table call.  Two references stay beside it for cross-checks:
-``_upward_degree_table``, a second algorithm (upward in degree, k <= 1024),
-and ``legendre_p``, the Legendre polynomial P_k.
+form ``normalized_assoc_legendre_row``, which runs on Python floats and is
+about 5 times faster than a one-point table call at k = 8 and 15 to 20
+times faster from k = 64 to 2048.  Two references stay beside it for
+cross-checks: ``_upward_degree_table``, a second algorithm (upward in
+degree, k <= 1024), and ``legendre_p``, the Legendre polynomial P_k.
 
 ``_zonal_3j_squares`` gives the squared 3j symbols (k k 2s; 0 0 0)^2 that
 turn fourth-power integrals of degree-k harmonics into O(k) sums.
@@ -46,7 +47,6 @@ import numpy as np
 
 __all__ = [
     "log_factorial",
-    "wallis_integral",
     "legendre_p",
     "normalized_assoc_legendre_row",
     "normalized_legendre_table",
@@ -59,6 +59,7 @@ _LOG2E = 1.0 / np.log(2.0)
 # kept inside [2^-500, 2^500] so that products of two carried values never
 # overflow or underflow a double.
 _XR_LIMIT = 2.0**500
+_XR_TINY = 2.0**-500
 _XR_SHIFT = 1000
 _XR_SCALE_DOWN = 2.0**-1000
 _XR_SCALE_UP = 2.0**1000
@@ -105,6 +106,8 @@ def _log_factorial_table(size: int) -> np.ndarray:
 
 def log_factorial(n):
     """log(n!) for scalar or array integer n >= 0, equal to gammaln(n + 1) bit for bit."""
+    if type(n) is int and 0 <= n < _TABLE_LIMIT:
+        return _lgam(n + 1.0)
     n_arr = np.asarray(n, dtype=np.int64)
     if np.any(n_arr < 0):
         raise ValueError("log factorial requires n >= 0")
@@ -116,42 +119,47 @@ def log_factorial(n):
     return np.array([_lgam(float(v) + 1.0) for v in n_arr.flat]).reshape(n_arr.shape)
 
 
-def wallis_integral(n) -> float:
-    """Integral of sin(x)^n over [0, pi], n >= 0 integer.
-
-    Evaluated as sqrt(pi) * Gamma((n+1)/2) / Gamma(n/2 + 1) in log space, so
-    it stays finite for n in the hundreds of thousands where the direct
-    product recursion would be slow.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("wallis_integral requires n >= 0")
-    return math.exp(0.5 * math.log(math.pi) + math.lgamma((n + 1) / 2.0)
-                    - math.lgamma(n / 2.0 + 1.0))
-
-
 def legendre_p(k: int, t):
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
     Accepts scalar or array ``t`` with ``|t| <= 1`` (a 1e-12 rounding margin
-    is tolerated and clipped).  P_k(1) = 1 normalization.
+    is tolerated and clipped; NaN is refused).  P_k(1) = 1 normalization.  A
+    scalar runs the recurrence on Python floats and returns a float; an array
+    runs it in three reused buffers, with the same operations in the same
+    order, so both give the same bits.
     """
     k = int(k)
     if k < 0:
         raise ValueError("degree must be >= 0")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
+    if t_arr.ndim == 0:
+        x = float(t_arr)
+        if not abs(x) <= 1.0 + 1e-12:
+            raise ValueError("legendre_p requires |t| <= 1")
+        x = min(1.0, max(-1.0, x))
+        if k == 0:
+            return 1.0
+        p_prev, p_cur = 1.0, x
+        for n in range(2, k + 1):
+            p_prev, p_cur = p_cur, ((2 * n - 1) * x * p_cur - (n - 1) * p_prev) / n
+        return p_cur
+    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
         raise ValueError("legendre_p requires |t| <= 1")
     t_arr = np.clip(t_arr, -1.0, 1.0)
     p_prev = np.ones_like(t_arr)
     if k == 0:
-        return float(p_prev) if np.isscalar(t) or t_arr.ndim == 0 else p_prev
+        return p_prev
     p_cur = t_arr.copy()
+    p_next = np.empty_like(t_arr)
     for n in range(2, k + 1):
-        p_next = ((2 * n - 1) * t_arr * p_cur - (n - 1) * p_prev) / n
-        p_prev, p_cur = p_cur, p_next
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(p_cur)
+        # p_next = ((2n - 1) t p_cur - (n - 1) p_prev) / n; p_prev is spent.
+        # Float coefficients are the same values and cheaper operands than ints.
+        np.multiply(t_arr, 2.0 * n - 1.0, out=p_next)
+        p_next *= p_cur
+        p_prev *= n - 1.0
+        p_next -= p_prev
+        p_next /= float(n)
+        p_prev, p_cur, p_next = p_cur, p_next, p_prev
     return p_cur
 
 
@@ -201,48 +209,50 @@ def normalized_assoc_legendre_row(k: int, t: float) -> np.ndarray:
 
     Runs the fixed-degree downward recurrence in m, seeded at the sectoral
     order in log space and carried with an extended-range exponent offset.
-    Cost is O(k), against O(k^2) for k+1 separate column recurrences.
+    Cost is O(k), against O(k^2) for k+1 separate column recurrences.  The
+    loop runs on Python floats, and its coefficients come from one
+    vectorized, correctly rounded square root each, so the values are the
+    ones numpy scalar arithmetic gives.
     """
     k = int(k)
     if k < 0:
         raise ValueError("degree must be >= 0")
     t = float(t)
-    if abs(t) > 1.0 + 1e-12:
+    if not abs(t) <= 1.0 + 1e-12:
         raise ValueError("argument must satisfy |t| <= 1")
     t = min(1.0, max(-1.0, t))
-    s = np.sqrt(max(0.0, 1.0 - t * t))
-    out = np.zeros(k + 1)
+    s = math.sqrt(max(0.0, 1.0 - t * t))
     if s == 0.0:
+        out = np.zeros(k + 1)
         out[0] = (np.sign(t) ** k if k else 1.0) * np.sqrt((2 * k + 1) / (4.0 * np.pi))
         return out
     log2_seed = (_sectoral_log(k) + k * np.log(s)) * _LOG2E
-    off = int(np.floor(log2_seed))
-    cur = (-1.0) ** k * 2.0 ** (log2_seed - off)
-    mans = np.zeros(k + 1)
-    offs = np.zeros(k + 1, dtype=np.int64)
-    mans[k] = cur
-    offs[k] = off
-    if k == 0:
-        return np.ldexp(mans, np.clip(offs, -_XR_CLIP, _XR_CLIP).astype(np.int32))
-    t_over_s = t / s
-    prev_m = cur
+    off = math.floor(log2_seed)
+    prev = float((-1.0) ** k * 2.0 ** (log2_seed - off))
+    # With w(j) = sqrt((k + j) (k - j + 1)), order m takes w(m + 1) on the
+    # order above and divides by w(m); root lists w(k + 1), w(k), ..., w(1).
+    j = np.arange(k + 1, 0, -1)
+    root = np.sqrt((k + j) * (k - j + 1.0)).tolist()
+    across = (2.0 * j[1:] * (t / s)).tolist()
+    # Orders k, k-1, ..., 0; reversed once at the end.
+    mans = [prev]
+    offs = [off]
     above = 0.0
-    for m in range(k, 0, -1):
-        denom = np.sqrt((k + m) * (k - m + 1.0))
-        val = -(np.sqrt((k + m + 1.0) * (k - m)) * above + 2.0 * m * t_over_s * prev_m) / denom
-        above, prev_m = prev_m, val
-        big = max(abs(above), abs(prev_m))
+    for a, c, d in zip(root, across, root[1:]):
+        above, prev = prev, -(a * above + c * prev) / d
+        big = max(abs(above), abs(prev))
         if big > _XR_LIMIT:
             above *= _XR_SCALE_DOWN
-            prev_m *= _XR_SCALE_DOWN
+            prev *= _XR_SCALE_DOWN
             off += _XR_SHIFT
-        elif 0.0 < big < 1.0 / _XR_LIMIT:
+        elif 0.0 < big < _XR_TINY:
             above *= _XR_SCALE_UP
-            prev_m *= _XR_SCALE_UP
+            prev *= _XR_SCALE_UP
             off -= _XR_SHIFT
-        mans[m - 1] = prev_m
-        offs[m - 1] = off
-    return np.ldexp(mans, np.clip(offs, -_XR_CLIP, _XR_CLIP).astype(np.int32))
+        mans.append(prev)
+        offs.append(off)
+    exps = np.minimum(np.maximum(offs[::-1], -_XR_CLIP), _XR_CLIP).astype(np.int32)
+    return np.ldexp(mans[::-1], exps)
 
 
 def normalized_legendre_table(k: int, t) -> np.ndarray:
@@ -258,7 +268,7 @@ def normalized_legendre_table(k: int, t) -> np.ndarray:
     if k < 0:
         raise ValueError("degree must be >= 0")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
+    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
         raise ValueError("arguments must satisfy |t| <= 1")
     t_arr = np.clip(t_arr, -1.0, 1.0)
     s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
@@ -291,9 +301,9 @@ def _downward_orders(k: int, t, s) -> np.ndarray:
         val = -(np.sqrt((k + m + 1.0) * (k - m)) * above + 2.0 * m * t_over_s * prev) / denom
         above, prev = prev, val
         big = np.maximum(np.abs(above), np.abs(prev))
-        if big.max(initial=0.0) > _XR_LIMIT or big.min(initial=1.0) < 1.0 / _XR_LIMIT:
+        if big.max(initial=0.0) > _XR_LIMIT or big.min(initial=1.0) < _XR_TINY:
             hi = big > _XR_LIMIT
-            lo = (big > 0.0) & (big < 1.0 / _XR_LIMIT)
+            lo = (big > 0.0) & (big < _XR_TINY)
             if hi.any() or lo.any():
                 scale = np.where(hi, _XR_SCALE_DOWN, np.where(lo, _XR_SCALE_UP, 1.0))
                 above = above * scale
@@ -319,27 +329,42 @@ def _upward_degree_table(k: int, t) -> np.ndarray:
     if k > _UPWARD_MAX_DEGREE:
         raise ValueError(f"the upward degree sweep supports k <= {_UPWARD_MAX_DEGREE}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
+    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
         raise ValueError("arguments must satisfy |t| <= 1")
     t_arr = np.clip(t_arr, -1.0, 1.0)
     s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
-    n_pts = t_arr.size
-    prev = np.zeros((n_pts, k + 1))
-    cur = np.zeros((n_pts, k + 1))
-    nxt = np.zeros((n_pts, k + 1))
-    cur[:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    # Every degree's head coefficients at once: degree n's orders 0..n-2 sit
+    # at rows (n - 2)(n - 1)/2 onward, each formed as it would be on its own.
+    deg = np.repeat(np.arange(2, k + 1), np.arange(1, k))
+    order = np.arange(deg.size) - (deg - 2) * (deg - 1) // 2
+    a_all = np.sqrt(
+        (2 * deg - 1.0) * (2 * deg + 1.0) / ((deg - order) * (deg + order))
+    )[:, None]
+    b_all = np.sqrt(
+        (2 * deg + 1.0) * (deg + order - 1.0) * (deg - order - 1.0)
+        / ((deg - order) * (deg + order) * (2.0 * deg - 3.0))
+    )[:, None]
+    # Degree-major buffers, so each degree's orders are contiguous rows.
+    prev = np.zeros((k + 1, t_arr.size))
+    cur = np.zeros((k + 1, t_arr.size))
+    nxt = np.zeros((k + 1, t_arr.size))
+    cur[0] = 1.0 / np.sqrt(4.0 * np.pi)
     for n in range(1, k + 1):
-        # The reused buffer holds degree n - 3, whose nonzero columns are
+        # The reused buffer holds degree n - 3, whose nonzero orders are
         # all rewritten here.
         if n >= 2:
-            m = np.arange(0, n - 1)
-            a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / ((n - m) * (n + m)))
-            b = np.sqrt(
-                (2 * n + 1.0) * (n + m - 1.0) * (n - m - 1.0)
-                / ((n - m) * (n + m) * (2.0 * n - 3.0))
-            )
-            nxt[:, : n - 1] = a * t_arr[:, None] * cur[:, : n - 1] - b * prev[:, : n - 1]
-        nxt[:, n - 1] = np.sqrt(2.0 * n + 1.0) * t_arr * cur[:, n - 1]
-        nxt[:, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[:, n - 1]
+            lo = (n - 2) * (n - 1) // 2
+            # a t cur - b prev in place; prev's head is spent after this.
+            head = nxt[: n - 1]
+            np.multiply(a_all[lo : lo + n - 1], t_arr, out=head)
+            head *= cur[: n - 1]
+            spent = prev[: n - 1]
+            spent *= b_all[lo : lo + n - 1]
+            head -= spent
+        np.multiply(t_arr, math.sqrt(2.0 * n + 1.0), out=nxt[n - 1])
+        nxt[n - 1] *= cur[n - 1]
+        np.multiply(s, -math.sqrt((2.0 * n + 1.0) / (2.0 * n)), out=nxt[n])
+        nxt[n] *= cur[n - 1]
         prev, cur, nxt = cur, nxt, prev
-    return cur
+    # A C-ordered point-major copy: callers' sums over its rows depend on the layout.
+    return cur.T.copy()

@@ -39,7 +39,7 @@ class SpherePoint:
     @property
     def phi(self) -> float:
         """Colatitude in [0, pi]."""
-        return float(np.arccos(np.clip(self.xyz[2], -1.0, 1.0)))
+        return float(np.arccos(min(1.0, max(-1.0, float(self.xyz[2])))))
 
     @property
     def theta(self) -> float:

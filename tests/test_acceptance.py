@@ -17,7 +17,6 @@ import pytest
 
 from spherelab.beams import (
     beam_coefficients,
-    beam_overlap,
     orthonormalize,
     place_separated_axes,
 )
@@ -40,10 +39,12 @@ from spherelab.experiments import (
     tube_ratio_experiment,
 )
 from spherelab.harmonics import beam_field, coefficient_field
-from spherelab.legendre import _sectoral_log, wallis_integral
+from spherelab.legendre import _sectoral_log
 from spherelab.quadrature import arc_selections, build_grid
 from spherelab.random_bases import CoefficientBasis, gaussian_limit_check, lambda4, quartic_norms
 from spherelab.sphere import GreatCircle
+from test_beams import beam_overlap
+from test_legendre import wallis_integral
 
 
 def _report(number, name, ok, detail):

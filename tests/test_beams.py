@@ -11,7 +11,6 @@ from spherelab.beams import (
     RankDeficiencyError,
     _xlogy,
     beam_coefficients,
-    beam_overlap,
     orthonormalize,
     packing_bound,
     place_separated_axes,
@@ -25,6 +24,13 @@ from spherelab.harmonics import (
 from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
 from spherelab.random_bases import quartic_norms
 from spherelab.sphere import circle_angle, rotation_to_pole
+
+
+def beam_overlap(k: int, axis1, axis2) -> complex:
+    """Hermitian inner product of two beams; |overlap| depends only on the axis angle."""
+    c1 = beam_coefficients(k, axis1)
+    c2 = beam_coefficients(k, axis2)
+    return complex(np.vdot(c2, c1))
 
 
 def analyze(k, values, grid):

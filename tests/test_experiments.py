@@ -500,6 +500,18 @@ def test_exact_identity_suite_worst_degrees_at_seed_zero():
     assert [entry["worst_k"] for entry in report["checks"].values()] == [52, 50, 51, 61]
 
 
+def test_exact_identity_suite_bench_run_pins_at_seed_zero():
+    # `verify --k-max 64 --points 200 --seed 0`, the benchmark's run: every
+    # worst error and its degree, to the bit.
+    rows = exact_identity_suite(k_max=64, points=200, seed=0).rows
+    assert [(row["check"], row["max_error"].hex(), row["worst_k"]) for row in rows] == [
+        ("l2_identity", "0x1.a3e34a2b10bf6p-47", 53),
+        ("addition_theorem", "0x1.c9400000a13e0p-41", 63),
+        ("theta_identity", "0x1.59297e9d24b31p-42", 53),
+        ("gram_identity", "0x1.fe80000000000p-42", 61),
+    ]
+
+
 def test_seeded_experiments_reject_negative_seeds():
     with pytest.raises(ValueError, match="seed must be a non-negative int, got -1"):
         exact_identity_suite(k_max=2, points=2, seed=-1)

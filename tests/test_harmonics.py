@@ -7,6 +7,7 @@ from scipy.special import sph_harm_y
 import spherelab.harmonics as harmonics
 from spherelab.experiments import average_l4_experiment, scaling_target
 from spherelab.harmonics import (
+    _signed_orders,
     beam_field,
     coefficient_field,
     ell_p_profile,
@@ -17,7 +18,7 @@ from spherelab.harmonics import (
     signed_order_table,
     theta_integral,
 )
-from spherelab.legendre import _sectoral_log
+from spherelab.legendre import _sectoral_log, legendre_p
 from spherelab.quadrature import build_grid, lp_norm
 from spherelab.random_bases import sample_haar_unitary
 from spherelab.sphere import SpherePoint, rotation_to_pole
@@ -320,3 +321,33 @@ def test_low_degree_l4_closed_forms():
     z1 = _standard_field(1, 0, grid)
     assert lp_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13)
     assert lp_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13)
+
+
+def test_signed_orders_match_the_sign_vector_product_bitwise():
+    # Negating the odd negative orders in place equals multiplying by the
+    # +-1 sign vector, values and memory layout both, so reductions over the
+    # table add in the same order.
+    rng = np.random.default_rng(13)
+    for k in (0, 1, 2, 5, 64):
+        m = np.arange(-k, k + 1)
+        sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
+        for n_rows in (1, 3, 200):
+            base = rng.standard_normal((n_rows, k + 1))
+            base[0, 0] = 0.0
+            expected = base[:, np.abs(m)] * sign[None, :]
+            got = _signed_orders(k, base)
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.c_contiguous == expected.flags.c_contiguous
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def test_projection_kernel_clips_the_dot_product_as_numpy_does():
+    rng = np.random.default_rng(14)
+    points = [*rng.standard_normal((20, 3)), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    for k in (0, 1, 6, 40):
+        for i, x in enumerate(points):
+            for y in (x, -np.asarray(x), points[(i + 1) % len(points)]):
+                a, b = SpherePoint(x).xyz, SpherePoint(y).xyz
+                dot = float(np.clip(a @ b, -1.0, 1.0))
+                expected = float((2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dot))
+                assert projection_kernel(k, x, y) == expected

@@ -12,9 +12,22 @@ from spherelab.legendre import (
     log_factorial,
     normalized_assoc_legendre_row,
     normalized_legendre_table,
-    wallis_integral,
     zonal_sup_coefficient,
 )
+
+
+def wallis_integral(n) -> float:
+    """Integral of sin(x)^n over [0, pi], n >= 0 integer.
+
+    Evaluated as sqrt(pi) * Gamma((n+1)/2) / Gamma(n/2 + 1) in log space, so
+    it stays finite for n in the hundreds of thousands where the direct
+    product recursion would be slow.
+    """
+    n = int(n)
+    if n < 0:
+        raise ValueError("wallis_integral requires n >= 0")
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma((n + 1) / 2.0)
+                    - math.lgamma(n / 2.0 + 1.0))
 
 
 def wallis_by_recursion(n):
@@ -279,3 +292,146 @@ def test_argument_validation():
         normalized_assoc_legendre_row(5, -1.2)
     with pytest.raises(ValueError):
         normalized_assoc_legendre_row(-2, 0.0)
+
+
+def test_nan_arguments_are_refused():
+    # |t| <= 1 is tested as `not |t| <= 1 + 1e-12`, so NaN fails it everywhere.
+    nan = float("nan")
+    for evaluate in (
+        lambda: legendre_p(3, nan),
+        lambda: legendre_p(3, np.float64(nan)),
+        lambda: legendre_p(3, np.array(nan)),
+        lambda: legendre_p(3, np.array([0.5, nan])),
+        lambda: legendre_p(0, np.array([[nan]])),
+        lambda: normalized_assoc_legendre_row(3, nan),
+        lambda: normalized_assoc_legendre_row(0, nan),
+        lambda: normalized_legendre_table(3, [nan]),
+        lambda: normalized_legendre_table(3, np.array([0.1, nan, -0.2])),
+        lambda: _upward_degree_table(3, [nan]),
+        lambda: _upward_degree_table(0, np.array([0.4, nan])),
+    ):
+        with pytest.raises(ValueError, match=r"\|t\| <= 1"):
+            evaluate()
+
+
+# The evaluators as they stood before their loops moved to Python floats and
+# reused buffers, kept as bitwise references.
+
+def _reference_row(k, t):
+    """The one-point downward recurrence on numpy scalars, its coefficients taken per order."""
+    t = min(1.0, max(-1.0, float(t)))
+    s = np.sqrt(max(0.0, 1.0 - t * t))
+    out = np.zeros(k + 1)
+    if s == 0.0:
+        out[0] = (np.sign(t) ** k if k else 1.0) * np.sqrt((2 * k + 1) / (4.0 * np.pi))
+        return out, 0
+    log2_seed = (_sectoral_log(k) + k * np.log(s)) * (1.0 / np.log(2.0))
+    off = int(np.floor(log2_seed))
+    cur = (-1.0) ** k * 2.0 ** (log2_seed - off)
+    mans = np.zeros(k + 1)
+    offs = np.zeros(k + 1, dtype=np.int64)
+    mans[k] = cur
+    offs[k] = off
+    t_over_s = t / s
+    prev_m = cur
+    above = 0.0
+    rescales = 0
+    for m in range(k, 0, -1):
+        denom = np.sqrt((k + m) * (k - m + 1.0))
+        val = -(np.sqrt((k + m + 1.0) * (k - m)) * above + 2.0 * m * t_over_s * prev_m) / denom
+        above, prev_m = prev_m, val
+        big = max(abs(above), abs(prev_m))
+        if big > 2.0**500:
+            above *= 2.0**-1000
+            prev_m *= 2.0**-1000
+            off += 1000
+            rescales += 1
+        elif 0.0 < big < 1.0 / 2.0**500:
+            above *= 2.0**1000
+            prev_m *= 2.0**1000
+            off -= 1000
+            rescales += 1
+        mans[m - 1] = prev_m
+        offs[m - 1] = off
+    return np.ldexp(mans, np.clip(offs, -2400, 2400).astype(np.int32)), rescales
+
+
+def _reference_legendre_p(k, t):
+    """The three-term recurrence with fresh temporaries at every degree."""
+    t_arr = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    p_prev = np.ones_like(t_arr)
+    if k == 0:
+        return float(p_prev) if np.isscalar(t) or t_arr.ndim == 0 else p_prev
+    p_cur = t_arr.copy()
+    for n in range(2, k + 1):
+        p_next = ((2 * n - 1) * t_arr * p_cur - (n - 1) * p_prev) / n
+        p_prev, p_cur = p_cur, p_next
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return float(p_cur)
+    return p_cur
+
+
+def _reference_upward_table(k, t):
+    """The upward sweep in degree on point-major buffers, each head formed out of place."""
+    t_arr = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
+    prev = np.zeros((t_arr.size, k + 1))
+    cur = np.zeros((t_arr.size, k + 1))
+    nxt = np.zeros((t_arr.size, k + 1))
+    cur[:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for n in range(1, k + 1):
+        if n >= 2:
+            m = np.arange(0, n - 1)
+            a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / ((n - m) * (n + m)))
+            b = np.sqrt(
+                (2 * n + 1.0) * (n + m - 1.0) * (n - m - 1.0)
+                / ((n - m) * (n + m) * (2.0 * n - 3.0))
+            )
+            nxt[:, : n - 1] = a * t_arr[:, None] * cur[:, : n - 1] - b * prev[:, : n - 1]
+        nxt[:, n - 1] = np.sqrt(2.0 * n + 1.0) * t_arr * cur[:, n - 1]
+        nxt[:, n] = -np.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[:, n - 1]
+        prev, cur, nxt = cur, nxt, prev
+    return cur
+
+
+# Poles, one rounding step inside them, a denormal-sized t, signed zeros,
+# values inside the clipped 1e-12 margin, and random interior points.
+_EDGE_POINTS = [1.0, -1.0, 1.0 - 1e-15, -(1.0 - 1e-15), 1e-300, -1e-300, 0.0, -0.0,
+                1.0 + 5e-13, -1.0 - 5e-13, 0.999, -0.9999999, 1.0 - 1e-12]
+_REFERENCE_POINTS = _EDGE_POINTS + list(np.random.default_rng(11).uniform(-1.0, 1.0, 6))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 64, 300, 1500, 4000])
+def test_row_matches_the_numpy_scalar_loop_bitwise(k):
+    rescales = 0
+    for t in _REFERENCE_POINTS:
+        expected, count = _reference_row(k, t)
+        rescales += count
+        assert normalized_assoc_legendre_row(k, t).tobytes() == expected.tobytes(), t
+    # Near the poles the values grow past 2^500 and the row rescales.
+    assert rescales > 0 or k < 64
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 64, 300, 1500, 4000])
+def test_legendre_p_matches_the_fresh_temporary_loop_bitwise(k):
+    points = np.array(_REFERENCE_POINTS)
+    for t in _REFERENCE_POINTS[:8] if k > 300 else _REFERENCE_POINTS:
+        for scalar in (t, np.float64(t), np.array(t)):
+            got = legendre_p(k, scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(_reference_legendre_p(k, scalar)).tobytes()
+    for array in (points, points.reshape(1, -1), points[:12].reshape(3, 4), points[:0], list(points[:5])):
+        got = legendre_p(k, array)
+        expected = _reference_legendre_p(k, array)
+        assert type(got) is np.ndarray and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 64, 300, 1024])
+def test_upward_sweep_matches_the_point_major_loop_bitwise(k):
+    points = np.array(_REFERENCE_POINTS if k < 1024 else _EDGE_POINTS[:6])
+    for t in (points, points[:1], points[0]):
+        got = _upward_degree_table(k, t)
+        expected = _reference_upward_table(k, t)
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()

@@ -31,6 +31,8 @@ RETIRED = (
     "tube_mass",
     "TubeResolutionWarning",
     "_tube_points",
+    "wallis_integral",
+    "beam_overlap",
 )
 
 

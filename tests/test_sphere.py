@@ -34,6 +34,16 @@ def test_angle_round_trip():
         assert p.theta == pytest.approx(theta, abs=1e-12)
 
 
+def test_colatitude_is_the_arccos_of_the_clipped_height_bitwise():
+    rng = np.random.default_rng(12)
+    points = [*rng.standard_normal((40, 3)), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+              [1e-9, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+    for xyz in points:
+        p = SpherePoint(xyz)
+        expected = float(np.arccos(np.clip(p.xyz[2], -1.0, 1.0)))
+        assert np.float64(p.phi).tobytes() == np.float64(expected).tobytes()
+
+
 def test_geodesic_distance_known_values():
     ex = [1.0, 0.0, 0.0]
     ey = [0.0, 1.0, 0.0]
