@@ -130,7 +130,7 @@ def theta_integral(k: int, x) -> float:
     c = math.cos(pt.phi)
     s2 = 1.0 - c * c
     cosd = s2 * np.cos(theta) + c * c
-    kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, np.clip(cosd, -1.0, 1.0))
+    kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, cosd)
     return float((2.0 * np.pi / n) * np.sum(kernel**2))
 
 

@@ -119,6 +119,23 @@ def log_factorial(n):
     return np.array([_lgam(float(v) + 1.0) for v in n_arr.flat]).reshape(n_arr.shape)
 
 
+# legendre_p's array loop takes its coefficients from shared 0-d arrays up to this size.
+_OPERAND_LIMIT = 2**12
+
+
+@functools.lru_cache(maxsize=None)
+def _float_operands(size: int) -> tuple:
+    """0.0, 1.0, ..., size - 1 as read-only 0-d arrays; sizes are powers of two.
+
+    A ufunc takes a 0-d float64 array as an operand faster than a Python
+    number, and the value, so every result, is the same.
+    """
+    operands = tuple(np.array(float(v)) for v in range(size))
+    for operand in operands:
+        operand.flags.writeable = False
+    return operands
+
+
 def legendre_p(k: int, t):
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
@@ -145,20 +162,22 @@ def legendre_p(k: int, t):
         return p_cur
     if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
         raise ValueError("legendre_p requires |t| <= 1")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
+    t_arr = np.minimum(np.maximum(t_arr, -1.0), 1.0)
     p_prev = np.ones_like(t_arr)
     if k == 0:
         return p_prev
     p_cur = t_arr.copy()
     p_next = np.empty_like(t_arr)
+    size = 1 << max((2 * k).bit_length(), 6)
+    # Higher degrees take Python ints: the same values, without a cache that grows with k.
+    c = _float_operands(size) if size <= _OPERAND_LIMIT else range(size)
     for n in range(2, k + 1):
         # p_next = ((2n - 1) t p_cur - (n - 1) p_prev) / n; p_prev is spent.
-        # Float coefficients are the same values and cheaper operands than ints.
-        np.multiply(t_arr, 2.0 * n - 1.0, out=p_next)
+        np.multiply(t_arr, c[2 * n - 1], out=p_next)
         p_next *= p_cur
-        p_prev *= n - 1.0
+        p_prev *= c[n - 1]
         p_next -= p_prev
-        p_next /= float(n)
+        p_next /= c[n]
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
     return p_cur
 
