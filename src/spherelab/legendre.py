@@ -119,23 +119,6 @@ def log_factorial(n):
     return np.array([_lgam(float(v) + 1.0) for v in n_arr.flat]).reshape(n_arr.shape)
 
 
-# legendre_p's array loop takes its coefficients from shared 0-d arrays up to this size.
-_OPERAND_LIMIT = 2**12
-
-
-@functools.lru_cache(maxsize=None)
-def _float_operands(size: int) -> tuple:
-    """0.0, 1.0, ..., size - 1 as read-only 0-d arrays; sizes are powers of two.
-
-    A ufunc takes a 0-d float64 array as an operand faster than a Python
-    number, and the value, so every result, is the same.
-    """
-    operands = tuple(np.array(float(v)) for v in range(size))
-    for operand in operands:
-        operand.flags.writeable = False
-    return operands
-
-
 def legendre_p(k: int, t):
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
@@ -168,16 +151,13 @@ def legendre_p(k: int, t):
         return p_prev
     p_cur = t_arr.copy()
     p_next = np.empty_like(t_arr)
-    size = 1 << max((2 * k).bit_length(), 6)
-    # Higher degrees take Python ints: the same values, without a cache that grows with k.
-    c = _float_operands(size) if size <= _OPERAND_LIMIT else range(size)
     for n in range(2, k + 1):
         # p_next = ((2n - 1) t p_cur - (n - 1) p_prev) / n; p_prev is spent.
-        np.multiply(t_arr, c[2 * n - 1], out=p_next)
+        np.multiply(t_arr, 2 * n - 1, out=p_next)
         p_next *= p_cur
-        p_prev *= c[n - 1]
+        p_prev *= n - 1
         p_next -= p_prev
-        p_next /= c[n]
+        p_next /= n
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
     return p_cur
 
@@ -352,17 +332,6 @@ def _upward_degree_table(k: int, t) -> np.ndarray:
         raise ValueError("arguments must satisfy |t| <= 1")
     t_arr = np.clip(t_arr, -1.0, 1.0)
     s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
-    # Every degree's head coefficients at once: degree n's orders 0..n-2 sit
-    # at rows (n - 2)(n - 1)/2 onward, each formed as it would be on its own.
-    deg = np.repeat(np.arange(2, k + 1), np.arange(1, k))
-    order = np.arange(deg.size) - (deg - 2) * (deg - 1) // 2
-    a_all = np.sqrt(
-        (2 * deg - 1.0) * (2 * deg + 1.0) / ((deg - order) * (deg + order))
-    )[:, None]
-    b_all = np.sqrt(
-        (2 * deg + 1.0) * (deg + order - 1.0) * (deg - order - 1.0)
-        / ((deg - order) * (deg + order) * (2.0 * deg - 3.0))
-    )[:, None]
     # Degree-major buffers, so each degree's orders are contiguous rows.
     prev = np.zeros((k + 1, t_arr.size))
     cur = np.zeros((k + 1, t_arr.size))
@@ -372,13 +341,18 @@ def _upward_degree_table(k: int, t) -> np.ndarray:
         # The reused buffer holds degree n - 3, whose nonzero orders are
         # all rewritten here.
         if n >= 2:
-            lo = (n - 2) * (n - 1) // 2
+            m = np.arange(0, n - 1)
+            a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / ((n - m) * (n + m)))
+            b = np.sqrt(
+                (2 * n + 1.0) * (n + m - 1.0) * (n - m - 1.0)
+                / ((n - m) * (n + m) * (2.0 * n - 3.0))
+            )
             # a t cur - b prev in place; prev's head is spent after this.
             head = nxt[: n - 1]
-            np.multiply(a_all[lo : lo + n - 1], t_arr, out=head)
+            np.multiply(a[:, None], t_arr, out=head)
             head *= cur[: n - 1]
             spent = prev[: n - 1]
-            spent *= b_all[lo : lo + n - 1]
+            spent *= b[:, None]
             head -= spent
         np.multiply(t_arr, math.sqrt(2.0 * n + 1.0), out=nxt[n - 1])
         nxt[n - 1] *= cur[n - 1]

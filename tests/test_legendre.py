@@ -6,7 +6,6 @@ from scipy.special import gammaln
 
 from spherelab.harmonics import signed_order_table
 from spherelab.legendre import (
-    _float_operands,
     _sectoral_log,
     _upward_degree_table,
     legendre_p,
@@ -428,12 +427,6 @@ def test_legendre_p_matches_the_fresh_temporary_loop_bitwise(k):
         assert got.tobytes() == expected.tobytes()
 
 
-
-def test_legendre_p_operands_are_shared_read_only_values():
-    operands = _float_operands(64)
-    assert operands is _float_operands(64) and len(operands) == 64
-    for value, operand in enumerate(operands):
-        assert operand.shape == () and not operand.flags.writeable and float(operand) == value
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 64, 300, 1024])
 def test_upward_sweep_matches_the_point_major_loop_bitwise(k):
     points = np.array(_REFERENCE_POINTS if k < 1024 else _EDGE_POINTS[:6])
