@@ -153,11 +153,11 @@ def legendre_p(k: int, t):
     p_next = np.empty_like(t_arr)
     for n in range(2, k + 1):
         # p_next = ((2n - 1) t p_cur - (n - 1) p_prev) / n; p_prev is spent.
-        np.multiply(t_arr, 2 * n - 1, out=p_next)
+        np.multiply(t_arr, 2.0 * n - 1.0, out=p_next)
         p_next *= p_cur
-        p_prev *= n - 1
+        p_prev *= n - 1.0
         p_next -= p_prev
-        p_next /= n
+        p_next /= float(n)
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
     return p_cur
 
@@ -342,11 +342,10 @@ def _upward_degree_table(k: int, t) -> np.ndarray:
         # all rewritten here.
         if n >= 2:
             m = np.arange(0, n - 1)
-            a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / ((n - m) * (n + m)))
-            b = np.sqrt(
-                (2 * n + 1.0) * (n + m - 1.0) * (n - m - 1.0)
-                / ((n - m) * (n + m) * (2.0 * n - 3.0))
-            )
+            up, down = n + m, n - m
+            width = down * up
+            a = np.sqrt((2 * n - 1.0) * (2 * n + 1.0) / width)
+            b = np.sqrt((2 * n + 1.0) * (up - 1.0) * (down - 1.0) / (width * (2.0 * n - 3.0)))
             # a t cur - b prev in place; prev's head is spent after this.
             head = nxt[: n - 1]
             np.multiply(a[:, None], t_arr, out=head)
