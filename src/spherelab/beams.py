@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .legendre import log_factorial
+from .legendre import _degree, log_factorial
 from .random_bases import CoefficientBasis
 from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
 
@@ -61,9 +61,7 @@ def beam_coefficients(k: int, axis, grid=None) -> np.ndarray:
     formed in log space so no power under- or overflows at large k.  No grid
     is built; ``grid`` is accepted for callers that pass one and is ignored.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    k = _degree(k)
     rot = rotation_to_pole(axis)
     a = rot[0] + 1j * rot[1]
     xi_sq = (a[0] - 1j * a[1]) / 2.0

@@ -46,6 +46,8 @@ from .legendre import (
 )
 from .beams import beam_coefficients, orthonormalize, packing_bound, place_separated_axes
 from .quadrature import (
+    _ARC_LENGTH,
+    _N_ARCS,
     MAX_GRID_POINTS,
     arc_selections,
     build_grid,
@@ -145,15 +147,7 @@ class ExperimentRecord:
 
     def to_dict(self) -> dict:
         """The record as plain JSON values, keys converted to strings the way json does."""
-        return {
-            "name": self.name,
-            "params": _plain_json(self.params),
-            "grid": _plain_json(self.grid),
-            "seed": self.seed,
-            "outputs": _plain_json(self.outputs),
-            "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
-        }
+        return _plain_json(asdict(self))
 
 
 @dataclass
@@ -663,8 +657,8 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
         "integrand_exact": True,
         "oversample": oversample,
         "tube_width": "lam^(-1/2)",
-        "arcs_per_circle": 8,
-        "arc_length": 1.0,
+        "arcs_per_circle": _N_ARCS,
+        "arc_length": _ARC_LENGTH,
         "axis_sampling": "equator + fibonacci(max(64, 4k))",
     }
     max_ratio = float(max_ratio)
@@ -764,7 +758,7 @@ def _identity_gram(k: int, grid) -> np.ndarray:
     return (phases @ phases.conj().T) * (table.T @ (grid.ring_weight[:, None] * table))
 
 
-def exact_identity_suite(k_max: int = 64, points: int = 200, seed: int = 0) -> ExperimentRun:
+def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> ExperimentRun:
     """Worst-case errors of the four exact identities over random points.
 
     Per degree k = 1..k_max, at ``points`` random points each:

@@ -119,6 +119,27 @@ def log_factorial(n):
     return np.array([_lgam(float(v) + 1.0) for v in n_arr.flat]).reshape(n_arr.shape)
 
 
+def _degree(k) -> int:
+    """The degree k as an int; a negative one is a ValueError."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
+    return k
+
+
+def _cosine(t):
+    """A Python float or a float array t clipped to [-1, 1].
+
+    |t| up to 1 + 1e-12 is tolerated as rounding and clipped; anything
+    farther out, NaN included, is a ValueError.
+    """
+    scalar = type(t) is float
+    inside = abs(t) <= 1.0 + 1e-12 if scalar else (np.abs(t) <= 1.0 + 1e-12).all()
+    if not inside:
+        raise ValueError("Legendre arguments must satisfy |t| <= 1")
+    return min(1.0, max(-1.0, t)) if scalar else np.clip(t, -1.0, 1.0)
+
+
 def legendre_p(k: int, t):
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
@@ -128,24 +149,17 @@ def legendre_p(k: int, t):
     runs it in three reused buffers, with the same operations in the same
     order, so both give the same bits.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
+    k = _degree(k)
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim == 0:
-        x = float(t_arr)
-        if not abs(x) <= 1.0 + 1e-12:
-            raise ValueError("legendre_p requires |t| <= 1")
-        x = min(1.0, max(-1.0, x))
+        x = _cosine(float(t_arr))
         if k == 0:
             return 1.0
         p_prev, p_cur = 1.0, x
         for n in range(2, k + 1):
             p_prev, p_cur = p_cur, ((2 * n - 1) * x * p_cur - (n - 1) * p_prev) / n
         return p_cur
-    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
-        raise ValueError("legendre_p requires |t| <= 1")
-    t_arr = np.minimum(np.maximum(t_arr, -1.0), 1.0)
+    t_arr = _cosine(t_arr)
     p_prev = np.ones_like(t_arr)
     if k == 0:
         return p_prev
@@ -178,9 +192,7 @@ def _zonal_3j_squares(k: int) -> np.ndarray:
 
     taken as one cumulative product, O(k) with no Legendre evaluation.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
+    k = _degree(k)
     s = np.arange(k, dtype=float)
     ratio = ((2 * s + 1) ** 2 * (2 * k + 2 * s + 2) * (2 * k - 2 * s)) / (
         (2 * s + 2) ** 2 * (2 * k + 2 * s + 3) * (2 * k - 2 * s - 1)
@@ -213,13 +225,8 @@ def normalized_assoc_legendre_row(k: int, t: float) -> np.ndarray:
     vectorized, correctly rounded square root each, so the values are the
     ones numpy scalar arithmetic gives.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    t = float(t)
-    if not abs(t) <= 1.0 + 1e-12:
-        raise ValueError("argument must satisfy |t| <= 1")
-    t = min(1.0, max(-1.0, t))
+    k = _degree(k)
+    t = _cosine(float(t))
     s = math.sqrt(max(0.0, 1.0 - t * t))
     if s == 0.0:
         out = np.zeros(k + 1)
@@ -263,13 +270,8 @@ def normalized_legendre_table(k: int, t) -> np.ndarray:
     and carries its own extended-range exponent offset, so there is no cap
     on k and the cost is O(k * len(t)).
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
-        raise ValueError("arguments must satisfy |t| <= 1")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
+    k = _degree(k)
+    t_arr = _cosine(np.atleast_1d(np.asarray(t, dtype=float)).ravel())
     s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
     inner = s > 0.0
     if inner.all():
@@ -322,15 +324,10 @@ def _upward_degree_table(k: int, t) -> np.ndarray:
     A second algorithm for cross-checks only: O(k^2 * len(t)), without
     extended-range bookkeeping, so it is limited to k <= 1024.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
+    k = _degree(k)
     if k > _UPWARD_MAX_DEGREE:
         raise ValueError(f"the upward degree sweep supports k <= {_UPWARD_MAX_DEGREE}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not (np.abs(t_arr) <= 1.0 + 1e-12).all():
-        raise ValueError("arguments must satisfy |t| <= 1")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
+    t_arr = _cosine(np.atleast_1d(np.asarray(t, dtype=float)))
     s = np.sqrt(np.maximum(0.0, 1.0 - t_arr * t_arr))
     # Degree-major buffers, so each degree's orders are contiguous rows.
     prev = np.zeros((k + 1, t_arr.size))

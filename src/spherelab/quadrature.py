@@ -237,6 +237,10 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
     return _lq_norm(np.asarray(profile, dtype=float), q, grid.integrate_profile)
 
 
+# The tube-ratio sweep's geometry: each great circle is cut into _N_ARCS
+# arcs of length _ARC_LENGTH, the unit arcs of Sogge's tube criterion.
+_N_ARCS = 8
+_ARC_LENGTH = 1.0
 # Arc-end band in which arc_selections re-tests points by the wrap expression.
 _ARC_TIE = 1e-9
 
@@ -246,18 +250,12 @@ def _arc_distance(ang, center):
     return np.abs((ang - center + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def arc_selections(
-    grid: QuadratureGrid,
-    circle,
-    width: float,
-    arc_length: float = 1.0,
-    n_arcs: int = 8,
-):
-    """Arc segments of the tube around a great circle, as tube-local indices.
+def arc_selections(grid: QuadratureGrid, circle, width: float):
+    """Unit-arc segments of the tube around a great circle, as tube-local indices.
 
     Returns ``(ring, col, member)``: the tube's nodes as (ring, column)
-    indices in C order and a boolean array ``member`` of shape (n_arcs,
-    n_tube).  A tube mass is a sum over those nodes in that order, such as
+    indices in C order and a boolean array ``member`` of shape (8, n_tube).
+    A tube mass is a sum over those nodes in that order, such as
     ``(grid.ring_weight[ring] * np.abs(values[ring, col]) ** 2).sum()``.
 
     Membership is |x . a| <= sin(width) decided at the node center, with no
@@ -267,22 +265,16 @@ def arc_selections(
     the nearer pole, so only the rings with |t| <= sin(alpha + width), one
     band of the ascending nodes, can meet the tube; the node test runs there.
 
-    The tube is cut into ``n_arcs`` overlapping pieces: segment j keeps the
+    The tube is cut into eight overlapping unit arcs: segment j keeps the
     tube points whose arc parameter, measured in the circle's frame, lies
-    within arc_length/2 of the center 2 pi j / n_arcs.  Each point is tested
-    only against the centers within ceil(arc_length / (2 step)) steps of its
-    nearest one (step = 2 pi / n_arcs); the others are at least half a step
-    farther than arc_length/2.  Memberships are those of the wrap distance
-    |((s - c + pi) mod 2 pi) - pi| tested at every center, bit for bit.
+    within 1/2 of the center 2 pi j / 8.  Each point is tested only against
+    the centers within ceil(1 / (2 step)) = 1 step of its nearest one
+    (step = 2 pi / 8); the others are at least half a step farther than 1/2.
+    Memberships are those of the wrap distance |((s - c + pi) mod 2 pi) - pi|
+    tested at every center, bit for bit.
     """
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
-    arc_length = float(arc_length)
-    if not 0.0 < arc_length < np.inf:
-        raise ValueError(f"arc_length must be finite and positive, got {arc_length!r}")
-    if isinstance(n_arcs, bool) or not isinstance(n_arcs, (int, np.integer)) or n_arcs < 1:
-        raise ValueError(f"n_arcs must be an int >= 1, got {n_arcs!r}")
-    n_arcs = int(n_arcs)
     width = float(width)
     if not width > 0.0:
         raise ValueError(f"tube width must be positive, got {width!r}")
@@ -307,29 +299,28 @@ def arc_selections(
     xyz = np.take(band.reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     del xyz, tube
-    centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
-    half = 0.5 * arc_length
-    step = 2.0 * np.pi / n_arcs
-    reach = int(np.ceil(arc_length / (2.0 * step)))
-    if 2 * reach + 1 >= n_arcs:
-        return ring, col, _arc_distance(ang, centers[:, None]) <= half
+    centers = 2.0 * np.pi * np.arange(_N_ARCS) / _N_ARCS
+    half = 0.5 * _ARC_LENGTH
+    step = 2.0 * np.pi / _N_ARCS
+    reach = int(np.ceil(_ARC_LENGTH / (2.0 * step)))
     # Row r of near holds, unwrapped, the center r steps from each point's
-    # nearest one: at most (reach + 1/2) steps < pi away, so |ang - step *
-    # near| is the distance without a wrap.  It differs from the wrap
-    # expression only by rounding, far below _ARC_TIE, so the wrap expression
-    # decides just the pairs within _ARC_TIE of an arc end.
+    # nearest one.  As 2 reach + 1 = 3 < _N_ARCS, the rows name distinct arcs
+    # at most (reach + 1/2) steps < pi away, so |ang - step * near| is the
+    # distance without a wrap.  It differs from the wrap expression only by
+    # rounding, far below _ARC_TIE, so the wrap expression decides just the
+    # pairs within _ARC_TIE of an arc end.
     near = np.rint(ang / step).astype(np.intp) + np.arange(-reach, reach + 1)[:, None]
     # dist and then |dist - half| share one buffer; arcs takes over near's.
     dist = np.multiply(step, near)
     np.subtract(ang, dist, out=dist)
     np.abs(dist, out=dist)
-    arcs = np.remainder(near, n_arcs, out=near)
+    arcs = np.remainder(near, _N_ARCS, out=near)
     inside = dist <= half
     np.subtract(dist, half, out=dist)
     np.abs(dist, out=dist)
     tie = np.nonzero(dist <= _ARC_TIE)
     inside[tie] = _arc_distance(ang[tie[1]], centers[arcs[tie]]) <= half
-    member = np.zeros((n_arcs, ang.size), dtype=bool)
+    member = np.zeros((_N_ARCS, ang.size), dtype=bool)
     member[arcs, np.arange(ang.size)] = inside
     return ring, col, member
 

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from spherelab.beams import PackingInfeasibleError, RankDeficiencyError
 from spherelab.cli import _SUBCOMMANDS, _doubling_ks, _parse_q, build_parser, main
-from spherelab.experiments import ExperimentRun
+from spherelab.experiments import ExperimentRun, exact_identity_suite
 from spherelab.quadrature import GridResolutionError
 
 
@@ -38,6 +39,12 @@ def test_verify_exits_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 4
+
+
+def test_verify_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["verify"])
+    library = inspect.signature(exact_identity_suite).parameters
+    assert [getattr(args, name) for name in library] == [p.default for p in library.values()]
 
 
 def test_verify_zero_points_is_usage_error(capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -598,3 +599,26 @@ def test_timed_returns_result_and_duration():
     result, seconds = timed(sum, [1, 2, 3])
     assert result == 6
     assert seconds >= 0.0
+
+
+def _retention_rows(*entries):
+    return [{"k": k, "J": j, "delta": delta, "min_ret": ret} for k, j, delta, ret in entries]
+
+
+def test_retention_falling_with_delta_warns():
+    rows = _retention_rows((8, 4, 0.5, 0.9), (8, 4, 0.1, 0.7), (8, 4, 0.3, 0.8), (8, 4, 0.7, 0.6))
+    fall = r"retention fell from 0\.9.* to 0\.6.* between delta 0\.5 and 0\.7 at \(k, J\) = \(8, 4\)"
+    with pytest.warns(UserWarning, match=fall):
+        experiments._warn_on_nonmonotone(rows)
+
+
+def test_retention_rising_with_delta_does_not_warn():
+    # Rows out of delta order, a fall across (k, J) groups and a fall inside
+    # the 1e-9 slack are all monotone at fixed (k, J).
+    rows = _retention_rows(
+        (8, 4, 0.5, 0.9), (8, 4, 0.1, 0.7), (8, 6, 0.1, 0.5), (16, 4, 0.7, 0.2),
+        (16, 4, 0.9, 0.2 - 5e-10),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        experiments._warn_on_nonmonotone(rows)

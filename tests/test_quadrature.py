@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from spherelab import quadrature
 from spherelab.quadrature import (
     GridResolutionError,
     HarmonicField,
@@ -207,27 +208,22 @@ def test_arc_masses_cover_the_tube():
     assert np.allclose(arcs, mass / (2 * math.pi), rtol=0.2)
 
 
-# (arc_length, n_arcs): the sweep's unit arcs first, then short arcs, long
-# arcs, arcs longer than the circle and a single arc.
-ARC_SETTINGS = ((1.0, 8), (0.2, 3), (2.0, 8), (7.0, 8), (1.0, 1))
-
-
 def dense_tube(grid, axis, width):
     """Node test |x . a| <= sin(width) over the whole grid; the whole sphere from pi/2 on."""
     threshold = 1.0 if width >= math.pi / 2 else math.sin(width)
     return np.abs(grid.points() @ GreatCircle(axis).axis) <= threshold
 
 
-def dense_arc_masks(grid, axis, width, arc_length=1.0, n_arcs=8):
-    """Arc masks of shape (n_arcs, n_phi, n_theta), every arc tested at every tube point."""
+def dense_arc_masks(grid, axis, width, arc_length=1.0):
+    """Arc masks of shape (8, n_phi, n_theta), every arc tested at every tube point."""
     circle = GreatCircle(axis)
     mask = dense_tube(grid, circle.axis, width)
     u, v = circle.frame()
     xyz = grid.points()[mask]
     ang = np.arctan2(xyz @ v, xyz @ u)
-    centers = 2.0 * np.pi * np.arange(n_arcs) / n_arcs
+    centers = 2.0 * np.pi * np.arange(8) / 8
     delta = np.abs((ang - centers[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
-    sels = np.zeros((n_arcs,) + grid.shape, dtype=bool)
+    sels = np.zeros((8,) + grid.shape, dtype=bool)
     sels[:, mask] = delta <= 0.5 * arc_length
     return sels
 
@@ -243,10 +239,6 @@ def test_arc_selections_lie_inside_the_tube():
     assert member.shape == (8, ring.size)
     # eight unit arcs cover the circle, so together they are the whole tube
     assert member.any(axis=0).all()
-    short_ring, short_col, short = arc_selections(g, circle, 0.25, arc_length=0.2, n_arcs=3)
-    assert short.shape == (3, short_ring.size)
-    assert tube[short_ring, short_col].all()
-    assert short.any(axis=0).sum() < tube.sum()
 
 
 def test_tube_masses_equal_the_dense_sums_bitwise():
@@ -256,11 +248,9 @@ def test_tube_masses_equal_the_dense_sums_bitwise():
     dens = g.ring_weight[:, None] * np.abs(f.values) ** 2
     for axis, width in (([0.2, -0.4, 0.9], 0.25), ([1, 0, 0], 0.1), ([0, 0, 1], math.inf)):
         assert node_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
-        for arc_length, n_arcs in ARC_SETTINGS:
-            sels = dense_arc_masks(g, axis, width, arc_length, n_arcs)
-            ring, col, member = arc_selections(g, axis, width, arc_length, n_arcs)
-            masses = [dens[ring, col][m].sum() for m in member]
-            assert masses == [dens[sel].sum() for sel in sels]
+        ring, col, member = arc_selections(g, axis, width)
+        masses = [dens[ring, col][m].sum() for m in member]
+        assert masses == [dens[sel].sum() for sel in dense_arc_masks(g, axis, width)]
 
 
 @pytest.mark.parametrize(
@@ -269,34 +259,31 @@ def test_tube_masses_equal_the_dense_sums_bitwise():
 )
 def test_arc_selections_match_the_dense_oracle(k, oversample):
     # The tube-local selection must pick the same nodes, in C order, and the
-    # same arc memberships as testing every node against every arc center.
-    # The Fibonacci axes of the tube-ratio sweep run at its arc setting; the
-    # edge-case and random axes run at every setting, and the edge cases
-    # also as whole-sphere tubes.  k = 64 runs every axis at the sweep's arc
-    # setting only, which keeps the test to a few seconds.
+    # same arc memberships as testing every node against every arc center:
+    # on the Fibonacci axes of the tube-ratio sweep, on edge-case and random
+    # axes, and on the edge cases as whole-sphere tubes.
     g = build_grid(k, oversample)
-    settings = ARC_SETTINGS if k < 64 else ARC_SETTINGS[:1]
     special = np.array([[0, 0, 1], [0, 0, -1], [0, 1e-17, -1], [1, 0, 0]], dtype=float)
     rng = np.random.default_rng(20261018)
     width = math.sqrt(k * (k + 1)) ** -0.5
-    cases = [(axis, width, ARC_SETTINGS[:1]) for axis in fibonacci_axes(max(64, 4 * k))]
-    cases += [(axis, width, settings) for axis in (*special, *rng.standard_normal((50, 3)))]
-    cases += [(axis, w, settings) for axis, w in zip(special, (math.pi / 2, math.inf) * 2)]
-    for axis, w, arc_settings in cases:
-        tube = dense_tube(g, axis, w)
-        expect_ring, expect_col = np.nonzero(tube)
-        for arc_length, n_arcs in arc_settings:
-            ring, col, member = arc_selections(g, axis, w, arc_length, n_arcs)
-            assert np.array_equal(ring, expect_ring) and np.array_equal(col, expect_col)
-            sels = np.zeros((n_arcs,) + g.shape, dtype=bool)
-            sels[:, ring, col] = member
-            assert np.array_equal(sels, dense_arc_masks(g, axis, w, arc_length, n_arcs))
+    axes = (*fibonacci_axes(max(64, 4 * k)), *special, *rng.standard_normal((50, 3)))
+    cases = [(axis, width) for axis in axes]
+    cases += list(zip(special, (math.pi / 2, math.inf) * 2))
+    for axis, w in cases:
+        ring, col, member = arc_selections(g, axis, w)
+        expect_ring, expect_col = np.nonzero(dense_tube(g, axis, w))
+        assert np.array_equal(ring, expect_ring) and np.array_equal(col, expect_col)
+        sels = np.zeros((8,) + g.shape, dtype=bool)
+        sels[:, ring, col] = member
+        assert np.array_equal(sels, dense_arc_masks(g, axis, w))
 
 
-def test_arc_ends_follow_the_wrap_distance():
+def test_arc_ends_follow_the_wrap_distance(monkeypatch):
     # Arc lengths that put a tube point exactly at the end of arc 0, as the
     # wrap distance measures it: the membership there must still be the
-    # dense one, however the tube-local test rounds its own distance.
+    # dense one, however the tube-local test rounds its own distance.  The
+    # private arc length is patched to reach the _ARC_TIE re-test; every
+    # length keeps the near-center test's 2 reach + 1 centers below eight.
     g = build_grid(8)
     circle = GreatCircle([0.2, -0.4, 0.9])
     u, v = circle.frame()
@@ -304,10 +291,13 @@ def test_arc_ends_follow_the_wrap_distance():
     xyz = g.points()[tube]
     ends = np.abs((np.arctan2(xyz @ v, xyz @ u) + math.pi) % (2.0 * math.pi) - math.pi)
     for end in ends[ends < 2.3]:
-        ring, col, member = arc_selections(g, circle, 0.3, 2.0 * end, 8)
+        reach = math.ceil(end / (math.pi / 4))  # ceil(arc_length / (2 step)), step = pi/4
+        assert 2 * reach + 1 < 8
+        monkeypatch.setattr(quadrature, "_ARC_LENGTH", 2.0 * end)
+        ring, col, member = arc_selections(g, circle, 0.3)
         sels = np.zeros((8,) + g.shape, dtype=bool)
         sels[:, ring, col] = member
-        assert np.array_equal(sels, dense_arc_masks(g, circle.axis, 0.3, 2.0 * end, 8))
+        assert np.array_equal(sels, dense_arc_masks(g, circle.axis, 0.3, 2.0 * end))
 
 
 def test_tube_inputs_are_checked_by_name():
@@ -317,13 +307,6 @@ def test_tube_inputs_are_checked_by_name():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="width"):
             arc_selections(g, circle, bad)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="arc_length"):
-            arc_selections(g, circle, 0.3, arc_length=bad)
-    for bad in (0, -2, 2.5, 8.0, True, "8"):
-        with pytest.raises(ValueError, match="n_arcs"):
-            arc_selections(g, circle, 0.3, n_arcs=bad)
-    assert arc_selections(g, circle, 0.3, n_arcs=np.int64(3))[2].shape[0] == 3
     # width >= pi/2, inf included, is the whole sphere
     for w in (math.pi / 2, math.inf):
         assert node_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
