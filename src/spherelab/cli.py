@@ -4,17 +4,22 @@ Each table entry declares its flags and maps the parsed flags to one call of
 an ``experiments`` function, which returns an ``experiments.ExperimentRun``,
 and to the record's parameters and seed.  One generic path then prints the
 run's rows and summary, one [PASS]/[FAIL] line per gate of the run, and
-writes --out.  Row columns, gates and thresholds all come from
-``experiments``; none is defined here.  Exit status: 0
+writes --out, the rows as CSV or inside the run record as JSON; this module
+is the only one that writes a file.  Row columns, gates and thresholds all
+come from ``experiments``; none is defined here.  Exit status: 0
 when every gate passed, 1 when a gate failed, 2 for usage errors (bad
 flags, or domain errors the library raises before a sweep starts).
 """
 
 import argparse
+import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import experiments as xp
 from ._version import __version__
@@ -74,16 +79,50 @@ def _print_rows(columns, rows) -> None:
         print(f"... {len(rows) - _PRINT_LIMIT} more rows (use --out to keep them all)")
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: true/false, integers, shortest round-trip floats, else str."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _plain_json(obj):
+    """obj with numpy scalars and arrays as Python values and non-str keys as json.dumps(key)."""
+    if isinstance(obj, dict):
+        return {
+            key if isinstance(key, str) else json.dumps(key): _plain_json(val)
+            for key, val in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_plain_json(val) for val in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_plain_json(val) for val in obj.tolist()]
+    return obj
+
+
 def _emit(args, columns, run, params, seed, elapsed) -> None:
     """Write --out: the rows as CSV, or the rows inside the run record as JSON."""
     if not args.out:
         return
-    if args.format == "csv":
-        xp.write_csv(args.out, columns, run.rows)
-    else:
-        record = xp.ExperimentRecord(args.command, params, run.certificate, seed,
-                                     run.outputs, round(elapsed, 3))
-        xp.write_json(args.out, record, columns, run.rows)
+    with open(args.out, "w") as fh:
+        if args.format == "csv":
+            fh.write(",".join(columns) + "\n")
+            for row in run.rows:
+                fh.write(",".join(_csv_cell(row[col]) for col in columns) + "\n")
+        else:
+            record = {"name": args.command, "params": params, "grid": run.certificate,
+                      "seed": seed, "outputs": run.outputs,
+                      "wall_clock_s": round(elapsed, 3), "version": __version__}
+            payload = {"record": record, "columns": columns,
+                       "rows": [{col: row[col] for col in columns} for row in run.rows]}
+            json.dump(_plain_json(payload), fh, sort_keys=True, indent=1)
+            fh.write("\n")
     print(f"wrote {args.out}")
 
 
@@ -286,7 +325,9 @@ def _run(args) -> int:
     """Run one subcommand: print its rows, summary and gates, then write --out."""
     _check_degrees(args)
     command = _SUBCOMMANDS[args.command]
-    (run, params, seed), elapsed = xp.timed(command.run, args)
+    start = time.perf_counter()
+    run, params, seed = command.run(args)
+    elapsed = time.perf_counter() - start
     if command.print_rows:
         _print_rows(command.columns, run.rows)
     for line in run.summary:

@@ -16,15 +16,12 @@ defined beside it; the acceptance tests pin the thresholds to their literal
 values.
 """
 
-import json
 import math
-import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._version import __version__
 from .harmonics import (
     _phases,
     _signed_orders,
@@ -43,6 +40,7 @@ from .legendre import (
     _zonal_3j_squares,
     legendre_p,
     normalized_legendre_table,
+    zonal_sup_coefficient,
 )
 from .beams import beam_coefficients, orthonormalize, packing_bound, place_separated_axes
 from .quadrature import (
@@ -68,7 +66,6 @@ from .sphere import SpherePoint, fibonacci_axes
 
 __all__ = [
     "PowerLawFit",
-    "ExperimentRecord",
     "ExperimentRun",
     "fit_power_law",
     "scaling_target",
@@ -91,8 +88,6 @@ __all__ = [
     "tube_ratio_experiment",
     "SUPERLEVEL_COLUMNS",
     "superlevel_experiment",
-    "write_csv",
-    "write_json",
 ]
 
 
@@ -115,39 +110,6 @@ class PowerLawFit:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _plain_json(obj):
-    """obj with numpy scalars and arrays as Python values and non-str keys as json.dumps(key)."""
-    if isinstance(obj, dict):
-        return {
-            key if isinstance(key, str) else json.dumps(key): _plain_json(val)
-            for key, val in obj.items()
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_plain_json(val) for val in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain_json(val) for val in obj.tolist()]
-    return obj
-
-
-@dataclass
-class ExperimentRecord:
-    """Provenance for one experiment run: inputs, grid, outputs, timing, version."""
-
-    name: str
-    params: dict
-    grid: dict
-    seed: int = None
-    outputs: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        """The record as plain JSON values, keys converted to strings the way json does."""
-        return _plain_json(asdict(self))
 
 
 @dataclass
@@ -415,7 +377,7 @@ def pointwise_envelope_experiment(ks) -> ExperimentRun:
         envelopes = np.array([pointwise_envelope(k, float(r)) for r in r_values])
         ratios = ell4 / envelopes
         idx = int(np.argmax(ratios))
-        pole_ratio = math.sqrt((2 * k + 1) / (4.0 * math.pi)) / math.sqrt(k)
+        pole_ratio = zonal_sup_coefficient(k) / math.sqrt(k)
         sup_ratio = max(float(ratios[idx]), pole_ratio)
         argmax_r = 0.0 if pole_ratio >= float(ratios[idx]) else float(r_values[idx])
         sups.append(sup_ratio)
@@ -870,44 +832,3 @@ def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> E
         "passed": all(c["passed"] for c in checks.values()),
     }
     return ExperimentRun(rows, outputs=outputs, gates=gates)
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, columns, rows) -> None:
-    """Write rows (dicts) under the given column order; shortest round-trip floats.
-
-    The cell formatting is value-deterministic, so identical inputs yield
-    identical bytes.
-    """
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[col]) for col in columns) + "\n")
-
-
-def write_json(path, record: ExperimentRecord, columns, rows) -> None:
-    """Write the experiment record plus the same rows the CSV would carry."""
-    payload = {
-        "record": record.to_dict(),
-        "columns": list(columns),
-        "rows": [{col: _plain_json(row[col]) for col in columns} for row in rows],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def timed(fn, *args, **kwargs):
-    """Run fn and return (result, wall_clock_seconds)."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

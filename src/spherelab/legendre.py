@@ -230,7 +230,7 @@ def normalized_assoc_legendre_row(k: int, t: float) -> np.ndarray:
     s = math.sqrt(max(0.0, 1.0 - t * t))
     if s == 0.0:
         out = np.zeros(k + 1)
-        out[0] = (np.sign(t) ** k if k else 1.0) * np.sqrt((2 * k + 1) / (4.0 * np.pi))
+        out[0] = (np.sign(t) ** k if k else 1.0) * zonal_sup_coefficient(k)
         return out
     log2_seed = (_sectoral_log(k) + k * np.log(s)) * _LOG2E
     off = math.floor(log2_seed)
@@ -279,7 +279,7 @@ def normalized_legendre_table(k: int, t) -> np.ndarray:
     # Poles: only m == 0 survives, with P_k(+-1) = (+-1)^k.
     out = np.zeros((k + 1, t_arr.size))
     out[:, inner] = _downward_orders(k, t_arr[inner], s[inner])
-    out[0, ~inner] = np.sign(t_arr[~inner]) ** k * np.sqrt((2 * k + 1) / (4.0 * np.pi))
+    out[0, ~inner] = np.sign(t_arr[~inner]) ** k * zonal_sup_coefficient(k)
     return out.T
 
 

@@ -7,11 +7,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import spherelab.experiments as xp
+from spherelab._version import __version__
 from spherelab.beams import PackingInfeasibleError, RankDeficiencyError
-from spherelab.cli import _SUBCOMMANDS, _doubling_ks, _parse_q, build_parser, main
-from spherelab.experiments import ExperimentRun, exact_identity_suite
+from spherelab.cli import (
+    _SUBCOMMANDS,
+    _doubling_ks,
+    _emit,
+    _parse_q,
+    _plain_json,
+    build_parser,
+    main,
+)
+from spherelab.experiments import ExperimentRun
 from spherelab.quadrature import GridResolutionError
 
 
@@ -41,10 +52,44 @@ def test_verify_exits_clean(capsys):
     assert out.count("[PASS]") == 4
 
 
-def test_verify_defaults_are_the_library_defaults():
-    args = build_parser().parse_args(["verify"])
-    library = inspect.signature(exact_identity_suite).parameters
-    assert [getattr(args, name) for name in library] == [p.default for p in library.values()]
+# (subcommand.parameter) for each library default a subcommand passes at its flag defaults
+_DEFAULTS_PASSED = [
+    "norms.qs", "norms.m", "norms.oversample",
+    "scaling.oversample",
+    "beams.j", "beams.exponent", "beams.method", "beams.seed",
+    "tube-ratio.oversample",
+    "superlevel.c_grid", "superlevel.oversample",
+    "verify.k_max", "verify.points", "verify.seed",
+]
+
+
+def test_verify_defaults_are_the_library_defaults(monkeypatch):
+    # each subcommand, at its flag defaults, passes every defaulted parameter
+    # of its experiment its library default (a fallback list as the tuple's items)
+    calls = []
+    for name in xp.__all__:
+        function = getattr(xp, name)
+        if inspect.isfunction(function):
+            def record(*args, _function=function, **kwargs):
+                calls.append(inspect.signature(_function).bind(*args, **kwargs))
+                return ExperimentRun([])
+
+            monkeypatch.setattr(xp, name, record)
+    checked = []
+    for command in _SUBCOMMANDS:
+        argv = [command, "--k", "4"] if command == "norms" else [command]
+        _SUBCOMMANDS[command].run(build_parser().parse_args(argv))
+        (bound,) = calls
+        calls.clear()
+        for param in bound.signature.parameters.values():
+            if param.default is not param.empty:
+                passed = bound.arguments.get(param.name, param.default)
+                default = param.default
+                if isinstance(default, tuple):
+                    passed, default = list(passed), list(default)
+                assert passed == default, f"{command}.{param.name}"
+                checked.append(f"{command}.{param.name}")
+    assert checked == _DEFAULTS_PASSED
 
 
 def test_verify_zero_points_is_usage_error(capsys):
@@ -103,6 +148,76 @@ def test_random_onb_json_output(tmp_path, capsys):
     assert payload["record"]["seed"] == 2
     assert len(payload["rows"]) == 4
     assert payload["columns"] == ["trial", "k", "lambda4", "seed"]
+
+
+def _write(path, command, columns, run, params=None, seed=None, elapsed=0.0, fmt="json"):
+    args = argparse.Namespace(out=str(path), format=fmt, command=command)
+    _emit(args, columns, run, params, seed, elapsed)
+
+
+def test_write_csv_deterministic(tmp_path, capsys):
+    rows = [
+        {"k": 4, "value": 0.1 + 0.2, "flag": True},
+        {"k": np.int64(8), "value": np.float64(1.5), "flag": False},
+    ]
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    _write(p1, "demo", ("k", "value", "flag"), ExperimentRun(rows), fmt="csv")
+    _write(p2, "demo", ("k", "value", "flag"), ExperimentRun(rows), fmt="csv")
+    assert capsys.readouterr().out == f"wrote {p1}\nwrote {p2}\n"
+    b1 = p1.read_bytes()
+    assert b1 == p2.read_bytes()
+    lines = b1.decode().splitlines()
+    assert lines[0] == "k,value,flag"
+    assert lines[1] == "4,0.30000000000000004,true"
+    assert lines[2] == "8,1.5,false"
+
+
+def test_write_json_round_trip(tmp_path):
+    run = ExperimentRun(
+        [{"k": 4, "value": 1.25}],
+        certificate={"band": 4},
+        outputs={"value": np.float64(2.5), "flags": np.array([1, 2])},
+    )
+    params = {"k": np.int64(4), "q": 4.0}
+    path, again = tmp_path / "out.json", tmp_path / "again.json"
+    _write(path, "demo", ("k", "value"), run, params, seed=0, elapsed=0.5)
+    loaded = json.loads(path.read_text())
+    assert loaded["record"]["name"] == "demo"
+    assert loaded["record"]["params"]["k"] == 4
+    assert loaded["record"]["outputs"]["value"] == 2.5
+    assert loaded["record"]["outputs"]["flags"] == [1, 2]
+    assert loaded["record"]["wall_clock_s"] == 0.5
+    assert loaded["columns"] == ["k", "value"]
+    assert loaded["rows"] == [{"k": 4, "value": 1.25}]
+    # serialization is stable
+    _write(again, "demo", ("k", "value"), run, params, seed=0, elapsed=0.5)
+    assert path.read_bytes() == again.read_bytes()
+    assert loaded["record"]["version"] == __version__
+
+
+def test_write_json_matches_a_json_round_trip_of_the_record(tmp_path):
+    # integer keys sort numerically before conversion and as text after it;
+    # the file must carry the order a json round trip of the record gives
+    record = {
+        "name": "scaling",
+        "params": {"ks": [8, 16, 32]},
+        "grid": {"bands": {8: 8, 16: 16, 32: 32}, "norms": {8: 0.5, 16: 0.25, 32: 0.125}},
+        "seed": None,
+        "outputs": {"k_range": (8, 32), "value": np.float64(2.5), "nan": float("nan")},
+        "wall_clock_s": 0.25,
+        "version": __version__,
+    }
+    run = ExperimentRun([{"k": 8}], certificate=record["grid"], outputs=record["outputs"])
+    path = tmp_path / "out.json"
+    _write(path, "scaling", ("k",), run, record["params"], None, 0.25)
+    payload = {
+        "record": json.loads(json.dumps(_plain_json(record), sort_keys=True)),
+        "columns": ["k"],
+        "rows": [{"k": 8}],
+    }
+    assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert _plain_json(record)["grid"]["bands"] == {"8": 8, "16": 16, "32": 32}
 
 
 def test_random_onb_has_no_oversample_flag(capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 import time
 import tracemalloc
@@ -16,7 +15,6 @@ from spherelab.experiments import (
     IDENTITY_CHECKS,
     SUPERLEVEL_COLUMNS,
     TUBE_RATIO_COLUMNS,
-    ExperimentRecord,
     _identity_gram,
     average_l4_experiment,
     exact_identity_suite,
@@ -26,10 +24,7 @@ from spherelab.experiments import (
     scaling_experiment,
     scaling_target,
     superlevel_experiment,
-    timed,
     tube_ratio_experiment,
-    write_csv,
-    write_json,
 )
 from spherelab.harmonics import beam_field, coefficient_field
 from spherelab.legendre import _zonal_3j_squares, normalized_legendre_table
@@ -529,76 +524,6 @@ def test_exact_identity_suite_rejects_bad_ranges_up_front():
     with pytest.raises(ValueError):
         exact_identity_suite(k_max=4, points=0)
     assert time.perf_counter() - start < 1.0
-
-
-def test_write_csv_deterministic(tmp_path):
-    rows = [
-        {"k": 4, "value": 0.1 + 0.2, "flag": True},
-        {"k": np.int64(8), "value": np.float64(1.5), "flag": False},
-    ]
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    write_csv(p1, ("k", "value", "flag"), rows)
-    write_csv(p2, ("k", "value", "flag"), rows)
-    b1 = p1.read_bytes()
-    assert b1 == p2.read_bytes()
-    lines = b1.decode().splitlines()
-    assert lines[0] == "k,value,flag"
-    assert lines[1] == "4,0.30000000000000004,true"
-    assert lines[2] == "8,1.5,false"
-
-
-def test_write_json_round_trip(tmp_path):
-    record = ExperimentRecord(
-        name="demo",
-        params={"k": np.int64(4), "q": 4.0},
-        grid={"band": 4},
-        seed=0,
-        outputs={"value": np.float64(2.5), "flags": np.array([1, 2])},
-        wall_clock_s=0.5,
-    )
-    path = tmp_path / "out.json"
-    write_json(path, record, ("k", "value"), [{"k": 4, "value": 1.25}])
-    loaded = json.loads(path.read_text())
-    assert loaded["record"]["name"] == "demo"
-    assert loaded["record"]["params"]["k"] == 4
-    assert loaded["record"]["outputs"]["value"] == 2.5
-    assert loaded["record"]["outputs"]["flags"] == [1, 2]
-    assert loaded["columns"] == ["k", "value"]
-    assert loaded["rows"] == [{"k": 4, "value": 1.25}]
-    # serialization is stable
-    text1 = json.dumps(record.to_dict(), sort_keys=True)
-    text2 = json.dumps(record.to_dict(), sort_keys=True)
-    assert text1 == text2
-    assert json.loads(text1)["version"]
-
-
-def test_write_json_matches_a_json_round_trip_of_the_record(tmp_path):
-    # integer keys sort numerically before conversion and as text after it;
-    # the file must carry the order a json round trip of the record gives
-    record = ExperimentRecord(
-        name="scaling",
-        params={"ks": [8, 16, 32]},
-        grid={"bands": {8: 8, 16: 16, 32: 32}, "norms": {8: 0.5, 16: 0.25, 32: 0.125}},
-        seed=None,
-        outputs={"k_range": (8, 32), "value": np.float64(2.5), "nan": float("nan")},
-        wall_clock_s=0.25,
-    )
-    path = tmp_path / "out.json"
-    write_json(path, record, ("k",), [{"k": 8}])
-    payload = {
-        "record": json.loads(json.dumps(record.to_dict(), sort_keys=True)),
-        "columns": ["k"],
-        "rows": [{"k": 8}],
-    }
-    assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    assert record.to_dict()["grid"]["bands"] == {"8": 8, "16": 16, "32": 32}
-
-
-def test_timed_returns_result_and_duration():
-    result, seconds = timed(sum, [1, 2, 3])
-    assert result == 6
-    assert seconds >= 0.0
 
 
 def _retention_rows(*entries):

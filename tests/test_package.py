@@ -33,6 +33,10 @@ RETIRED = (
     "_tube_points",
     "wallis_integral",
     "beam_overlap",
+    "ExperimentRecord",
+    "write_csv",
+    "write_json",
+    "timed",
 )
 
 
@@ -55,7 +59,6 @@ def test_retired_members_are_gone():
         spherelab.QuadratureGrid: ("phi", "to_json"),
         spherelab.SpherePoint: ("from_angles",),
         spherelab.GreatCircle: ("point_at",),
-        spherelab.ExperimentRecord: ("to_json",),
         spherelab.HarmonicField: ("label", "k", "l2_norm"),
     }
     for cls, names in members.items():
@@ -158,3 +161,44 @@ def test_every_public_knob_has_a_caller():
         )
     sources = [path.read_text() for path in sorted(package.glob("*.py"))]
     assert _unset_knobs(functions, sources) == list(UNSET_KNOB_EXCEPTIONS)
+
+
+# Public names no code in the package uses: bench/worker.py calls both until
+# the bench keeps its own round-trip oracle and Gaussian-limit check.
+UNCALLED_PUBLIC_EXCEPTIONS = ("coefficient_field", "gaussian_limit_check")
+
+
+def _uncalled(names, sources) -> list:
+    """The names no statement of sources uses, outside the statement that defines the name.
+
+    A use is a name load or an attribute of that name; import lines and
+    ``__all__`` strings are not uses.
+    """
+    used = set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            defined = {getattr(node, "name", None)} | {getattr(t, "id", None) for t in targets}
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                    used |= {child.id} - defined
+                elif isinstance(child, ast.Attribute):
+                    used |= {child.attr} - defined
+    return [name for name in names if name not in used]
+
+
+def test_uncalled_public_name_rule_catches_what_it_should():
+    sources = [
+        "def f(n):\n    return f(n - 1)\n\n\ndef g():\n    return h\n",
+        "from .a import f, g\n__all__ = ['f', 'g']\nX = 1\nY = m.X\n",
+    ]
+    assert _uncalled(["f", "g", "h", "X", "Y"], sources) == ["f", "g", "Y"]
+    assert _uncalled(["f"], sources + ["print(f)\n"]) == []
+
+
+def test_every_public_name_has_a_caller():
+    package = Path(spherelab.__file__).parent
+    modules = [importlib.import_module(f"spherelab.{name}") for name in MODULES]
+    names = [name for module in modules for name in module.__all__]
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert _uncalled(names, sources) == list(UNCALLED_PUBLIC_EXCEPTIONS)
