@@ -313,12 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_degrees(args) -> None:
-    """Refuse a degree flag beyond the double range, naming the flag."""
+    """Refuse a degree flag beyond the double range and a negative --k, naming the flag.
+
+    A negative --k-min is refused by ``_doubling_ks``.
+    """
     for name in ("k", "k_min", "k_max"):
         value = getattr(args, name, None)
         if value is not None and abs(value) > sys.float_info.max:
             raise ValueError(f"--{name.replace('_', '-')} is beyond the double range: "
                              f"a {len(str(abs(value)))}-digit degree")
+    if getattr(args, "k", None) is not None and args.k < 0:
+        raise ValueError("--k must be >= 0")
 
 
 def _run(args) -> int:

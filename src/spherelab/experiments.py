@@ -57,6 +57,7 @@ from .random_bases import (
     CoefficientBasis,
     _check_seed,
     _mean_stderr,
+    _one_blas_thread,
     lambda4,
     quartic_norms,
     sample_haar_unitary,
@@ -411,23 +412,32 @@ def monte_carlo_lambda4(k: int, trials: int, seed: int) -> ExperimentRun:
 
     Each trial applies an independent Haar unitary to the standard basis and
     evaluates lambda4 on one shared band-k grid, which is exact for it.
-    Trials draw from per-trial streams, so the per-trial rows are bitwise
-    reproducible for a fixed master seed under any execution order.  The
-    outputs hold the mean and its standard error in the geometric
-    normalization of lambda4, the asymptotic benchmark (2k+1)/(2 pi) in that
-    same normalization (see ``random_bases``), and ``ratio`` = mean /
-    benchmark with its standard error, the quantity expected to drift toward
-    1 as k grows.  The certificate describes the grid.
+    Trials draw from per-trial streams, and the grid build and the trial
+    loop (draw, QR, basis check and lambda4) run on one OpenBLAS thread
+    (``_one_blas_thread``), so the per-trial rows are bitwise reproducible
+    for a fixed master seed under any execution order and on any core
+    count.  Where no OpenBLAS thread control is found the loop runs at the
+    BLAS's own thread count, and from about k = 64 on the rows can then
+    move in the last bits with the core count.  The outputs hold the mean
+    and its standard error in the geometric normalization of lambda4, the
+    asymptotic benchmark (2k+1)/(2 pi) in that same normalization (see
+    ``random_bases``), and ``ratio`` = mean / benchmark with its standard
+    error, the quantity expected to drift toward 1 as k grows.  The
+    certificate describes the grid.
     """
     k = int(k)
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    grid = build_grid(k)
-    values = np.empty(trials)
-    for trial in range(trials):
-        u = sample_haar_unitary(2 * k + 1, trial_rng(seed, trial))
-        values[trial] = lambda4(CoefficientBasis(k, u), grid)
+    # The grid is built on one thread as well: its nodes and weights are the
+    # same at any count, and after a two-thread call OpenBLAS's idle worker
+    # spins for about 0.1 s of CPU.
+    with _one_blas_thread():
+        grid = build_grid(k)
+        values = np.empty(trials)
+        for trial in range(trials):
+            u = sample_haar_unitary(2 * k + 1, trial_rng(seed, trial))
+            values[trial] = lambda4(CoefficientBasis(k, u), grid)
     seed = int(seed)
     mean, stderr = _mean_stderr(values)
     benchmark = (2 * k + 1) / (2.0 * math.pi)

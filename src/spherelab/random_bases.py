@@ -11,9 +11,20 @@ benchmark "2(2k+1)" for the Haar average is stated for the unit-mass
 normalization of the sphere; converting to the geometric element divides it
 by 4 pi, so the comparison value used by ``experiments.monte_carlo_lambda4``
 is (2k+1) / (2 pi).
+
+Thread count.  ``experiments.monte_carlo_lambda4`` builds its grid and runs
+its trials inside ``_one_blas_thread``, which sets numpy's OpenBLAS to one
+thread for them.  Their products are too small to gain from a second
+thread, and OpenBLAS rounds the QR and the per-ring products differently
+at different thread counts, so one thread makes the rows the same on every
+core count.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,11 +58,76 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial, stable under any execution order.
 
     Derives the stream from (master seed, trial index) so parallel or
-    reordered trials reproduce bitwise.  The master seed follows
-    ``_check_seed``.
+    reordered trials draw bitwise the same numbers.  What a trial computes
+    from them can still depend on the BLAS thread count, unless it runs
+    inside ``_one_blas_thread`` as ``experiments.monte_carlo_lambda4`` does.
+    The master seed follows ``_check_seed``.
     """
     _check_seed(master_seed)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(trial),)))
+
+
+# Thread-count setter and getter pairs, tried in this order: scipy-openblas
+# wheels (numpy's own), then OpenBLAS builds with 64-bit and with 32-bit ints.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(set, get) thread-count functions of the loaded OpenBLAS, else (); looked up once.
+
+    Reads the shared objects this process has mapped from /proc/self/maps
+    and takes the first set/get pair of ``_OPENBLAS_THREAD_SYMBOLS`` that
+    a file whose name contains ``openblas`` exports; scipy's own OpenBLAS
+    exports none of them, so numpy's is the one found.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6)
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count it had.
+
+    The count is restored also when the block raises.  The library is looked
+    up on first use, not at import.  Where no OpenBLAS thread control is
+    found (another BLAS, or no /proc), the block runs at whatever thread
+    count the BLAS has, and products that BLAS splits across threads may
+    round differently on different core counts.
+    """
+    control = _openblas_threads()
+    if not control:
+        yield
+        return
+    set_threads, get_threads = control
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

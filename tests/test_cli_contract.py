@@ -357,3 +357,13 @@ def test_out_of_range_runs_exit_2_with_one_short_error_line(capsys, argv, reason
     _check_contract(code, captured)
     assert code == 2
     assert reason in captured.err and len(captured.err) < 200
+
+
+@pytest.mark.parametrize("command", ["norms", "beams", "random-onb"])
+def test_negative_degree_names_the_flag(capsys, command):
+    code = main([command, "--k", "-1"])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --k must be >= 0\n"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -284,6 +287,55 @@ def test_monte_carlo_reproducible_and_subset_consistent():
     assert r1.rows[0] == {"trial": 0, "k": 8, "lambda4": values[0], "seed": 42}
     with pytest.raises(ValueError):
         monte_carlo_lambda4(8, trials=1, seed=0)
+
+
+def _openblas_threads():
+    """The (set, get) pair ``_one_blas_thread`` uses; skips the test where it finds none."""
+    control = random_bases._openblas_threads()
+    if not control:
+        pytest.skip("no OpenBLAS thread control found: the BLAS thread count is left as it is")
+    return control
+
+
+def _python(code, **env):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_one_blas_thread_sets_one_thread_and_restores_the_count():
+    set_threads, get_threads = _openblas_threads()
+    original = get_threads()
+    try:
+        set_threads(2)
+        with random_bases._one_blas_thread():
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with pytest.raises(ValueError, match="inside"):
+            with random_bases._one_blas_thread():
+                assert get_threads() == 1
+                raise ValueError("inside")
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+
+
+def test_cli_import_does_no_blas_lookup():
+    # the lookup reads /proc/self/maps and opens the library, so it waits for the first use
+    probe = ("import spherelab.cli, spherelab.random_bases as rb; "
+             "print(rb._openblas_threads.cache_info().currsize == 0)")
+    assert _python(probe).strip() == "True"
+
+
+def test_monte_carlo_rows_do_not_depend_on_the_core_count():
+    # At two OpenBLAS threads the QR at n = 129 and the per-ring products of
+    # quartic_norms round differently than at one; the trial loop runs on one.
+    _openblas_threads()
+    probe = ("from spherelab.experiments import monte_carlo_lambda4; "
+             "print(*(row['lambda4'].hex() for row in monte_carlo_lambda4(64, 8, 0).rows))")
+    one, two = (_python(probe, OPENBLAS_NUM_THREADS=n).split() for n in ("1", "2"))
+    assert len(one) == 8
+    assert one == two
 
 
 def test_monte_carlo_mean_tracks_dimension_correction():
