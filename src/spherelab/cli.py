@@ -14,6 +14,7 @@ flags, or domain errors the library raises before a sweep starts).
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -326,9 +327,21 @@ def _check_degrees(args) -> None:
         raise ValueError("--k must be >= 0")
 
 
+def _check_out(args) -> None:
+    """Refuse an --out path that cannot be written before the experiment runs."""
+    if not args.out:
+        return
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory")
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(f"--out {args.out} cannot be written: no writable directory {folder}")
+
+
 def _run(args) -> int:
     """Run one subcommand: print its rows, summary and gates, then write --out."""
     _check_degrees(args)
+    _check_out(args)
     command = _SUBCOMMANDS[args.command]
     start = time.perf_counter()
     run, params, seed = command.run(args)

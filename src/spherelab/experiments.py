@@ -14,9 +14,24 @@ Every experiment the command line runs returns one result shape,
 Each experiment's row columns, and each gate threshold, are module constants
 defined beside it; the acceptance tests pin the thresholds to their literal
 values.
+
+Thread count.  ``exact_identity_suite``, ``monte_carlo_lambda4``,
+``beam_experiment`` and ``tube_ratio_experiment`` run on one OpenBLAS thread,
+grid builds included (``@_one_blas_thread()``).  Their products are too small
+for a second thread, whose idle worker spins while Python runs between
+them, and OpenBLAS rounds some (the QR and the ring products at k = 64)
+differently at different counts, so one thread makes the rows the same on
+every core count.  The other experiments keep the BLAS's own count: a
+second thread speeds up ``leggauss``'s dense eigensolve for the large grids
+of norms, scaling and superlevel, and avg-l4 and pointwise make no large
+BLAS call.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -57,7 +72,6 @@ from .random_bases import (
     CoefficientBasis,
     _check_seed,
     _mean_stderr,
-    _one_blas_thread,
     lambda4,
     quartic_norms,
     sample_haar_unitary,
@@ -90,6 +104,69 @@ __all__ = [
     "SUPERLEVEL_COLUMNS",
     "superlevel_experiment",
 ]
+
+
+# Thread-count setter and getter pairs, tried in this order: scipy-openblas
+# wheels (numpy's own), then OpenBLAS builds with 64-bit and with 32-bit ints.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(set, get) thread-count functions of the loaded OpenBLAS, else (); looked up once.
+
+    Reads the shared objects this process has mapped from /proc/self/maps
+    and takes the first set/get pair of ``_OPENBLAS_THREAD_SYMBOLS`` that
+    a file whose name contains ``openblas`` exports; scipy's own OpenBLAS
+    exports none of them, so numpy's is the one found.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6)
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block (or, as ``@_one_blas_thread()``, each call) on one OpenBLAS thread.
+
+    The count it had is restored afterwards, also when the block raises.
+    The library is looked up on first use, not at import.  Where no OpenBLAS
+    thread control is found (another BLAS, or no /proc), the block runs at
+    whatever thread count the BLAS has, and products that BLAS splits across
+    threads may round differently on different core counts.
+    """
+    control = _openblas_threads()
+    if not control:
+        yield
+        return
+    set_threads, get_threads = control
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 # Scaling gate: the fitted exponent lies within this distance of its target,
@@ -407,20 +484,18 @@ MONTE_CARLO_COLUMNS = ("trial", "k", "lambda4", "seed")
 HAAR_RATIO_BAND = (0.9, 1.1)
 
 
+@_one_blas_thread()
 def monte_carlo_lambda4(k: int, trials: int, seed: int) -> ExperimentRun:
     """Monte Carlo estimate of the Haar average of the lambda4 functional.
 
     Each trial applies an independent Haar unitary to the standard basis and
     evaluates lambda4 on one shared band-k grid, which is exact for it.
-    Trials draw from per-trial streams, and the grid build and the trial
-    loop (draw, QR, basis check and lambda4) run on one OpenBLAS thread
-    (``_one_blas_thread``), so the per-trial rows are bitwise reproducible
-    for a fixed master seed under any execution order and on any core
-    count.  Where no OpenBLAS thread control is found the loop runs at the
-    BLAS's own thread count, and from about k = 64 on the rows can then
-    move in the last bits with the core count.  The outputs hold the mean
-    and its standard error in the geometric normalization of lambda4, the
-    asymptotic benchmark (2k+1)/(2 pi) in that same normalization (see
+    Trials draw from per-trial streams and run on one OpenBLAS thread, so
+    the rows are bitwise reproducible for a fixed master seed under any
+    execution order and on any core count (from about k = 64 on, only where
+    ``_one_blas_thread`` finds its thread control).  The outputs hold the
+    mean and its standard error in the geometric normalization of lambda4,
+    the asymptotic benchmark (2k+1)/(2 pi) in that normalization (see
     ``random_bases``), and ``ratio`` = mean / benchmark with its standard
     error, the quantity expected to drift toward 1 as k grows.  The
     certificate describes the grid.
@@ -429,15 +504,11 @@ def monte_carlo_lambda4(k: int, trials: int, seed: int) -> ExperimentRun:
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    # The grid is built on one thread as well: its nodes and weights are the
-    # same at any count, and after a two-thread call OpenBLAS's idle worker
-    # spins for about 0.1 s of CPU.
-    with _one_blas_thread():
-        grid = build_grid(k)
-        values = np.empty(trials)
-        for trial in range(trials):
-            u = sample_haar_unitary(2 * k + 1, trial_rng(seed, trial))
-            values[trial] = lambda4(CoefficientBasis(k, u), grid)
+    grid = build_grid(k)
+    values = np.empty(trials)
+    for trial in range(trials):
+        u = sample_haar_unitary(2 * k + 1, trial_rng(seed, trial))
+        values[trial] = lambda4(CoefficientBasis(k, u), grid)
     seed = int(seed)
     mean, stderr = _mean_stderr(values)
     benchmark = (2 * k + 1) / (2.0 * math.pi)
@@ -469,6 +540,7 @@ BEAM_EXPERIMENT_COLUMNS = (
 )
 
 
+@_one_blas_thread()
 def beam_experiment(
     ks, deltas, j=None, exponent=None, method: str = "symmetric", seed: int = 0
 ) -> ExperimentRun:
@@ -567,6 +639,7 @@ TUBE_RATIO_MAX = 1.0
 TUBE_RATIO_COLUMNS = ("k", "label", "lam", "l4", "sup_arc_mass", "ratio")
 
 
+@_one_blas_thread()
 def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     """Concentration-functional ratios across one eigenspace per degree.
 
@@ -730,6 +803,7 @@ def _identity_gram(k: int, grid) -> np.ndarray:
     return (phases @ phases.conj().T) * (table.T @ (grid.ring_weight[:, None] * table))
 
 
+@_one_blas_thread()
 def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> ExperimentRun:
     """Worst-case errors of the four exact identities over random points.
 

@@ -71,6 +71,26 @@ def test_avg_l4_degree_range_contract(capsys, k_min, k_max):
         assert code == 0
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_the_experiment_runs(capsys, tmp_path, target):
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "x.csv"
+    calls = []
+    terms = experiments._zonal_3j_squares
+
+    def spy(k):
+        calls.append(k)
+        return terms(k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_zonal_3j_squares", spy)
+        code = main(["avg-l4", "--out", str(out)])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2 and calls == []
+    assert captured.err.startswith(f"error: --out {out} ")
+    assert not (tmp_path / "absent").exists()
+
+
 @_CONTRACT
 @given(seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(-2, 2)))
 def test_verify_seed_contract(capsys, seed):

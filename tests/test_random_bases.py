@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spherelab import random_bases
+from spherelab import experiments, random_bases
+from spherelab.cli import main
 from spherelab.experiments import monte_carlo_lambda4
 from spherelab.harmonics import _signed_orders, coefficient_field
 from spherelab.legendre import normalized_legendre_table
@@ -291,7 +292,7 @@ def test_monte_carlo_reproducible_and_subset_consistent():
 
 def _openblas_threads():
     """The (set, get) pair ``_one_blas_thread`` uses; skips the test where it finds none."""
-    control = random_bases._openblas_threads()
+    control = experiments._openblas_threads()
     if not control:
         pytest.skip("no OpenBLAS thread control found: the BLAS thread count is left as it is")
     return control
@@ -308,11 +309,11 @@ def test_one_blas_thread_sets_one_thread_and_restores_the_count():
     original = get_threads()
     try:
         set_threads(2)
-        with random_bases._one_blas_thread():
+        with experiments._one_blas_thread():
             assert get_threads() == 1
         assert get_threads() == 2
         with pytest.raises(ValueError, match="inside"):
-            with random_bases._one_blas_thread():
+            with experiments._one_blas_thread():
                 assert get_threads() == 1
                 raise ValueError("inside")
         assert get_threads() == 2
@@ -320,21 +321,66 @@ def test_one_blas_thread_sets_one_thread_and_restores_the_count():
         set_threads(original)
 
 
+# Small runs of the subcommands whose experiments run on one OpenBLAS thread.
+_ONE_THREAD_RUNS = {
+    "verify": ["verify", "--k-max", "2", "--points", "2"],
+    "beams": ["beams", "--k", "8", "--delta", "0.5"],
+    "tube-ratio": ["tube-ratio", "--k-min", "8", "--k-max", "8"],
+    "random-onb": ["random-onb", "--k", "8", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ONE_THREAD_RUNS))
+def test_one_thread_subcommands_build_their_grids_on_one_thread(command):
+    set_threads, get_threads = _openblas_threads()
+    build = experiments.build_grid
+    counts = []
+
+    def spy(*args, **kwargs):
+        counts.append(get_threads())
+        return build(*args, **kwargs)
+
+    original = get_threads()
+    try:
+        set_threads(2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "build_grid", spy)
+            main(_ONE_THREAD_RUNS[command])
+        assert counts and set(counts) == {1}
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+
+
 def test_cli_import_does_no_blas_lookup():
     # the lookup reads /proc/self/maps and opens the library, so it waits for the first use
-    probe = ("import spherelab.cli, spherelab.random_bases as rb; "
-             "print(rb._openblas_threads.cache_info().currsize == 0)")
+    probe = ("import spherelab.cli, spherelab.experiments as xp; "
+             "print(xp._openblas_threads.cache_info().currsize == 0)")
     assert _python(probe).strip() == "True"
 
 
-def test_monte_carlo_rows_do_not_depend_on_the_core_count():
+# The benchmark's run of each one-thread subcommand, as its library call, with
+# the float columns compared and the number of values they hold.
+_CORE_COUNT_PROBES = {
+    "random-onb": ("monte_carlo_lambda4(64, 8, 0)", ("lambda4",), 8),
+    "verify": ("exact_identity_suite(64, 100, 0)", ("max_error",), 4),
+    "beams": ("beam_experiment([64, 128], [0.5, 0.35, 0.25], seed=0)",
+              ("min_ret", "mean_ret", "gram_cond", "sum_l4"), 24),
+    "tube-ratio": ("tube_ratio_experiment([8, 16, 32, 64], 2.0)",
+                   ("l4", "sup_arc_mass", "ratio"), 384),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CORE_COUNT_PROBES))
+def test_rows_do_not_depend_on_the_core_count(command):
     # At two OpenBLAS threads the QR at n = 129 and the per-ring products of
-    # quartic_norms round differently than at one; the trial loop runs on one.
+    # quartic_norms round differently than at one; each of these runs on one.
     _openblas_threads()
-    probe = ("from spherelab.experiments import monte_carlo_lambda4; "
-             "print(*(row['lambda4'].hex() for row in monte_carlo_lambda4(64, 8, 0).rows))")
+    call, columns, count = _CORE_COUNT_PROBES[command]
+    probe = ("import spherelab.experiments as xp; "
+             f"print(*(row[c].hex() for row in xp.{call}.rows for c in {columns!r}))")
     one, two = (_python(probe, OPENBLAS_NUM_THREADS=n).split() for n in ("1", "2"))
-    assert len(one) == 8
+    assert len(one) == count
     assert one == two
 
 
