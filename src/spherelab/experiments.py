@@ -21,17 +21,13 @@ grid builds included (``@_one_blas_thread()``).  Their products are too small
 for a second thread, whose idle worker spins while Python runs between
 them, and OpenBLAS rounds some (the QR and the ring products at k = 64)
 differently at different counts, so one thread makes the rows the same on
-every core count.  The other experiments keep the BLAS's own count: a
-second thread speeds up ``leggauss``'s dense eigensolve for the large grids
-of norms, scaling and superlevel, and avg-l4 and pointwise make no large
-BLAS call.
+every core count.  The other experiments keep the BLAS's own count and
+make no large BLAS call: their grids' Gauss-Legendre rule calls LAPACK's
+dsterf, which runs on one thread (``quadrature._gauss_legendre``).
 """
 
 import contextlib
-import ctypes
-import functools
 import math
-import os
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -62,6 +58,7 @@ from .quadrature import (
     _ARC_LENGTH,
     _N_ARCS,
     MAX_GRID_POINTS,
+    _openblas,
     arc_selections,
     build_grid,
     lp_norm,
@@ -106,46 +103,6 @@ __all__ = [
 ]
 
 
-# Thread-count setter and getter pairs, tried in this order: scipy-openblas
-# wheels (numpy's own), then OpenBLAS builds with 64-bit and with 32-bit ints.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(set, get) thread-count functions of the loaded OpenBLAS, else (); looked up once.
-
-    Reads the shared objects this process has mapped from /proc/self/maps
-    and takes the first set/get pair of ``_OPENBLAS_THREAD_SYMBOLS`` that
-    a file whose name contains ``openblas`` exports; scipy's own OpenBLAS
-    exports none of them, so numpy's is the one found.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6)
-    for path in paths:
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(library, set_name) and hasattr(library, get_name):
-                set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return ()
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block (or, as ``@_one_blas_thread()``, each call) on one OpenBLAS thread.
@@ -156,11 +113,10 @@ def _one_blas_thread():
     whatever thread count the BLAS has, and products that BLAS splits across
     threads may round differently on different core counts.
     """
-    control = _openblas_threads()
-    if not control:
+    set_threads, get_threads, _ = _openblas()
+    if set_threads is None:
         yield
         return
-    set_threads, get_threads = control
     previous = get_threads()
     set_threads(1)
     try:

@@ -8,7 +8,9 @@ the package go through ``QuadratureGrid.integrate`` so that norm claims can
 cite one exactness certificate.
 """
 
+import ctypes
 import functools
+import os
 
 import numpy as np
 
@@ -164,11 +166,91 @@ def build_grid(k: int, oversample: float = 1.0) -> QuadratureGrid:
 
 @functools.lru_cache(maxsize=128)
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights of order n, shared read-only between grids."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    t.flags.writeable = False
+    """Gauss-Legendre nodes and weights of order n, shared read-only between grids.
+
+    numpy's ``leggauss(n)`` bit for bit in O(n^2) time and O(n) memory: its
+    dense ``eigvalsh`` of the tridiagonal companion matrix (Golub-Welsch) is
+    LAPACK's dsytrd, which leaves that matrix as it is, then dsterf, so here
+    dsterf runs on the two diagonals alone, followed by ``leggauss``'s lines.
+    Where numpy's OpenBLAS exports no int64 dsterf, ``leggauss`` runs.
+    """
+    from numpy.polynomial.legendre import legder, leggauss, legval  # loaded lazily by numpy
+
+    dsterf = _openblas()[2]
+    if dsterf is None:
+        x, w = leggauss(n)
+    else:
+        # legcompanion's off-diagonal; its diagonal is zero.
+        scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+        x = np.zeros(n)
+        e = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+        info = ctypes.c_int64()
+        dsterf(ctypes.byref(ctypes.c_int64(n)), x, e, ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        c = np.array([0] * n + [1])
+        dy = legval(x, c)
+        df = legval(x, legder(c))
+        x -= dy / df
+        fm = legval(x, c[1:])
+        fm /= np.abs(fm).max()
+        df /= np.abs(df).max()
+        w = 1 / (fm * df)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2. / w.sum()
+    x.flags.writeable = False
     w.flags.writeable = False
-    return t, w
+    return x, w
+
+
+# Thread-count setter and getter pairs, tried in this order: scipy-openblas
+# wheels (numpy's own), then OpenBLAS builds with 64-bit and with 32-bit ints.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# LAPACK's dsterf under the names whose integers are int64.
+_DSTERF_SYMBOLS = ("scipy_dsterf_64_", "dsterf_64_")
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """numpy's OpenBLAS as (set_threads, get_threads, dsterf); looked up once, on first use.
+
+    Reads the shared objects this process has mapped from /proc/self/maps
+    and takes the first file whose name contains ``openblas`` and that
+    exports a set/get pair of ``_OPENBLAS_THREAD_SYMBOLS``; scipy's own
+    OpenBLAS exports none of them, so numpy's is the one found.  ``dsterf``
+    is its first export of ``_DSTERF_SYMBOLS``.  Whatever is not found is None.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None, None, None
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6)
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                dsterf = next((getattr(library, name) for name in _DSTERF_SYMBOLS
+                               if hasattr(library, name)), None)
+                if dsterf is not None:
+                    index = ctypes.POINTER(ctypes.c_int64)
+                    vector = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+                    dsterf.argtypes, dsterf.restype = [index, vector, vector, index], None
+                return set_threads, get_threads, dsterf
+    return None, None, None
 
 
 class HarmonicField:

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from spherelab.harmonics import signed_order_table
+from spherelab.quadrature import _gauss_legendre
 from spherelab.legendre import (
     _sectoral_log,
     _upward_degree_table,
@@ -202,7 +203,7 @@ def test_extreme_degree_survives_subnormal_window():
     # Around k ~ 2000 the sectoral seed sits far below 1e-300; the exponent
     # carry must keep every order finite and normalized.
     k = 2048
-    nodes, weights = np.polynomial.legendre.leggauss(k + 1)
+    nodes, weights = _gauss_legendre(k + 1)
     table = normalized_legendre_table(k, nodes)
     for m in (0, 1024, 2047, 2048):
         vals = table[:, m]
@@ -233,7 +234,7 @@ def _low_order_closed_forms(k, t):
 def test_low_order_columns_match_legendre_p_closed_forms(k):
     # An oracle above scipy's range that shares no code with the
     # extended-range recurrence.
-    nodes, _ = np.polynomial.legendre.leggauss(2 * k + 1)
+    nodes, _ = _gauss_legendre(2 * k + 1)
     table = normalized_legendre_table(k, nodes)
     assert np.abs(table[:, :2].T - _low_order_closed_forms(k, nodes)).max() <= 1e-9
 
@@ -242,7 +243,7 @@ def test_table_beyond_old_cap_is_normalized():
     # Every column of the k = 2048 table on the band-2048 Gauss nodes has
     # unit L2 norm: the sectoral seeds sit far below the double range there.
     k = 2048
-    nodes, weights = np.polynomial.legendre.leggauss(2 * k + 1)
+    nodes, weights = _gauss_legendre(2 * k + 1)
     table = normalized_legendre_table(k, nodes)
     assert table.shape == (nodes.size, k + 1)
     assert np.isfinite(table).all()
@@ -253,7 +254,7 @@ def test_table_beyond_old_cap_is_normalized():
 def test_table_matches_upward_degree_sweep():
     # The second algorithm: upward in degree, plain doubles, k <= 1024.
     k = 1024
-    nodes, _ = np.polynomial.legendre.leggauss(2 * k + 1)
+    nodes, _ = _gauss_legendre(2 * k + 1)
     diff = normalized_legendre_table(k, nodes) - _upward_degree_table(k, nodes)
     assert np.abs(diff).max() <= 1e-9
     with pytest.raises(ValueError):

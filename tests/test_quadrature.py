@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,35 @@ def test_grids_of_one_size_share_read_only_nodes():
     with pytest.raises(ValueError):
         a.t[0] = 0.0
     assert build_grid(13).t is not a.t
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 513, 1025, 2049, 4097])
+def test_gauss_legendre_rule_is_leggauss_bitwise(n):
+    nodes, weights = quadrature._gauss_legendre(n)
+    expected_nodes, expected_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
+
+
+def test_gauss_legendre_rule_without_dsterf_is_leggauss(monkeypatch):
+    monkeypatch.setattr(quadrature, "_openblas", lambda: (None, None, None))
+    nodes, weights = quadrature._gauss_legendre.__wrapped__(129)
+    expected_nodes, expected_weights = np.polynomial.legendre.leggauss(129)
+    assert np.array_equal(nodes, expected_nodes) and not nodes.flags.writeable
+    assert np.array_equal(weights, expected_weights) and not weights.flags.writeable
+
+
+def test_gauss_legendre_rule_needs_no_dense_matrix():
+    # leggauss's 1025 x 1025 companion matrix and eigvalsh's copy of it hold 16.8 MB.
+    if quadrature._openblas()[2] is None:
+        pytest.skip("no int64 dsterf in numpy's OpenBLAS: the rule is numpy's leggauss")
+    tracemalloc.start()
+    try:
+        quadrature._gauss_legendre.__wrapped__(1025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_grid_nodes_must_ascend():

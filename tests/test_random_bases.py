@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spherelab import experiments, random_bases
+from spherelab import experiments, quadrature, random_bases
 from spherelab.cli import main
 from spherelab.experiments import monte_carlo_lambda4
 from spherelab.harmonics import _signed_orders, coefficient_field
@@ -292,10 +292,10 @@ def test_monte_carlo_reproducible_and_subset_consistent():
 
 def _openblas_threads():
     """The (set, get) pair ``_one_blas_thread`` uses; skips the test where it finds none."""
-    control = experiments._openblas_threads()
-    if not control:
+    set_threads, get_threads, _ = quadrature._openblas()
+    if set_threads is None:
         pytest.skip("no OpenBLAS thread control found: the BLAS thread count is left as it is")
-    return control
+    return set_threads, get_threads
 
 
 def _python(code, **env):
@@ -353,10 +353,11 @@ def test_one_thread_subcommands_build_their_grids_on_one_thread(command):
 
 
 def test_cli_import_does_no_blas_lookup():
-    # the lookup reads /proc/self/maps and opens the library, so it waits for the first use
-    probe = ("import spherelab.cli, spherelab.experiments as xp; "
-             "print(xp._openblas_threads.cache_info().currsize == 0)")
-    assert _python(probe).strip() == "True"
+    # The lookup reads /proc/self/maps and opens the library, so it waits for
+    # the first use, by the thread control or by the grid rule's solver.
+    probe = ("import spherelab.cli, spherelab.quadrature as q; "
+             "print(q._openblas.cache_info().currsize, q._gauss_legendre.cache_info().currsize)")
+    assert _python(probe).split() == ["0", "0"]
 
 
 # The benchmark's run of each one-thread subcommand, as its library call, with
