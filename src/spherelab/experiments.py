@@ -178,6 +178,10 @@ def fit_power_law(ks, values) -> PowerLawFit:
     values = np.asarray(values, dtype=float)
     if ks.size < 2:
         raise ValueError("need at least two points to fit")
+    for name, array in (("degree", ks), ("value", values)):
+        if not (array > 0.0).all():
+            raise ValueError(f"a log-log fit needs positive degrees and values, "
+                             f"got {name} {array.min():g}")
     slope, intercept, rms = _ols_loglog(ks, values)
     lams = np.sqrt(ks * (ks + 1.0))
     slope_lam, _, rms_lam = _ols_loglog(lams, values)
@@ -394,6 +398,8 @@ def pointwise_envelope_experiment(ks) -> ExperimentRun:
     """
     ks = [int(k) for k in ks]
     for k in ks:
+        if k < 2:
+            raise ValueError(f"the pointwise envelope needs degrees k >= 2, got k = {k}")
         entries = (_ENVELOPE_COLATITUDES + 2) * (float(k) + 1.0)
         if entries > MAX_GRID_POINTS:
             raise ValueError(
@@ -610,10 +616,12 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     true one, which makes a boundedness gate on the ratio conservative.  The
     outputs hold the largest ratio.
     """
+    ks = [int(k) for k in ks]
+    if ks and min(ks) < 1:
+        raise ValueError(f"the tube ratio needs degrees k >= 1, got k = {min(ks)}")
     rows = []
     max_ratio = 0.0
     for k in ks:
-        k = int(k)
         grid = build_grid(k, oversample)
         lam = math.sqrt(k * (k + 1))
         width = lam**-0.5
@@ -637,7 +645,7 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
             counts = np.array([np.bincount(ring[m], minlength=grid.n_phi) for m in member])
             masses = np.empty((member.shape[0], k + 2))
             masses[:, : k + 1] = (grid.ring_weight * counts) @ profiles
-            tube_dens = beam_dens[ring, col]
+            tube_dens = beam_dens.ravel().take(ring * grid.n_theta + col)
             masses[:, k + 1] = [tube_dens[m].sum() for m in member]
             np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
         for label, l4, mass in zip(labels, l4_norms, sup_mass):

@@ -321,6 +321,7 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
 
 # The tube-ratio sweep's geometry: each great circle is cut into _N_ARCS
 # arcs of length _ARC_LENGTH, the unit arcs of Sogge's tube criterion.
+# arc_selections' two-arc rule needs 2 pi / _N_ARCS < _ARC_LENGTH < 4 pi / _N_ARCS.
 _N_ARCS = 8
 _ARC_LENGTH = 1.0
 # Arc-end band in which arc_selections re-tests points by the wrap expression.
@@ -349,11 +350,12 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
 
     The tube is cut into eight overlapping unit arcs: segment j keeps the
     tube points whose arc parameter, measured in the circle's frame, lies
-    within 1/2 of the center 2 pi j / 8.  Each point is tested only against
-    the centers within ceil(1 / (2 step)) = 1 step of its nearest one
-    (step = 2 pi / 8); the others are at least half a step farther than 1/2.
-    Memberships are those of the wrap distance |((s - c + pi) mod 2 pi) - pi|
-    tested at every center, bit for bit.
+    within 1/2 of the center 2 pi j / 8.  With step = 2 pi / 8, a point's
+    nearest center is at most step / 2 = pi/8 < 1/2 away, so its arc always
+    holds the point; the next center on the point's side is between pi/8
+    and pi/4 away and is the only one tested; every other center is at
+    least pi/4 > 1/2 away.  Memberships are those of the wrap distance
+    |((s - c + pi) mod 2 pi) - pi| tested at every center, bit for bit.
     """
     if not isinstance(circle, GreatCircle):
         circle = GreatCircle(circle)
@@ -384,26 +386,21 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     centers = 2.0 * np.pi * np.arange(_N_ARCS) / _N_ARCS
     half = 0.5 * _ARC_LENGTH
     step = 2.0 * np.pi / _N_ARCS
-    reach = int(np.ceil(_ARC_LENGTH / (2.0 * step)))
-    # Row r of near holds, unwrapped, the center r steps from each point's
-    # nearest one.  As 2 reach + 1 = 3 < _N_ARCS, the rows name distinct arcs
-    # at most (reach + 1/2) steps < pi away, so |ang - step * near| is the
-    # distance without a wrap.  It differs from the wrap expression only by
-    # rounding, far below _ARC_TIE, so the wrap expression decides just the
-    # pairs within _ARC_TIE of an arc end.
-    near = np.rint(ang / step).astype(np.intp) + np.arange(-reach, reach + 1)[:, None]
-    # dist and then |dist - half| share one buffer; arcs takes over near's.
-    dist = np.multiply(step, near)
-    np.subtract(ang, dist, out=dist)
-    np.abs(dist, out=dist)
-    arcs = np.remainder(near, _N_ARCS, out=near)
+    # near is each point's nearest center and other the next one on its
+    # side, unwrapped; both are within pi of the point, so |ang - step * other|
+    # is the distance without a wrap.  It differs from the wrap expression
+    # only by rounding, far below _ARC_TIE, so the wrap expression decides
+    # just the points within _ARC_TIE of the other arc's end.
+    near = np.rint(ang / step).astype(np.intp)
+    other = near + np.where(ang >= step * near, 1, -1)
+    dist = np.abs(ang - step * other)
     inside = dist <= half
-    np.subtract(dist, half, out=dist)
-    np.abs(dist, out=dist)
-    tie = np.nonzero(dist <= _ARC_TIE)
-    inside[tie] = _arc_distance(ang[tie[1]], centers[arcs[tie]]) <= half
+    tie = np.flatnonzero(np.abs(dist - half) <= _ARC_TIE)
+    inside[tie] = _arc_distance(ang[tie], centers[other[tie] % _N_ARCS]) <= half
+    i = np.arange(ang.size)
     member = np.zeros((_N_ARCS, ang.size), dtype=bool)
-    member[arcs, np.arange(ang.size)] = inside
+    member[near % _N_ARCS, i] = True
+    member[other[inside] % _N_ARCS, i[inside]] = True
     return ring, col, member
 
 

@@ -50,6 +50,34 @@ def test_fit_power_law_exact_recovery():
         fit_power_law([4], [1.0])
 
 
+def _no_work(*args):
+    raise AssertionError("a grid or table was built before the degree check")
+
+
+@pytest.mark.parametrize(
+    "run, message, checked_first",
+    [
+        (lambda: tube_ratio_experiment([8, 0]), "tube ratio needs degrees k >= 1, got k = 0", True),
+        (lambda: pointwise_envelope_experiment([8, 0]), "k >= 2, got k = 0", True),
+        (lambda: pointwise_envelope_experiment([8, 1]), "k >= 2, got k = 1", True),
+        (lambda: scaling_experiment("zonal", math.inf, [0, 1, 2, 4]), "got degree 0", False),
+        (lambda: fit_power_law([1, 2], [1.0, -0.0]), "got value -0", False),
+    ],
+    ids=["tube-ratio-k0", "pointwise-k0", "pointwise-k1", "scaling-k0", "fit-nonpositive-value"],
+)
+def test_degrees_a_sweep_cannot_take_are_refused_by_name(monkeypatch, capfd, run, message,
+                                                         checked_first):
+    # A ValueError that names the degree or value, raised before any grid or
+    # Legendre table is built where the sweep can check first, and no LAPACK
+    # complaint on stderr from a log-log fit of log(0).
+    if checked_first:
+        for name in ("build_grid", "normalized_legendre_table", "ell_p_profile"):
+            monkeypatch.setattr(experiments, name, _no_work)
+    with pytest.raises(ValueError, match=message):
+        run()
+    assert capfd.readouterr().err == ""
+
+
 def test_scaling_target_values():
     assert scaling_target("highest_weight", 4) == pytest.approx(1 / 8)
     assert scaling_target("highest_weight", 8) == pytest.approx(3 / 16)

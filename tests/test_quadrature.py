@@ -306,23 +306,32 @@ def test_arc_selections_match_the_dense_oracle(k, oversample):
         sels = np.zeros((8,) + g.shape, dtype=bool)
         sels[:, ring, col] = member
         assert np.array_equal(sels, dense_arc_masks(g, axis, w))
+        # each point is in its nearest center's arc and at most one other, adjacent arc
+        u, v = GreatCircle(axis).frame()
+        xyz = g.points()[ring, col]
+        nearest = np.rint(np.arctan2(xyz @ v, xyz @ u) / (math.pi / 4)).astype(int)
+        offset = (np.arange(8)[:, None] - nearest) % 8
+        assert member[offset == 0].all() and not member[(1 < offset) & (offset < 7)].any()
+        assert (member.sum(axis=0) <= 2).all()
 
 
 def test_arc_ends_follow_the_wrap_distance(monkeypatch):
     # Arc lengths that put a tube point exactly at the end of arc 0, as the
     # wrap distance measures it: the membership there must still be the
     # dense one, however the tube-local test rounds its own distance.  The
-    # private arc length is patched to reach the _ARC_TIE re-test; every
-    # length keeps the near-center test's 2 reach + 1 centers below eight.
+    # private arc length is patched to reach the _ARC_TIE re-test, within
+    # the two-arc rule's range 2 pi / 8 < arc length < 4 pi / 8.
+    n_arcs = quadrature._N_ARCS
+    assert 2 * math.pi / n_arcs < quadrature._ARC_LENGTH < 4 * math.pi / n_arcs
     g = build_grid(8)
     circle = GreatCircle([0.2, -0.4, 0.9])
     u, v = circle.frame()
     tube = dense_tube(g, circle.axis, 0.3)
     xyz = g.points()[tube]
     ends = np.abs((np.arctan2(xyz @ v, xyz @ u) + math.pi) % (2.0 * math.pi) - math.pi)
-    for end in ends[ends < 2.3]:
-        reach = math.ceil(end / (math.pi / 4))  # ceil(arc_length / (2 step)), step = pi/4
-        assert 2 * reach + 1 < 8
+    ends = ends[(math.pi / 8 < ends) & (ends < math.pi / 4)]
+    assert ends.size == 17
+    for end in ends:
         monkeypatch.setattr(quadrature, "_ARC_LENGTH", 2.0 * end)
         ring, col, member = arc_selections(g, circle, 0.3)
         sels = np.zeros((8,) + g.shape, dtype=bool)
