@@ -47,6 +47,7 @@ from .harmonics import (
 )
 from .legendre import (
     _UPWARD_MAX_DEGREE,
+    _sectoral_log,
     _upward_degree_table,
     _zonal_3j_squares,
     legendre_p,
@@ -58,6 +59,7 @@ from .quadrature import (
     _ARC_LENGTH,
     _N_ARCS,
     MAX_GRID_POINTS,
+    _grid_size,
     _openblas,
     arc_selections,
     build_grid,
@@ -297,6 +299,16 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
         if abs(m) > k:
             raise ValueError(f"order {m} out of range for degree {k}")
         orders.append((m, f"Y_{k}_{m}"))
+    # Every q is checked before any grid is built (a large q's rule takes
+    # seconds).  The Q_k row's integral is at most 4 pi sup|Q_k|^q, with
+    # sup|Q_k| = e^L, L = _sectoral_log(k); widened by e^(1e-6 q + 1), far
+    # beyond rounding, a bound below the normal range means profile_norm refuses q.
+    for q in qs:
+        _grid_size(max(k, _exact_band(k, q)), oversample)
+        log_bound = math.log(4.0 * math.pi) + q * (_sectoral_log(k) + 1e-6) + 1.0
+        if math.isfinite(q) and log_bound < math.log(np.finfo(float).tiny):
+            raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |Q_{k}|^q "
+                             f"is below e^{log_bound:.0f}, outside the normal double range")
     rows = []
     grids = {}
     for q in qs:
@@ -779,10 +791,11 @@ def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> E
     * gram_identity: max |Gram - I| over the full basis on the band-k grid
 
     The bulk sweep builds its colatitude tables with a second algorithm, the
-    upward recurrence in degree; a second pass at ``_SPOT_POINTS`` points per
-    degree goes through the per-point entry points (ell_p_sum,
-    eval_basis_row, theta_integral), which run the downward recurrence in
-    order, and folds into the same maxima.  The Gram check integrates the
+    upward recurrence in degree; a second pass at ``_SPOT_POINTS`` pairs per
+    degree runs the one-point entry points ell_p_sum and eval_basis_row,
+    which use the downward recurrence in order, and folds into the same
+    maxima.  Each pass reads theta_integral and projection_kernel once on all
+    its points.  The Gram check integrates the
     standard basis against itself on the band-k grid, from the signed order
     table and the longitude phases that ``coefficient_field`` combines.  Each
     ring of the identity synthesis is diag(R_i) Phi, so the Gram matrix is
@@ -826,28 +839,21 @@ def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> E
         kern = diag * legendre_p(k, (x * y).sum(axis=1))
         update("addition_theorem", np.abs(inner - kern).max(), k)
 
-        sum4 = (radial_x**4).sum(axis=1)
-        lhs = 2.0 * np.pi * sum4
-        c = x[:, 2]
-        s_sq = 1.0 - c * c
-        n_ang = 4 * k + 1
-        ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        cosd = s_sq[:, None] * np.cos(ang)[None, :] + (c * c)[:, None]
-        kern_sq = (diag * legendre_p(k, cosd)) ** 2
-        rhs = (2.0 * np.pi / n_ang) * kern_sq.sum(axis=1)
+        lhs = 2.0 * np.pi * (radial_x**4).sum(axis=1)
+        rhs = theta_integral(k, x[:, 2])
         update("theta_identity", (np.abs(lhs - rhs) / rhs).max(), k)
 
-        for _ in range(_SPOT_POINTS):
-            # Built once per point; each entry point would build the same one.
-            pt_a, pt_b = (SpherePoint(xyz) for xyz in _random_points(rng, 2))
+        # Pairs drawn one at a time; one SpherePoint per point serves every entry point.
+        spots = [[SpherePoint(xyz) for xyz in _random_points(rng, 2)] for _ in range(_SPOT_POINTS)]
+        pts_a, pts_b = zip(*spots)
+        kern_spot = projection_kernel(k, pts_a, pts_b)
+        theta_spot = theta_integral(k, [math.cos(pt.phi) for pt in pts_a])
+        for pt_a, pt_b, kern_ab, rhs_pt in zip(pts_a, pts_b, kern_spot, theta_spot):
             s2_pt = ell_p_sum(k, pt_a, 2.0) ** 2
             update("l2_identity", abs(s2_pt - diag) / n, k)
-            row_a = eval_basis_row(k, pt_a)
-            row_b = eval_basis_row(k, pt_b)
-            err = abs(np.vdot(row_b, row_a) - projection_kernel(k, pt_a, pt_b))
+            err = abs(np.vdot(eval_basis_row(k, pt_b), eval_basis_row(k, pt_a)) - kern_ab)
             update("addition_theorem", err, k)
             lhs_pt = 2.0 * np.pi * ell_p_sum(k, pt_a, 4.0) ** 4
-            rhs_pt = theta_integral(k, pt_a)
             update("theta_identity", abs(lhs_pt - rhs_pt) / rhs_pt, k)
 
         gram = _identity_gram(k, build_grid(k))

@@ -74,12 +74,17 @@ def _phases(k: int, theta) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(-k, k + 1), theta))
 
 
-def projection_kernel(k: int, x, y) -> float:
-    """Reproducing kernel of the degree-k eigenspace, ((2k+1)/4pi) P_k(x . y)."""
-    a = _point(x).xyz
-    b = _point(y).xyz
-    dot = min(1.0, max(-1.0, float(a @ b)))
-    return float((2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dot))
+def projection_kernel(k: int, x, y):
+    """Reproducing kernel of the degree-k eigenspace, ((2k+1)/4pi) P_k(x . y).
+
+    At equal-length sequences of points x and y, the array of kernels at the
+    pairs: one ``legendre_p`` call on the clamped dots ``float(a @ b)``.
+    """
+    single = isinstance(x, SpherePoint) or len(x) > 0 and np.isscalar(x[0])
+    pairs = zip([x] if single else x, [y] if single else y, strict=True)
+    dots = [min(1.0, max(-1.0, float(_point(a).xyz @ _point(b).xyz))) for a, b in pairs]
+    kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dots)
+    return float(kernel[0]) if single else kernel
 
 
 def ell_p_sum(k: int, x, p) -> float:
@@ -116,22 +121,22 @@ def ell_p_profile(k: int, t, p: float) -> np.ndarray:
     return total ** (1.0 / p)
 
 
-def theta_integral(k: int, x) -> float:
+def theta_integral(k: int, t):
     """Integral over rotations about the polar axis of the squared kernel.
 
     Computes int_0^{2pi} |Pi_k(x, R_theta x)|^2 dtheta on the uniform grid of
     4k+1 angles, which integrates this trigonometric polynomial of degree 4k
-    exactly.  Equals 2pi * ell_p_sum(k, x, 4)^4, an identity the tests pin.
+    exactly.  It depends on t = cos(phi) of x alone: a float, or an array.
+    Equals 2pi * ell_p_sum(k, x, 4)^4, an identity the tests pin.
     """
     k = int(k)
-    pt = _point(x)
+    c = np.asarray(t, dtype=float)
     n = 4 * k + 1
     theta = 2.0 * np.pi * np.arange(n) / n
-    c = math.cos(pt.phi)
-    s2 = 1.0 - c * c
-    cosd = s2 * np.cos(theta) + c * c
+    cosd = (1.0 - c * c)[..., None] * np.cos(theta) + (c * c)[..., None]
     kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, cosd)
-    return float((2.0 * np.pi / n) * np.sum(kernel**2))
+    total = (2.0 * np.pi / n) * (kernel**2).sum(axis=-1)
+    return total if c.ndim else float(total)
 
 
 def pointwise_envelope(k: int, r: float) -> float:

@@ -23,9 +23,9 @@ point with no cap on k, in two forms: ``normalized_legendre_table`` (all
 orders at many points, vectorized over the points) and its scalar one-point
 form ``normalized_assoc_legendre_row``, which runs on Python floats and is
 about 5 times faster than a one-point table call at k = 8 and 15 to 20
-times faster from k = 64 to 2048.  Two references stay beside it for
-cross-checks: ``_upward_degree_table``, a second algorithm (upward in
-degree, k <= 1024), and ``legendre_p``, the Legendre polynomial P_k.
+times faster from k = 64 to 2048.  ``_upward_degree_table``, a second
+algorithm (upward in degree, k <= 1024), stays beside it for cross-checks,
+and ``legendre_p`` gives P_k by one array recurrence over all its points.
 
 ``_zonal_3j_squares`` gives the squared 3j symbols (k k 2s; 0 0 0)^2 that
 turn fourth-power integrals of degree-k harmonics into O(k) sums.
@@ -144,27 +144,17 @@ def legendre_p(k: int, t):
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
     Accepts scalar or array ``t`` with ``|t| <= 1`` (a 1e-12 rounding margin
-    is tolerated and clipped; NaN is refused).  P_k(1) = 1 normalization.  A
-    scalar runs the recurrence on Python floats and returns a float; an array
-    runs it in three reused buffers, with the same operations in the same
-    order, so both give the same bits.
+    is tolerated and clipped; NaN is refused).  P_k(1) = 1 normalization.
+    One recurrence runs on all points in three reused buffers; a scalar runs
+    as a 0-d array and returns a float.
     """
     k = _degree(k)
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        x = _cosine(float(t_arr))
-        if k == 0:
-            return 1.0
-        p_prev, p_cur = 1.0, x
-        for n in range(2, k + 1):
-            p_prev, p_cur = p_cur, ((2 * n - 1) * x * p_cur - (n - 1) * p_prev) / n
-        return p_cur
-    t_arr = _cosine(t_arr)
-    p_prev = np.ones_like(t_arr)
+    t_arr = _cosine(np.asarray(t, dtype=float))
+    p_prev = np.ones(np.shape(t_arr))
     if k == 0:
-        return p_prev
-    p_cur = t_arr.copy()
-    p_next = np.empty_like(t_arr)
+        return p_prev if p_prev.ndim else 1.0
+    p_cur = np.array(t_arr)
+    p_next = np.empty_like(p_cur)
     for n in range(2, k + 1):
         # p_next = ((2n - 1) t p_cur - (n - 1) p_prev) / n; p_prev is spent.
         np.multiply(t_arr, 2.0 * n - 1.0, out=p_next)
@@ -173,7 +163,7 @@ def legendre_p(k: int, t):
         p_next -= p_prev
         p_next /= float(n)
         p_prev, p_cur, p_next = p_cur, p_next, p_prev
-    return p_cur
+    return p_cur if p_cur.ndim else float(p_cur)
 
 
 def zonal_sup_coefficient(k: int) -> float:

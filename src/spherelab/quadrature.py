@@ -150,6 +150,13 @@ def build_grid(k: int, oversample: float = 1.0) -> QuadratureGrid:
     an oversized request is refused before any integer is formed.
     """
     k = int(k)
+    n_phi, n_theta = _grid_size(k, oversample)
+    t, w = _gauss_legendre(n_phi)
+    return QuadratureGrid(k, oversample, t, w, n_theta)
+
+
+def _grid_size(k: int, oversample: float) -> tuple:
+    """(n_phi, n_theta) of ``build_grid(k, oversample)``, or the error it raises."""
     if k < 0:
         raise ValueError("band parameter must be >= 0")
     if not 1.0 <= oversample < np.inf:
@@ -160,8 +167,7 @@ def build_grid(k: int, oversample: float = 1.0) -> QuadratureGrid:
         raise GridResolutionError(
             f"grid would need {n_phi * n_theta:.3g} points, cap is {MAX_GRID_POINTS}"
         )
-    t, w = _gauss_legendre(int(n_phi))
-    return QuadratureGrid(k, oversample, t, w, int(n_theta))
+    return int(n_phi), int(n_theta)
 
 
 @functools.lru_cache(maxsize=128)

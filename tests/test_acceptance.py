@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from spherelab import experiments
 from spherelab.beams import (
     beam_coefficients,
     orthonormalize,
@@ -229,6 +230,7 @@ def test_criterion_8_envelope_superlevel_tube_ratio():
     assert TUBE_RATIO_MAX == 1.0
 
 
+@experiments._one_blas_thread()
 def test_criterion_9_beam_machinery():
     start = time.monotonic()
     # round-trip through the coefficient expansion

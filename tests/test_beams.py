@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
+from spherelab import experiments
 from spherelab.beams import (
     _MAX_LATTICE_AXES,
     _MIN_SEPARATION,
@@ -281,6 +282,7 @@ def test_orthonormalize_rejects_degenerate_family():
             orthonormalize(k, _rows(k, place_separated_axes(j, delta)))
 
 
+@experiments._one_blas_thread()
 def test_two_well_separated_beams_keep_their_mass():
     k = 64
     rows = _rows(k, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

@@ -260,6 +260,51 @@ def test_tube_ratio_degree_range_contract(capsys, k_min, k_max):
 
 
 @_CONTRACT
+@given(k_min=st.integers(-3, 64), k_max=st.integers(-3, 64))
+@example(k_min=1, k_max=8)  # four degrees whose fit misses its target: exit 1
+@example(k_min=1, k_max=4)  # three degrees are too few for a fit
+@example(k_min=0, k_max=8)
+def test_scaling_degree_range_contract(capsys, k_min, k_max):
+    code = main(["scaling", "--k-min", str(k_min), "--k-max", str(k_max)])
+    _check_contract(code, capsys.readouterr())
+    # the doubling sweep k_min, 2 k_min, ... <= k_max needs four degrees
+    assert (code == 2) == (k_min < 1 or k_max < 8 * k_min)
+
+
+@_CONTRACT
+@given(k_min=st.integers(-3, 64), k_max=st.integers(-3, 64))
+@example(k_min=0, k_max=16)
+@example(k_min=1, k_max=1)
+def test_superlevel_degree_range_contract(capsys, k_min, k_max):
+    code = main(["superlevel", "--k-min", str(k_min), "--k-max", str(k_max)])
+    _check_contract(code, capsys.readouterr())
+    assert (code == 2) == (k_min < 1 or k_max < k_min)
+
+
+@_CONTRACT
+@given(
+    k_min=st.one_of(st.none(), st.integers(-3, 64)),
+    k_max=st.one_of(st.none(), st.integers(-3, 64)),
+    seed=st.one_of(st.integers(-2, 2), st.integers(2**62, 2**70)),
+)
+@example(k_min=1, k_max=4, seed=-1)
+@example(k_min=None, k_max=4, seed=0)  # a range end without its start
+@example(k_min=2, k_max=1, seed=0)
+@example(k_min=1, k_max=64, seed=0)
+def test_beams_degree_range_and_seed_contract(capsys, k_min, k_max, seed):
+    argv = ["beams", "--seed", str(seed)]
+    argv += [] if k_min is None else ["--k-min", str(k_min)]
+    argv += [] if k_max is None else ["--k-max", str(k_max)]
+    code = main(argv)
+    _check_contract(code, capsys.readouterr())
+    if k_min is None:
+        valid = k_max is None  # the default single degree
+    else:
+        valid = 1 <= k_min <= (k_min if k_max is None else k_max)
+    assert (code == 2) == (not valid or seed < 0)
+
+
+@_CONTRACT
 @given(
     k=st.integers(-2, 4),
     trials=st.integers(-2, 20),
@@ -377,6 +422,38 @@ def test_out_of_range_runs_exit_2_with_one_short_error_line(capsys, argv, reason
     _check_contract(code, captured)
     assert code == 2
     assert reason in captured.err and len(captured.err) < 200
+
+
+@pytest.mark.parametrize(
+    "k, qs, code",
+    [
+        (4, ["2000"], 2),
+        (4, ["4", "2000"], 2),  # no grid for the q that runs either
+        (0, ["1000"], 2),
+        # the largest integer q that ran before the check still runs
+        (4, ["867"], 0),
+        (0, ["561"], 0),
+    ],
+)
+def test_norms_refuses_an_underflowing_q_before_any_grid(capsys, k, qs, code):
+    built = []
+    build_grid = experiments.build_grid
+
+    def spy(band, oversample):
+        built.append(band)
+        return build_grid(band, oversample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_grid", spy)
+        got = main(["norms", "--k", str(k)] + [f"--q={q}" for q in qs])
+    captured = capsys.readouterr()
+    _check_contract(got, captured)
+    assert got == code
+    if code == 2:
+        assert built == []
+        assert f"q = {qs[-1]} is out of range" in captured.err
+    else:
+        assert built == [max(k, math.ceil(int(qs[0]) * k / 4))]
 
 
 @pytest.mark.parametrize("command", ["norms", "beams", "random-onb"])

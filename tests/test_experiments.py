@@ -536,6 +536,28 @@ def test_exact_identity_suite_bench_run_pins_at_seed_zero():
     ]
 
 
+def test_exact_identity_suite_calls_each_kernel_entry_point_once_per_pass(monkeypatch):
+    # The bulk pass reads theta_integral on all its points, the spot pass
+    # reads theta_integral and projection_kernel on all its pairs.
+    calls = []
+    theta, kernel = experiments.theta_integral, experiments.projection_kernel
+
+    def theta_spy(k, t):
+        calls.append(("theta_integral", k, len(t)))
+        return theta(k, t)
+
+    def kernel_spy(k, x, y):
+        calls.append(("projection_kernel", k, len(x)))
+        return kernel(k, x, y)
+
+    monkeypatch.setattr(experiments, "theta_integral", theta_spy)
+    monkeypatch.setattr(experiments, "projection_kernel", kernel_spy)
+    spot = experiments._SPOT_POINTS
+    assert exact_identity_suite(k_max=4, points=7, seed=0).outputs["passed"]
+    per_degree = [("theta_integral", 7), ("projection_kernel", spot), ("theta_integral", spot)]
+    assert calls == [(name, k, size) for k in range(1, 5) for name, size in per_degree]
+
+
 def test_seeded_experiments_reject_negative_seeds():
     with pytest.raises(ValueError, match="seed must be a non-negative int, got -1"):
         exact_identity_suite(k_max=2, points=2, seed=-1)

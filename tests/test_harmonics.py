@@ -133,7 +133,7 @@ def test_ell_p_profile_matches_pointwise():
 def test_theta_integral_identity_and_riemann_oracle():
     for k in (1, 6, 23):
         for x in _random_points(4, 300 + k):
-            val = theta_integral(k, x)
+            val = theta_integral(k, x.xyz[2])
             # closed relation against the quartic aggregate
             assert val == pytest.approx(2 * math.pi * ell_p_sum(k, x, 4) ** 4, rel=1e-11)
             # brute-force trapezoid on a finer uniform angle set
@@ -147,6 +147,15 @@ def test_theta_integral_identity_and_riemann_oracle():
             kern = (2 * k + 1) / (4 * math.pi) * legendre_p(k, np.clip(cosd, -1, 1))
             oracle = 2 * math.pi * np.mean(kern**2)
             assert val == pytest.approx(oracle, rel=1e-12)
+
+
+def test_theta_integral_on_an_array_is_the_elementwise_calls_bitwise():
+    t = np.concatenate([[1.0, -1.0, 0.0, -0.0], np.random.default_rng(5).uniform(-1.0, 1.0, 12)])
+    for k in (0, 1, 6, 23, 64):
+        values = theta_integral(k, t)
+        assert values.shape == t.shape
+        assert values.tobytes() == np.array([theta_integral(k, float(c)) for c in t]).tobytes()
+        assert type(theta_integral(k, t[4])) is float
 
 
 def test_pointwise_envelope_shape():
@@ -180,16 +189,17 @@ def test_kernel_bound_ratio_restricted_band():
     rng = np.random.default_rng(11)
     sups = {}
     for k in (8, 32, 128):
-        best = 0.0
         x = SpherePoint([0, 0, 1])
+        ds, ys = [], []
         for _ in range(400):
             d = rng.uniform(1.0 / k, 3.0)
             theta = rng.uniform(0, 2 * math.pi)
-            y = SpherePoint([math.sin(d) * math.cos(theta), math.sin(d) * math.sin(theta), math.cos(d)])
-            # |Pi_k(x, y)| k^(-1/2) (k^(-1) + d)^(1/2), the kernel-envelope constant
-            ratio = abs(projection_kernel(k, x, y)) * k**-0.5 * (1.0 / k + d) ** 0.5
-            best = max(best, ratio)
-        sups[k] = best
+            ds.append(d)
+            ys.append([math.sin(d) * math.cos(theta), math.sin(d) * math.sin(theta), math.cos(d)])
+        # |Pi_k(x, y)| k^(-1/2) (k^(-1) + d)^(1/2), the kernel-envelope constant
+        kernels = projection_kernel(k, [x] * len(ys), ys)
+        ratios = np.abs(kernels) * k**-0.5 * (1.0 / k + np.array(ds)) ** 0.5
+        sups[k] = ratios.max()
     for k, sup in sups.items():
         assert 0.2 <= sup <= 1.0, (k, sup)
 
@@ -345,9 +355,20 @@ def test_projection_kernel_clips_the_dot_product_as_numpy_does():
     rng = np.random.default_rng(14)
     points = [*rng.standard_normal((20, 3)), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
     for k in (0, 1, 6, 40):
+        xs, ys, kernels = [], [], []
         for i, x in enumerate(points):
             for y in (x, -np.asarray(x), points[(i + 1) % len(points)]):
                 a, b = SpherePoint(x).xyz, SpherePoint(y).xyz
                 dot = float(np.clip(a @ b, -1.0, 1.0))
                 expected = float((2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dot))
                 assert projection_kernel(k, x, y) == expected
+                xs.append(x)
+                ys.append(y)
+                kernels.append(expected)
+        # Equal-length sequences, as lists of points or as (N, 3) arrays, give
+        # the per-pair bits: equal and antipodal pairs included.
+        expected = np.array(kernels).tobytes()
+        assert projection_kernel(k, xs, ys).tobytes() == expected
+        assert projection_kernel(k, np.array(xs), np.array(ys)).tobytes() == expected
+        assert projection_kernel(k, [SpherePoint(x) for x in xs], ys).tobytes() == expected
+        assert projection_kernel(k, [], []).shape == (0,)

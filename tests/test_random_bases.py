@@ -120,6 +120,7 @@ def _coefficient_sets(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 17, 32])
 @pytest.mark.parametrize("oversample", [1.0, 1.5])
+@experiments._one_blas_thread()
 def test_quartic_norms_hemisphere_fold_matches_full_sphere(k, oversample):
     # The oracle synthesizes every ring at every longitude over all orders,
     # so it checks the hemisphere, +-m and +-theta folds together.
@@ -185,6 +186,7 @@ def _reference_quartic_norms(k, coefficients, grid):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 16, 17, 33, 64])
 @pytest.mark.parametrize("oversample", [1.0, 1.5, 2.0])
+@experiments._one_blas_thread()
 def test_quartic_norms_bitwise_match_the_fresh_loop(k, oversample):
     # The cached plan and the reused buffers keep every product's shape and
     # every elementwise step, so the values agree bit for bit.  The second
@@ -242,6 +244,7 @@ def test_quartic_plan_arrays_are_read_only():
     assert _quartic_plan(4, grid) is _quartic_plan(4, grid)
 
 
+@experiments._one_blas_thread()
 def test_quartic_norms_memory_on_a_warm_grid():
     # At k = 64 the plan is about 0.23 MB and a full-basis call peaks at
     # about 1.7 MB: the coefficient folds and one set of ring buffers.
