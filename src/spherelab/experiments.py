@@ -613,6 +613,12 @@ TUBE_RATIO_MAX = 1.0
 TUBE_RATIO_COLUMNS = ("k", "label", "lam", "l4", "sup_arc_mass", "ratio")
 
 
+def _arc_counts(ring, arcs, n_phi):
+    """Tube nodes per arc and ring, (_N_ARCS, n_phi); keys shift ids by one, dropping id -1."""
+    keys = np.multiply(arcs, n_phi, dtype=np.intp) + (ring + n_phi)
+    return np.bincount(keys.ravel(), minlength=(_N_ARCS + 1) * n_phi)[n_phi:].reshape(_N_ARCS, -1)
+
+
 @_one_blas_thread()
 def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
     """Concentration-functional ratios across one eigenspace per degree.
@@ -653,12 +659,12 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
         # only its per-ring point counts; the tilted beam is summed per point.
         sup_mass = np.zeros(k + 2)
         for axis in axes:
-            ring, col, member = arc_selections(grid, axis, width)
-            counts = np.array([np.bincount(ring[m], minlength=grid.n_phi) for m in member])
-            masses = np.empty((member.shape[0], k + 2))
-            masses[:, : k + 1] = (grid.ring_weight * counts) @ profiles
+            ring, col, arcs = arc_selections(grid, axis, width)
+            masses = np.empty((_N_ARCS, k + 2))
+            masses[:, : k + 1] = (grid.ring_weight * _arc_counts(ring, arcs, grid.n_phi)) @ profiles
             tube_dens = beam_dens.ravel().take(ring * grid.n_theta + col)
-            masses[:, k + 1] = [tube_dens[m].sum() for m in member]
+            masses[:, k + 1] = np.bincount(arcs[0], tube_dens, _N_ARCS)
+            masses[:, k + 1] += np.bincount(arcs[1] + 1, tube_dens, _N_ARCS + 1)[1:]
             np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
         for label, l4, mass in zip(labels, l4_norms, sup_mass):
             denom = lam**0.125 * mass ** (1.0 / 12.0) + 1.0

@@ -327,25 +327,20 @@ def profile_norm(grid: QuadratureGrid, profile, q) -> float:
 
 # The tube-ratio sweep's geometry: each great circle is cut into _N_ARCS
 # arcs of length _ARC_LENGTH, the unit arcs of Sogge's tube criterion.
-# arc_selections' two-arc rule needs 2 pi / _N_ARCS < _ARC_LENGTH < 4 pi / _N_ARCS.
+# arc_selections needs 2 pi / _N_ARCS < _ARC_LENGTH < 4 pi / _N_ARCS, _N_ARCS a power of two.
 _N_ARCS = 8
 _ARC_LENGTH = 1.0
 # Arc-end band in which arc_selections re-tests points by the wrap expression.
 _ARC_TIE = 1e-9
 
 
-def _arc_distance(ang, center):
-    """Distance in [0, pi] between arc parameters, the wrap |((ang - c + pi) mod 2 pi) - pi|."""
-    return np.abs((ang - center + np.pi) % (2.0 * np.pi) - np.pi)
-
-
 def arc_selections(grid: QuadratureGrid, circle, width: float):
     """Unit-arc segments of the tube around a great circle, as tube-local indices.
 
-    Returns ``(ring, col, member)``: the tube's nodes as (ring, column)
-    indices in C order and a boolean array ``member`` of shape (8, n_tube).
-    A tube mass is a sum over those nodes in that order, such as
-    ``(grid.ring_weight[ring] * np.abs(values[ring, col]) ** 2).sum()``.
+    Returns ``(ring, col, arcs)``: the tube's nodes as (ring, column) indices in C
+    order and, in a (2, n_tube) int8 array, each node's nearest arc and its adjacent
+    second arc, -1 where there is none.  A tube mass sums over the nodes in that order,
+    such as ``(grid.ring_weight[ring] * np.abs(values[ring, col]) ** 2).sum()``.
 
     Membership is |x . a| <= sin(width) decided at the node center, with no
     partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
@@ -383,31 +378,29 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     np.abs(dots, out=dots)
     tube = np.flatnonzero(dots <= sin_width)
     del dots
-    ring, col = np.divmod(tube, grid.n_theta)
+    ring = tube // grid.n_theta
+    col = tube - ring * grid.n_theta
     ring += lo
     u, v = circle.frame()
     xyz = np.take(band.reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     del xyz, tube
-    centers = 2.0 * np.pi * np.arange(_N_ARCS) / _N_ARCS
     half = 0.5 * _ARC_LENGTH
     step = 2.0 * np.pi / _N_ARCS
-    # near is each point's nearest center and other the next one on its
-    # side, unwrapped; both are within pi of the point, so |ang - step * other|
-    # is the distance without a wrap.  It differs from the wrap expression
-    # only by rounding, far below _ARC_TIE, so the wrap expression decides
-    # just the points within _ARC_TIE of the other arc's end.
-    near = np.rint(ang / step).astype(np.intp)
-    other = near + np.where(ang >= step * near, 1, -1)
-    dist = np.abs(ang - step * other)
-    inside = dist <= half
-    tie = np.flatnonzero(np.abs(dist - half) <= _ARC_TIE)
-    inside[tie] = _arc_distance(ang[tie], centers[other[tie] % _N_ARCS]) <= half
-    i = np.arange(ang.size)
-    member = np.zeros((_N_ARCS, ang.size), dtype=bool)
-    member[near % _N_ARCS, i] = True
-    member[other[inside] % _N_ARCS, i[inside]] = True
-    return ring, col, member
+    # x is each point's offset from its nearest center, in steps; the next center
+    # on its side is step * (1 - |x|) away.  That distance differs from the wrap
+    # expression only by rounding, far below _ARC_TIE, so the wrap expression
+    # decides just the points within _ARC_TIE of the second arc's end.
+    x = ang / step
+    near = np.rint(x)
+    x -= near
+    arcs = np.array([near, near + np.sign(x)], dtype=np.int8) & (_N_ARCS - 1)  # mod _N_ARCS
+    x = np.abs(x) - (1.0 - half / step)  # how far the second arc reaches past the point
+    tie = np.flatnonzero(np.abs(x) <= _ARC_TIE / step)
+    wrap = (ang[tie] - 2.0 * np.pi * arcs[1, tie] / _N_ARCS + np.pi) % (2.0 * np.pi) - np.pi
+    x[tie] = half - np.abs(wrap)  # the same reach, in radians: only its sign is read
+    np.putmask(arcs[1], x < 0.0, -1)
+    return ring, col, arcs
 
 
 def superlevel_measure(grid: QuadratureGrid, profile, threshold: float) -> float:

@@ -415,7 +415,10 @@ def test_every_subcommand_writes_a_json_record(tmp_path, capsys, argv, n_gates):
 # added later; random-onb's params.oversample left with its flag.  The norms
 # CSV and JSON digests were re-recorded when q = inf became the exact node
 # max |N(k, m, t_i)|: the one changed cell is Q_4 at inf, 0.44253269244498233
-# before and 0.4425326924449823 after.
+# before and 0.4425326924449823 after.  The tube-ratio CSV and JSON digests were
+# re-recorded when the beam's arc masses became bincounts over the arc ids: the
+# one changed cell is the beam_tilted sup_arc_mass, 0.13732450135005494 (the
+# dense-mask pairwise sum) before and 0.13732450135005492 after.
 _GOLDEN = {
     "norms": (
         "e9549189a32e288a8982d45f129c8a75bb659a98508f2a7f4820e006b0c62b1a",
@@ -449,8 +452,8 @@ _GOLDEN = {
     ),
     "tube-ratio": (
         "d590b88f656476fda24f26ed31c51410490392c6588d272bf5fff1c9831b995d",
-        "07c1d00983e88e1ae5dc8b5880af61db11692adaa848f722a05d1850bfd13b17",
-        "d5b6cf450163914de8082405d309f47fda45134da65c4737962b5b4895717a0e",
+        "41beb9d7798aa911636dfc9cf3bfab787f78bc8b92fc057dfb78fc75fa2fd6a3",
+        "08972e8fac7723d4e2e9d6fac1534a04963e5b47fee1bfeaad54467a5648ee37",
     ),
     "superlevel": (
         "6d3d1165462f71e17a1f9bda34f959856a87aec210c869fc1beed5da47201460",

@@ -250,6 +250,29 @@ def test_norms_sup_is_the_exact_node_max(k, m):
     assert sup <= lp_norm(coefficient_field(k, _one_hot(k, m), grid), math.inf)
 
 
+def test_tube_ratio_arc_counts_match_the_dense_oracle(monkeypatch):
+    # Every axis of the default sweep: the per-(arc, ring) node counts that
+    # the standard rows read equal the dense masks' counts.
+    seen = []
+    select, count = experiments.arc_selections, experiments._arc_counts
+
+    def select_spy(grid, axis, width):
+        seen.append([grid, axis, width])
+        return select(grid, axis, width)
+
+    def count_spy(ring, arcs, n_phi):
+        seen[-1].append(count(ring, arcs, n_phi))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(experiments, "arc_selections", select_spy)
+    monkeypatch.setattr(experiments, "_arc_counts", count_spy)
+    tube_ratio_experiment([8, 16, 32, 64], oversample=2.0)
+    assert len(seen) == 65 + 65 + 129 + 257
+    for grid, axis, width, counts in seen:
+        assert counts.shape == (8, grid.n_phi)
+        assert np.array_equal(counts, dense_arc_masks(grid, axis, width).sum(axis=2))
+
+
 def test_tube_ratio_arc_masses_match_per_point_oracle():
     # The sweep sums standard members by per-ring point counts; the oracle
     # sums every field point by point over dense arc masks of the same axes.
@@ -269,7 +292,10 @@ def test_tube_ratio_arc_masses_match_per_point_oracle():
 
 # `tube-ratio` at its defaults (k = 8, 16, 32, 64): (k, label, l4, sup_arc_mass,
 # ratio), the floats as hex literals recorded when every arc was a dense
-# (n_arcs, n_phi, n_theta) mask over the whole grid.
+# (n_arcs, n_phi, n_theta) mask over the whole grid.  The beam_tilted
+# sup_arc_mass at k = 8 and 64 was re-recorded when the beam's arc masses
+# became bincounts over the arc ids: it moved by 2.0e-16 and 4.2e-16 relative
+# from those dense-mask pairwise sums, the last bit or two.
 TUBE_RATIO_FROZEN = [
     (8, "m=0", "0x1.633d5f370f38bp-1", "0x1.33cf888a9b456p-3", "0x1.4fd579cd6514cp-2"),
     (8, "m=1", "0x1.47eedec3a529bp-1", "0x1.212f45b0921d0p-3", "0x1.36de910f7cea3p-2"),
@@ -280,7 +306,7 @@ TUBE_RATIO_FROZEN = [
     (8, "m=6", "0x1.3973c1907aa57p-1", "0x1.438d94d303a2ap-4", "0x1.30b737d68280ap-2"),
     (8, "m=7", "0x1.408c1ac8609aep-1", "0x1.78ed07c5124c7p-4", "0x1.3593638dd3c59p-2"),
     (8, "m=8", "0x1.52efff1aa1f18p-1", "0x1.2c1708426113fp-3", "0x1.40c7a6b821055p-2"),
-    (8, "beam_tilted", "0x1.52efff1aa1f1ap-1", "0x1.193d9691e7695p-3", "0x1.41b18b7d4387fp-2"),
+    (8, "beam_tilted", "0x1.52efff1aa1f1ap-1", "0x1.193d9691e7694p-3", "0x1.41b18b7d4387fp-2"),
     (16, "m=0", "0x1.6f04f3af79c0bp-1", "0x1.fc653003d6385p-4", "0x1.4eb75027c246ep-2"),
     (16, "m=1", "0x1.5657c3c32177bp-1", "0x1.ea0348cd57aefp-4", "0x1.38bb97a76fed8p-2"),
     (16, "m=2", "0x1.4d1abc08145f0p-1", "0x1.e322bf8755f0cp-4", "0x1.307cf73372e0ep-2"),
@@ -398,13 +424,13 @@ TUBE_RATIO_FROZEN = [
     (64, "m=62", "0x1.850a8eb1b29eep-1", "0x1.07199728154a1p-4", "0x1.4ca144ac171bbp-2"),
     (64, "m=63", "0x1.93ea55ea1b80ep-1", "0x1.40a1ed67295e3p-4", "0x1.5617cd4ac669cp-2"),
     (64, "m=64", "0x1.b12f626517e6dp-1", "0x1.108da1e01b5e8p-3", "0x1.658fc8905ee73p-2"),
-    (64, "beam_tilted", "0x1.b12f626517e7dp-1", "0x1.11847b04ca61dp-3", "0x1.657ff682523ccp-2"),
+    (64, "beam_tilted", "0x1.b12f626517e7dp-1", "0x1.11847b04ca61bp-3", "0x1.657ff682523ccp-2"),
 ]
 
 
 def test_tube_ratio_rows_are_frozen_bitwise():
-    # Tube-local arc selections sum the same values in the same order as the
-    # dense masks did, so every row keeps its bits.
+    # The standard rows read exact integer node counts per arc and ring, so
+    # they keep the dense masks' bits; the beam row sums its nodes by bincount.
     res = tube_ratio_experiment([8, 16, 32, 64])
     got = [
         (row["k"], row["label"], row["l4"].hex(), row["sup_arc_mass"].hex(), row["ratio"].hex())
@@ -449,9 +475,10 @@ def test_profile_experiments_build_no_full_grid_field(run):
 
 def test_tube_ratio_working_set_is_bounded():
     # The tilted beam is built ring block by ring block and dropped once its
-    # density is taken, and the node tests reuse their buffers: 8.9 MB at
-    # k = 64 in a fresh process, against 15.8 MB with a one-shot beam and
-    # out-of-place tests.
+    # density is taken, and the node tests reuse their buffers: 8.53 MB at
+    # k = 64 in a fresh process with int8 arc ids (8.56 MB with the boolean
+    # (8, n_tube) membership before them), against 15.8 MB with a one-shot
+    # beam and out-of-place tests.
     assert _traced_peak(lambda: tube_ratio_experiment([64])) < 11_000_000
 
 

@@ -221,6 +221,11 @@ def test_tube_mass_of_uniform_density():
     assert slanted == pytest.approx(math.sin(0.3), abs=0.02)
 
 
+def arc_members(arcs):
+    """(8, n_tube) membership from arc_selections' ids: arc j holds the nodes with id j."""
+    return (arcs[:, None, :] == np.arange(8)[:, None]).any(axis=0)
+
+
 def test_arc_masses_cover_the_tube():
     # Eight unit arcs centered pi/4 apart overlap (max gap to a center is
     # pi/8 < 1/2), so they cover the circle and their sum dominates the mass.
@@ -228,9 +233,9 @@ def test_arc_masses_cover_the_tube():
     f = _unit_constant_field(g)
     circle = GreatCircle([0.2, -0.4, 0.9])
     mass = node_mass(f, circle, 0.25)
-    ring, col, member = arc_selections(g, circle, 0.25)
+    ring, col, ids = arc_selections(g, circle, 0.25)
     dens = g.ring_weight[ring] / (4 * math.pi)
-    arcs = np.array([dens[m].sum() for m in member])
+    arcs = np.array([dens[m].sum() for m in arc_members(ids)])
     assert arcs.shape == (8,)
     assert arcs.sum() >= mass * (1 - 1e-12)
     assert arcs.max() <= mass * (1 + 1e-12)
@@ -242,6 +247,13 @@ def dense_tube(grid, axis, width):
     """Node test |x . a| <= sin(width) over the whole grid; the whole sphere from pi/2 on."""
     threshold = 1.0 if width >= math.pi / 2 else math.sin(width)
     return np.abs(grid.points() @ GreatCircle(axis).axis) <= threshold
+
+
+def arc_masks(grid, ring, col, arcs):
+    """Arc masks of shape (8, n_phi, n_theta) from arc_selections' output."""
+    sels = np.zeros((8,) + grid.shape, dtype=bool)
+    sels[:, ring, col] = arc_members(arcs)
+    return sels
 
 
 def dense_arc_masks(grid, axis, width, arc_length=1.0):
@@ -262,13 +274,16 @@ def test_arc_selections_lie_inside_the_tube():
     g = build_grid(24)
     circle = GreatCircle([0.2, -0.4, 0.9])
     tube = dense_tube(g, circle.axis, 0.25)
-    ring, col, member = arc_selections(g, circle, 0.25)
+    ring, col, arcs = arc_selections(g, circle, 0.25)
     # the selection lists each tube node once, in C order, and nothing else
     assert np.all(np.diff(ring * g.n_theta + col) > 0)
     assert tube[ring, col].all() and ring.size == tube.sum()
-    assert member.shape == (8, ring.size)
-    # eight unit arcs cover the circle, so together they are the whole tube
-    assert member.any(axis=0).all()
+    assert arcs.shape == (2, ring.size) and arcs.dtype.kind == "i"
+    # eight unit arcs cover the circle: every node has a nearest arc, and a
+    # second arc, where it has one, is another one
+    assert ((0 <= arcs[0]) & (arcs[0] < 8)).all()
+    assert ((-1 <= arcs[1]) & (arcs[1] < 8) & (arcs[1] != arcs[0])).all()
+    assert 0 < (arcs[1] >= 0).sum() < ring.size
 
 
 def test_tube_masses_equal_the_dense_sums_bitwise():
@@ -278,8 +293,8 @@ def test_tube_masses_equal_the_dense_sums_bitwise():
     dens = g.ring_weight[:, None] * np.abs(f.values) ** 2
     for axis, width in (([0.2, -0.4, 0.9], 0.25), ([1, 0, 0], 0.1), ([0, 0, 1], math.inf)):
         assert node_mass(f, axis, width) == dens[dense_tube(g, axis, width)].sum()
-        ring, col, member = arc_selections(g, axis, width)
-        masses = [dens[ring, col][m].sum() for m in member]
+        ring, col, arcs = arc_selections(g, axis, width)
+        masses = [dens[ring, col][m].sum() for m in arc_members(arcs)]
         assert masses == [dens[sel].sum() for sel in dense_arc_masks(g, axis, width)]
 
 
@@ -300,19 +315,17 @@ def test_arc_selections_match_the_dense_oracle(k, oversample):
     cases = [(axis, width) for axis in axes]
     cases += list(zip(special, (math.pi / 2, math.inf) * 2))
     for axis, w in cases:
-        ring, col, member = arc_selections(g, axis, w)
+        ring, col, arcs = arc_selections(g, axis, w)
         expect_ring, expect_col = np.nonzero(dense_tube(g, axis, w))
         assert np.array_equal(ring, expect_ring) and np.array_equal(col, expect_col)
-        sels = np.zeros((8,) + g.shape, dtype=bool)
-        sels[:, ring, col] = member
-        assert np.array_equal(sels, dense_arc_masks(g, axis, w))
-        # each point is in its nearest center's arc and at most one other, adjacent arc
+        assert np.array_equal(arc_masks(g, ring, col, arcs), dense_arc_masks(g, axis, w))
+        # the first id is the nearest center's arc, the second one an adjacent arc or none
         u, v = GreatCircle(axis).frame()
         xyz = g.points()[ring, col]
         nearest = np.rint(np.arctan2(xyz @ v, xyz @ u) / (math.pi / 4)).astype(int)
-        offset = (np.arange(8)[:, None] - nearest) % 8
-        assert member[offset == 0].all() and not member[(1 < offset) & (offset < 7)].any()
-        assert (member.sum(axis=0) <= 2).all()
+        assert np.array_equal(arcs[0], nearest % 8)
+        has = arcs[1] >= 0
+        assert np.isin((arcs[1] - arcs[0])[has] % 8, (1, 7)).all()
 
 
 def test_arc_ends_follow_the_wrap_distance(monkeypatch):
@@ -333,10 +346,9 @@ def test_arc_ends_follow_the_wrap_distance(monkeypatch):
     assert ends.size == 17
     for end in ends:
         monkeypatch.setattr(quadrature, "_ARC_LENGTH", 2.0 * end)
-        ring, col, member = arc_selections(g, circle, 0.3)
-        sels = np.zeros((8,) + g.shape, dtype=bool)
-        sels[:, ring, col] = member
-        assert np.array_equal(sels, dense_arc_masks(g, circle.axis, 0.3, 2.0 * end))
+        ring, col, arcs = arc_selections(g, circle, 0.3)
+        expect = dense_arc_masks(g, circle.axis, 0.3, 2.0 * end)
+        assert np.array_equal(arc_masks(g, ring, col, arcs), expect)
 
 
 def test_tube_inputs_are_checked_by_name():
