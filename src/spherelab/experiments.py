@@ -224,6 +224,20 @@ def _exact_band(k: int, q: float) -> int:
     return int(math.ceil(band))
 
 
+def _check_q(q, band, oversample, log_sup, label):
+    """Refuse a q whose grid or integral is out of range, before any grid is built.
+
+    A large q's rule takes seconds.  The integral of |f|^q is at most
+    4 pi sup|f|^q, with log sup|f| = log_sup; widened by e^(1e-6 q + 1), far
+    beyond rounding, a bound below the normal range means profile_norm refuses q.
+    """
+    _grid_size(band, oversample)
+    log_bound = math.log(4.0 * math.pi) + q * (log_sup + 1e-6) + 1.0
+    if math.isfinite(q) and log_bound < math.log(np.finfo(float).tiny):
+        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |{label}|^q "
+                         f"is below e^{log_bound:.0f}, outside the normal double range")
+
+
 SCALING_COLUMNS = ("k", "band", "norm")
 
 
@@ -249,6 +263,11 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     ks = [int(k) for k in ks]
     if len(ks) < 4:
         raise ValueError("need a k-range of at least 4 degrees")
+    for k in ks:
+        if family == "zonal":
+            _check_q(q, _exact_band(k, q), oversample, math.log(zonal_sup_coefficient(k)), f"Z_{k}")
+        else:
+            _check_q(q, _exact_band(k, q), oversample, _sectoral_log(k), f"Q_{k}")
     rows = []
     for k in ks:
         band = _exact_band(k, q)
@@ -299,16 +318,9 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
         if abs(m) > k:
             raise ValueError(f"order {m} out of range for degree {k}")
         orders.append((m, f"Y_{k}_{m}"))
-    # Every q is checked before any grid is built (a large q's rule takes
-    # seconds).  The Q_k row's integral is at most 4 pi sup|Q_k|^q, with
-    # sup|Q_k| = e^L, L = _sectoral_log(k); widened by e^(1e-6 q + 1), far
-    # beyond rounding, a bound below the normal range means profile_norm refuses q.
+    # The Q_k row has the smallest sup of the rows, so its integral underflows first.
     for q in qs:
-        _grid_size(max(k, _exact_band(k, q)), oversample)
-        log_bound = math.log(4.0 * math.pi) + q * (_sectoral_log(k) + 1e-6) + 1.0
-        if math.isfinite(q) and log_bound < math.log(np.finfo(float).tiny):
-            raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |Q_{k}|^q "
-                             f"is below e^{log_bound:.0f}, outside the normal double range")
+        _check_q(q, max(k, _exact_band(k, q)), oversample, _sectoral_log(k), f"Q_{k}")
     rows = []
     grids = {}
     for q in qs:
