@@ -328,14 +328,26 @@ def _check_degrees(args) -> None:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out path that cannot be written before the experiment runs."""
+    """Refuse an --out path that cannot be written before the experiment runs.
+
+    The path is opened for appending, and removed again if that made it, so
+    whatever would stop the write (a missing or read-only directory, a file
+    name over the system's limit, a trailing slash) stops the run first.
+    """
     if not args.out:
         return
+    shown = args.out if args.out.isprintable() else repr(args.out)
     if os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out} is a directory")
-    folder = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-        raise ValueError(f"--out {args.out} cannot be written: no writable directory {folder}")
+        raise ValueError(f"--out {shown} is a directory")
+    existed = os.path.lexists(args.out)
+    try:
+        with open(args.out, "a"):
+            pass
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"--out {shown} cannot be written: {reason}") from None
+    if not existed:
+        os.remove(args.out)
 
 
 def _run(args) -> int:

@@ -5,6 +5,8 @@ with a [FAIL] gate line; exit 2 only with a plain ``error:`` line on stderr.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -89,6 +91,93 @@ def test_unwritable_out_is_refused_before_the_experiment_runs(capsys, tmp_path, 
     assert code == 2 and calls == []
     assert captured.err.startswith(f"error: --out {out} ")
     assert not (tmp_path / "absent").exists()
+
+
+def _no_work_spy(calls):
+    """Stands in for avg-l4's one allocating step and records the degrees it sees."""
+    terms = experiments._zonal_3j_squares
+
+    def spy(k):
+        calls.append(k)
+        return terms(k)
+
+    return spy
+
+
+# Any --format but csv and json, values argparse takes for flags among them.
+_FORMATS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["CSV", "Json", "csv ", "xml", "-x", "--json", "c"]),
+).filter(lambda fmt: fmt not in ("csv", "json"))
+
+
+@_CONTRACT
+@given(fmt=_FORMATS)
+@example(fmt="")
+@example(fmt="-1")
+def test_format_contract(capsys, fmt):
+    # argparse refuses it: exit 2, its usage, then one error: line, before any work
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_zonal_3j_squares", _no_work_spy(calls))
+        with pytest.raises(SystemExit) as exc:
+            main(["avg-l4", "--k-max", "8", "--format", fmt])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and calls == []
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.rstrip("\n").split("\n")
+    assert lines[0].startswith("usage: spherelab avg-l4 ")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("spherelab avg-l4: error: argument --format: ")
+
+
+# --out names: printable ones, NUL and line breaks among them, and names at and
+# past the usual 255-byte file-name limit.
+_OUT_NAMES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"), min_size=1,
+            max_size=10),
+    st.integers(250, 300).map(lambda n: "x" * n),
+)
+
+
+@_CONTRACT
+@given(
+    where=st.sampled_from(["directory", "missing-directory", "file-as-directory", "itself"]),
+    name=_OUT_NAMES,
+    slash=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(where="directory", name="x" * 256, slash=False, fmt="csv")  # over the name limit
+@example(where="directory", name="run.csv", slash=True, fmt="csv")  # a trailing slash
+@example(where="directory", name="a\nb", slash=False, fmt="json")
+@example(where="missing-directory", name="a\nb", slash=False, fmt="csv")
+@example(where="directory", name="a\x00b", slash=False, fmt="csv")
+@example(where="itself", name=".", slash=False, fmt="csv")
+def test_out_path_contract(capsys, tmp_path, where, name, slash, fmt):
+    # The run writes the path, or exits 2 with one error: --out line before any
+    # work and leaves nothing behind; a refused path is one that open() refuses too.
+    root = tempfile.mkdtemp(dir=tmp_path)
+    if where == "file-as-directory":
+        open(os.path.join(root, "file"), "w").close()
+    parent = {"directory": root, "missing-directory": os.path.join(root, "absent"),
+              "file-as-directory": os.path.join(root, "file"), "itself": root}[where]
+    out = parent if where == "itself" else os.path.join(parent, name)
+    out += "/" if slash else ""
+    before = sorted(os.listdir(root))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_zonal_3j_squares", _no_work_spy(calls))
+        code = main(["avg-l4", "--k-max", "8", "--out", out, "--format", fmt])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    if code == 0:
+        assert calls == [8] and os.path.isfile(out) and os.path.getsize(out) > 0
+        return
+    assert code == 2 and calls == []
+    assert captured.err.startswith("error: --out ")
+    assert sorted(os.listdir(root)) == before
+    with pytest.raises((OSError, ValueError)):
+        open(out, "w").close()
 
 
 @_CONTRACT
@@ -454,6 +543,32 @@ def test_norms_refuses_an_underflowing_q_before_any_grid(capsys, k, qs, code):
         assert f"q = {qs[-1]} is out of range" in captured.err
     else:
         assert built == [max(k, math.ceil(int(qs[0]) * k / 4))]
+
+
+@pytest.mark.parametrize(
+    "family, q, reason",
+    [
+        # |Q_4|^2000 underflows at the first degree; its band-2000 rule took a second
+        ("highest-weight", "2000", "q = 2000 is out of range: the integral of |Q_4|^q"),
+        # the band-16000 grid of k = 32 is over the cap; k = 4, 8 and 16 were built first
+        ("zonal", "2000", "grid would need 1.28e+08 points"),
+    ],
+)
+def test_scaling_refuses_a_hopeless_q_before_any_grid(capsys, family, q, reason):
+    built = []
+    build_grid = experiments.build_grid
+
+    def spy(band, oversample):
+        built.append(band)
+        return build_grid(band, oversample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_grid", spy)
+        code = main(["scaling", "--family", family, "--q", q, "--k-min", "4", "--k-max", "32"])
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2 and built == []
+    assert reason in captured.err
 
 
 @pytest.mark.parametrize("command", ["norms", "beams", "random-onb"])
