@@ -318,7 +318,7 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
         if abs(m) > k:
             raise ValueError(f"order {m} out of range for degree {k}")
         orders.append((m, f"Y_{k}_{m}"))
-    # The Q_k row has the smallest sup of the rows, so its integral underflows first.
+    # Every q is checked with the Q_k row's sup, e^_sectoral_log(k), before any grid.
     for q in qs:
         _check_q(q, max(k, _exact_band(k, q)), oversample, _sectoral_log(k), f"Q_{k}")
     rows = []
@@ -625,10 +625,10 @@ TUBE_RATIO_MAX = 1.0
 TUBE_RATIO_COLUMNS = ("k", "label", "lam", "l4", "sup_arc_mass", "ratio")
 
 
-def _arc_counts(ring, arcs, n_phi):
-    """Tube nodes per arc and ring, (_N_ARCS, n_phi); keys shift ids by one, dropping id -1."""
-    keys = np.multiply(arcs, n_phi, dtype=np.intp) + (ring + n_phi)
-    return np.bincount(keys.ravel(), minlength=(_N_ARCS + 1) * n_phi)[n_phi:].reshape(_N_ARCS, -1)
+def _arc_counts(ring, ids, n_phi):
+    """Tube nodes per arc and ring, shape (_N_ARCS, n_phi), of the nodes with arc ``ids``."""
+    keys = np.multiply(ids, n_phi, dtype=np.intp) + ring
+    return np.bincount(keys, minlength=_N_ARCS * n_phi).reshape(_N_ARCS, n_phi)
 
 
 @_one_blas_thread()
@@ -671,12 +671,14 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
         # only its per-ring point counts; the tilted beam is summed per point.
         sup_mass = np.zeros(k + 2)
         for axis in axes:
-            ring, col, arcs = arc_selections(grid, axis, width)
-            masses = np.empty((_N_ARCS, k + 2))
-            masses[:, : k + 1] = (grid.ring_weight * _arc_counts(ring, arcs, grid.n_phi)) @ profiles
+            ring, col, (near, second) = arc_selections(grid, axis, width)
+            both = np.flatnonzero(second >= 0)  # the nodes in two arcs
+            counts = _arc_counts(ring, near, grid.n_phi)
+            counts += _arc_counts(ring[both], second[both], grid.n_phi)
             tube_dens = beam_dens.ravel().take(ring * grid.n_theta + col)
-            masses[:, k + 1] = np.bincount(arcs[0], tube_dens, _N_ARCS)
-            masses[:, k + 1] += np.bincount(arcs[1] + 1, tube_dens, _N_ARCS + 1)[1:]
+            beam_mass = np.bincount(near, tube_dens, _N_ARCS)
+            beam_mass += np.bincount(second[both], tube_dens[both], _N_ARCS)
+            masses = np.column_stack([(grid.ring_weight * counts) @ profiles, beam_mass])
             np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
         for label, l4, mass in zip(labels, l4_norms, sup_mass):
             denom = lam**0.125 * mass ** (1.0 / 12.0) + 1.0

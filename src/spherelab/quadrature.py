@@ -376,13 +376,12 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     band = grid.points()[lo:hi]
     dots = band @ a
     np.abs(dots, out=dots)
-    tube = np.flatnonzero(dots <= sin_width)
+    tube = np.flatnonzero(dots <= sin_width) + lo * grid.n_theta
     del dots
     ring = tube // grid.n_theta
     col = tube - ring * grid.n_theta
-    ring += lo
     u, v = circle.frame()
-    xyz = np.take(band.reshape(-1, 3), tube, axis=0)
+    xyz = np.take(grid.points().reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     del xyz, tube
     half = 0.5 * _ARC_LENGTH
@@ -391,9 +390,8 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     # on its side is step * (1 - |x|) away.  That distance differs from the wrap
     # expression only by rounding, far below _ARC_TIE, so the wrap expression
     # decides just the points within _ARC_TIE of the second arc's end.
-    x = ang / step
-    near = np.rint(x)
-    x -= near
+    near = np.rint(ang / step)
+    x = ang / step - near
     arcs = np.array([near, near + np.sign(x)], dtype=np.int8) & (_N_ARCS - 1)  # mod _N_ARCS
     x = np.abs(x) - (1.0 - half / step)  # how far the second arc reaches past the point
     tie = np.flatnonzero(np.abs(x) <= _ARC_TIE / step)

@@ -252,17 +252,19 @@ def test_norms_sup_is_the_exact_node_max(k, m):
 
 def test_tube_ratio_arc_counts_match_the_dense_oracle(monkeypatch):
     # Every axis of the default sweep: the per-(arc, ring) node counts that
-    # the standard rows read equal the dense masks' counts.
+    # the standard rows read, nearest arcs plus second arcs, equal the dense
+    # masks' counts.
     seen = []
     select, count = experiments.arc_selections, experiments._arc_counts
 
     def select_spy(grid, axis, width):
-        seen.append([grid, axis, width])
+        seen.append([grid, axis, width, 0])
         return select(grid, axis, width)
 
-    def count_spy(ring, arcs, n_phi):
-        seen[-1].append(count(ring, arcs, n_phi))
-        return seen[-1][-1]
+    def count_spy(ring, ids, n_phi):
+        counts = count(ring, ids, n_phi)
+        seen[-1][-1] = seen[-1][-1] + counts
+        return counts
 
     monkeypatch.setattr(experiments, "arc_selections", select_spy)
     monkeypatch.setattr(experiments, "_arc_counts", count_spy)
@@ -475,9 +477,9 @@ def test_profile_experiments_build_no_full_grid_field(run):
 
 def test_tube_ratio_working_set_is_bounded():
     # The tilted beam is built ring block by ring block and dropped once its
-    # density is taken, and the node tests reuse their buffers: 8.53 MB at
-    # k = 64 in a fresh process with int8 arc ids (8.56 MB with the boolean
-    # (8, n_tube) membership before them), against 15.8 MB with a one-shot
+    # density is taken, and the node tests reuse their buffers: 8.56 MB at
+    # k = 64 in a fresh process, with int8 arc ids as with the boolean
+    # (8, n_tube) membership before them, against 15.8 MB with a one-shot
     # beam and out-of-place tests.
     assert _traced_peak(lambda: tube_ratio_experiment([64])) < 11_000_000
 
