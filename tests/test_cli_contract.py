@@ -45,6 +45,17 @@ def _check_contract(code, captured):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _no_work_spy(calls):
+    """Stands in for avg-l4's one allocating step and records the degrees it sees."""
+    terms = experiments._zonal_3j_squares
+
+    def spy(k):
+        calls.append(k)
+        return terms(k)
+
+    return spy
+
+
 @_CONTRACT
 @given(k_min=_DEGREES, k_max=_DEGREES)
 @example(k_min=8, k_max=AVERAGE_L4_MAX_DEGREE)  # the widest sweep that passes
@@ -55,14 +66,8 @@ def _check_contract(code, captured):
 @example(k_min=-1, k_max=8)
 def test_avg_l4_degree_range_contract(capsys, k_min, k_max):
     largest = []
-    terms = experiments._zonal_3j_squares
-
-    def spy(k):
-        largest.append(k)
-        return terms(k)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_zonal_3j_squares", spy)
+        patch.setattr(experiments, "_zonal_3j_squares", _no_work_spy(largest))
         code = main(["avg-l4", "--k-min", str(k_min), "--k-max", str(k_max)])
     _check_contract(code, capsys.readouterr())
     # no degree beyond the cap ever reaches the allocating sum
@@ -77,31 +82,14 @@ def test_avg_l4_degree_range_contract(capsys, k_min, k_max):
 def test_unwritable_out_is_refused_before_the_experiment_runs(capsys, tmp_path, target):
     out = tmp_path if target == "directory" else tmp_path / "absent" / "x.csv"
     calls = []
-    terms = experiments._zonal_3j_squares
-
-    def spy(k):
-        calls.append(k)
-        return terms(k)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_zonal_3j_squares", spy)
+        patch.setattr(experiments, "_zonal_3j_squares", _no_work_spy(calls))
         code = main(["avg-l4", "--out", str(out)])
     captured = capsys.readouterr()
     _check_contract(code, captured)
     assert code == 2 and calls == []
     assert captured.err.startswith(f"error: --out {out} ")
     assert not (tmp_path / "absent").exists()
-
-
-def _no_work_spy(calls):
-    """Stands in for avg-l4's one allocating step and records the degrees it sees."""
-    terms = experiments._zonal_3j_squares
-
-    def spy(k):
-        calls.append(k)
-        return terms(k)
-
-    return spy
 
 
 # Any --format but csv and json, values argparse takes for flags among them.
