@@ -1,11 +1,12 @@
 """Numerical laboratory for fourth-power norms of spherical harmonics on the 2-sphere.
 
-Layers, bottom up: ``legendre`` (stable normalized recurrences), ``sphere``
-(points, circles, rotations), ``quadrature`` (band-exact grids and field
-norms), ``harmonics`` (basis evaluation and the kernel identities),
-``random_bases`` (Haar unitaries and quartic norms), ``beams`` (separated
-beam families), ``experiments`` (every experiment the command line runs,
-fits, file output), ``cli`` (the command line tool).
+Layers, bottom up, each importing only the ones before it: ``legendre``
+(stable normalized recurrences), ``sphere`` (unit vectors, circle frames,
+rotations), ``quadrature`` (band-exact grids and field norms), ``harmonics``
+(basis evaluation and the kernel identities), ``random_bases`` (Haar
+unitaries and quartic norms), ``beams`` (separated beam families),
+``experiments`` (every experiment the command line runs, fits, file output),
+``cli`` (the command line tool).
 
 Each module's ``__all__`` is the one list of its public names; the package
 exports their union.

@@ -102,8 +102,10 @@ def packing_bound(delta: float) -> int:
     """
     delta = float(delta)
     if not _MIN_SEPARATION <= delta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"separation must lie in [{_MIN_SEPARATION:.4g}, pi/2], got {delta:g}; "
-                         f"a smaller one needs more than {_MAX_LATTICE_AXES} lattice axes")
+        message = f"separation must lie in [{_MIN_SEPARATION:.4g}, pi/2], got {delta:g}"
+        if not delta >= _MIN_SEPARATION:  # nan included
+            message += f"; a smaller one needs more than {_MAX_LATTICE_AXES} lattice axes"
+        raise ValueError(message)
     return int(math.floor(1.0 / (1.0 - math.cos(delta / 2.0))))
 
 

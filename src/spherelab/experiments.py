@@ -35,6 +35,7 @@ import numpy as np
 
 from .harmonics import (
     _phases,
+    _polar,
     _signed_orders,
     beam_field,
     ell_p_profile,
@@ -76,7 +77,7 @@ from .random_bases import (
     sample_haar_unitary,
     trial_rng,
 )
-from .sphere import SpherePoint, fibonacci_axes
+from .sphere import fibonacci_axes
 
 __all__ = [
     "PowerLawFit",
@@ -863,11 +864,10 @@ def exact_identity_suite(k_max: int = 32, points: int = 100, seed: int = 0) -> E
         rhs = theta_integral(k, x[:, 2])
         update("theta_identity", (np.abs(lhs - rhs) / rhs).max(), k)
 
-        # Pairs drawn one at a time; one SpherePoint per point serves every entry point.
-        spots = [[SpherePoint(xyz) for xyz in _random_points(rng, 2)] for _ in range(_SPOT_POINTS)]
-        pts_a, pts_b = zip(*spots)
+        # Pairs drawn one at a time; each entry point normalizes the rows itself.
+        pts_a, pts_b = zip(*(_random_points(rng, 2) for _ in range(_SPOT_POINTS)))
         kern_spot = projection_kernel(k, pts_a, pts_b)
-        theta_spot = theta_integral(k, [math.cos(pt.phi) for pt in pts_a])
+        theta_spot = theta_integral(k, [math.cos(_polar(pt)[0]) for pt in pts_a])
         for pt_a, pt_b, kern_ab, rhs_pt in zip(pts_a, pts_b, kern_spot, theta_spot):
             s2_pt = ell_p_sum(k, pt_a, 2.0) ** 2
             update("l2_identity", abs(s2_pt - diag) / n, k)

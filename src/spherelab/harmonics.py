@@ -21,7 +21,7 @@ from .legendre import (
     normalized_legendre_table,
 )
 from .quadrature import HarmonicField, QuadratureGrid, _norm_exponent
-from .sphere import SpherePoint, rotation_to_pole
+from .sphere import _as_unit, rotation_to_pole
 
 __all__ = [
     "eval_basis_row",
@@ -36,8 +36,10 @@ __all__ = [
 ]
 
 
-def _point(x) -> SpherePoint:
-    return x if isinstance(x, SpherePoint) else SpherePoint(x)
+def _polar(x) -> tuple:
+    """(phi, theta) of the nonzero 3-vector x: colatitude in [0, pi], longitude in (-pi, pi]."""
+    v = _as_unit(x)
+    return float(np.arccos(min(1.0, max(-1.0, float(v[2]))))), float(np.arctan2(v[1], v[0]))
 
 
 def eval_basis_row(k: int, x) -> np.ndarray:
@@ -47,9 +49,9 @@ def eval_basis_row(k: int, x) -> np.ndarray:
     rather than the O(k^2) of per-order evaluation.
     """
     k = int(k)
-    pt = _point(x)
-    radial = _signed_orders(k, normalized_assoc_legendre_row(k, math.cos(pt.phi))[None, :])[0]
-    return radial * np.exp(1j * np.arange(-k, k + 1) * pt.theta)
+    phi, theta = _polar(x)
+    radial = _signed_orders(k, normalized_assoc_legendre_row(k, math.cos(phi))[None, :])[0]
+    return radial * np.exp(1j * np.arange(-k, k + 1) * theta)
 
 
 def signed_order_table(k: int, t) -> np.ndarray:
@@ -80,9 +82,9 @@ def projection_kernel(k: int, x, y):
     At equal-length sequences of points x and y, the array of kernels at the
     pairs: one ``legendre_p`` call on the clamped dots ``float(a @ b)``.
     """
-    single = isinstance(x, SpherePoint) or len(x) > 0 and np.isscalar(x[0])
+    single = np.ndim(x) < 2 and np.size(x) > 0
     pairs = zip([x] if single else x, [y] if single else y, strict=True)
-    dots = [min(1.0, max(-1.0, float(_point(a).xyz @ _point(b).xyz))) for a, b in pairs]
+    dots = [min(1.0, max(-1.0, float(_as_unit(a) @ _as_unit(b)))) for a, b in pairs]
     kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dots)
     return float(kernel[0]) if single else kernel
 
@@ -94,9 +96,9 @@ def ell_p_sum(k: int, x, p) -> float:
     p = inf returns the largest single |Y_km(x)|.
     """
     k = int(k)
-    pt = _point(x)
+    phi = _polar(x)[0]
     p = _norm_exponent(p)
-    base = np.abs(normalized_assoc_legendre_row(k, math.cos(pt.phi)))
+    base = np.abs(normalized_assoc_legendre_row(k, math.cos(phi)))
     if p == np.inf:
         return float(base.max())
     powers = base**p

@@ -167,7 +167,7 @@ def legendre_p(k: int, t):
 
 
 def zonal_sup_coefficient(k: int) -> float:
-    """|c_k| = sqrt((2k+1) / (4 pi)), the sup of the zonal harmonic Q_k = c_k P_k."""
+    """|c_k| = sqrt((2k+1) / (4 pi)), the sup of the zonal harmonic Z_k = c_k P_k."""
     return float(np.sqrt((2 * k + 1) / (4.0 * np.pi)))
 
 

@@ -3,9 +3,11 @@
 The grid is Gauss-Legendre in t = cos(phi) crossed with uniform longitudes.
 With n_phi nodes and n_theta longitudes it integrates exactly any integrand
 that is a polynomial of degree <= 2*n_phi - 1 in cos(phi) times a
-trigonometric polynomial of degree <= n_theta - 1 in theta.  All integrals in
-the package go through ``QuadratureGrid.integrate`` so that norm claims can
-cite one exactness certificate.
+trigonometric polynomial of degree <= n_theta - 1 in theta.  Every integral
+in the package weights the nodes by ``QuadratureGrid.ring_weight``, the one
+exactness certificate; ``integrate`` and ``integrate_profile`` reduce grids
+and per-ring profiles, while ``quartic_norms``, the identity Gram check, the
+tube masses and ``superlevel_measure`` reduce in their own orders.
 """
 
 import ctypes
@@ -14,7 +16,7 @@ import os
 
 import numpy as np
 
-from .sphere import GreatCircle
+from .sphere import _as_unit, circle_frame
 
 __all__ = [
     "GridResolutionError",
@@ -334,14 +336,15 @@ _ARC_LENGTH = 1.0
 _ARC_TIE = 1e-9
 
 
-def arc_selections(grid: QuadratureGrid, circle, width: float):
-    """Unit-arc segments of the tube around a great circle, as tube-local indices.
+def arc_selections(grid: QuadratureGrid, axis, width: float):
+    """Unit-arc segments of the tube around the great circle normal to axis, as tube-local indices.
 
     Returns ``(ring, col, arcs)``: the tube's nodes as (ring, column) indices in C
     order and, in a (2, n_tube) int8 array, each node's nearest arc and its adjacent
     second arc, -1 where there is none.  A tube mass sums over the nodes in that order,
     such as ``(grid.ring_weight[ring] * np.abs(values[ring, col]) ** 2).sum()``.
 
+    ``axis`` is a nonzero 3-vector, normalized on entry to the unit axis a.
     Membership is |x . a| <= sin(width) decided at the node center, with no
     partial-cell weighting; width >= pi/2 (inf included) is the whole sphere.
     A point within angular distance width of the circle lies at latitude at
@@ -358,12 +361,10 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     least pi/4 > 1/2 away.  Memberships are those of the wrap distance
     |((s - c + pi) mod 2 pi) - pi| tested at every center, bit for bit.
     """
-    if not isinstance(circle, GreatCircle):
-        circle = GreatCircle(circle)
+    a = _as_unit(axis)
     width = float(width)
     if not width > 0.0:
         raise ValueError(f"tube width must be positive, got {width!r}")
-    a = circle.axis
     if width >= np.pi / 2:
         lo, hi, sin_width = 0, grid.n_phi, np.inf
     else:
@@ -380,7 +381,7 @@ def arc_selections(grid: QuadratureGrid, circle, width: float):
     del dots
     ring = tube // grid.n_theta
     col = tube - ring * grid.n_theta
-    u, v = circle.frame()
+    u, v = circle_frame(a)
     xyz = np.take(grid.points().reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
     del xyz, tube

@@ -8,46 +8,12 @@ Colatitude ``phi`` is measured from the north pole (0, 0, 1), longitude
 import numpy as np
 
 __all__ = [
-    "SpherePoint",
-    "GreatCircle",
+    "circle_frame",
     "geodesic_distance",
     "circle_angle",
     "rotation_to_pole",
     "fibonacci_axes",
 ]
-
-
-class SpherePoint:
-    """A point on the unit sphere.
-
-    Construct from a nonzero 3-vector (normalized on entry).
-    ``xyz`` is stored as a read-only float array with unit norm to machine
-    precision.
-    """
-
-    __slots__ = ("xyz",)
-
-    def __init__(self, xyz):
-        v = np.asarray(xyz, dtype=float).reshape(3).copy()
-        norm = float(np.linalg.norm(v))
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError("SpherePoint needs a finite nonzero 3-vector")
-        v /= norm
-        v.setflags(write=False)
-        self.xyz = v
-
-    @property
-    def phi(self) -> float:
-        """Colatitude in [0, pi]."""
-        return float(np.arccos(min(1.0, max(-1.0, float(self.xyz[2])))))
-
-    @property
-    def theta(self) -> float:
-        """Longitude in (-pi, pi]."""
-        return float(np.arctan2(self.xyz[1], self.xyz[0]))
-
-    def __repr__(self):
-        return f"SpherePoint([{self.xyz[0]:.6f}, {self.xyz[1]:.6f}, {self.xyz[2]:.6f}])"
 
 
 def _cross(a, b) -> np.ndarray:
@@ -62,8 +28,7 @@ def _cross(a, b) -> np.ndarray:
 
 
 def _as_unit(x) -> np.ndarray:
-    if isinstance(x, SpherePoint):
-        return x.xyz
+    """x scaled to unit length; anything but a finite nonzero 3-vector is a ValueError."""
     v = np.asarray(x, dtype=float).reshape(3)
     norm = np.linalg.norm(v)
     if norm == 0.0 or not np.isfinite(norm):
@@ -71,32 +36,18 @@ def _as_unit(x) -> np.ndarray:
     return v / norm
 
 
-class GreatCircle:
-    """Great circle given by its unit axis: the set { x : x . axis = 0 }.
+def circle_frame(axis):
+    """Orthonormal pair (u, v) spanning the plane of the great circle { x : x . axis = 0 }.
 
-    ``frame()`` returns an orthonormal pair (u, v) spanning the circle plane,
-    so the circle is parametrized by u cos s + v sin s.  The frame choice is
-    deterministic in the axis.
+    The circle is parametrized by u cos s + v sin s.  ``axis`` is a unit
+    numpy 3-vector; the frame is deterministic in it.
     """
-
-    __slots__ = ("axis",)
-
-    def __init__(self, axis):
-        self.axis = _as_unit(axis)
-        self.axis.setflags(write=False)
-
-    def frame(self):
-        a = self.axis
-        # Pick the coordinate axis least aligned with a for a stable cross product.
-        helper = np.zeros(3)
-        helper[int(np.argmin(np.abs(a)))] = 1.0
-        u = _cross(a, helper)
-        u /= np.linalg.norm(u)
-        v = _cross(a, u)
-        return u, v
-
-    def __repr__(self):
-        return f"GreatCircle(axis=[{self.axis[0]:.6f}, {self.axis[1]:.6f}, {self.axis[2]:.6f}])"
+    # Pick the coordinate axis least aligned with the axis for a stable cross product.
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(axis)))] = 1.0
+    u = _cross(axis, helper)
+    u /= np.linalg.norm(u)
+    return u, _cross(axis, u)
 
 
 def geodesic_distance(x, y) -> float:

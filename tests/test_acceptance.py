@@ -43,7 +43,6 @@ from spherelab.harmonics import beam_field, coefficient_field
 from spherelab.legendre import _sectoral_log
 from spherelab.quadrature import arc_selections, build_grid
 from spherelab.random_bases import CoefficientBasis, gaussian_limit_check, lambda4, quartic_norms
-from spherelab.sphere import GreatCircle
 from test_beams import beam_overlap
 from test_legendre import wallis_integral
 
@@ -185,7 +184,7 @@ def test_criterion_6_entry_moments():
 def test_criterion_7_tube_masses():
     start = time.monotonic()
     target = math.erf(1.0)
-    equator = GreatCircle([0.0, 0.0, 1.0])
+    equator = [0.0, 0.0, 1.0]  # the axis of the equator
 
     def node_mass(f, width):
         ring, col, _ = arc_selections(f.grid, equator, width)

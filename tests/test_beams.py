@@ -212,8 +212,10 @@ def test_overlap_doubling_identity():
 def test_packing_bound_values():
     assert packing_bound(math.pi / 2) == 3
     assert packing_bound(0.5) > packing_bound(1.0)
-    with pytest.raises(ValueError):
-        packing_bound(2.0)
+    for delta in (2.0, math.inf):  # the lattice clause explains only the lower end
+        with pytest.raises(ValueError, match="separation must lie in") as refusal:
+            packing_bound(delta)
+        assert "lattice" not in str(refusal.value)
     # the smallest separation keeps the placement lattice within its cap
     assert 32.0 / _MIN_SEPARATION**2 == pytest.approx(_MAX_LATTICE_AXES, rel=1e-12)
     assert packing_bound(_MIN_SEPARATION) > 0

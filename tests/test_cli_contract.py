@@ -248,6 +248,7 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
 @example(k=4, j=None, exponent=None, delta=1e-3, method="symmetric")
 @example(k=4, j=None, exponent=None, delta=1e-10, method="symmetric")
 @example(k=4, j=None, exponent=None, delta=1e-300, method="symmetric")
+@example(k=4, j=None, exponent=None, delta=1.6, method="symmetric")  # above pi/2
 def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
     argv = ["beams", "--k", str(k), f"--delta={delta!r}", "--method", method]
     argv += [] if j is None else ["--j", str(j)]
@@ -261,9 +262,12 @@ def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
         assert code == 2 and "beam count" in captured.err
     elif exponent is not None and not 0.0 <= exponent <= 1.0:
         assert code == 2 and "exponent" in captured.err
-    elif not _MIN_SEPARATION <= delta <= math.pi / 2 + 1e-12:
+    elif not delta >= _MIN_SEPARATION:  # nan included
         assert code == 2 and "separation must lie in" in captured.err
         assert f"more than {_MAX_LATTICE_AXES} lattice axes" in captured.err
+    elif delta > math.pi / 2 + 1e-12:
+        assert code == 2 and "separation must lie in" in captured.err
+        assert "lattice" not in captured.err
     elif code == 2:
         # a valid count that the degree or the packing cannot carry
         assert "Gram" in captured.err or "axes" in captured.err, captured.err

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,9 +20,9 @@ from spherelab.harmonics import (
     theta_integral,
 )
 from spherelab.legendre import _sectoral_log, legendre_p
-from spherelab.quadrature import build_grid, lp_norm
+from spherelab.quadrature import arc_selections, build_grid, lp_norm
 from spherelab.random_bases import sample_haar_unitary
-from spherelab.sphere import SpherePoint, rotation_to_pole
+from spherelab.sphere import rotation_to_pole
 
 
 def _standard_field(k, m, grid):
@@ -34,7 +35,29 @@ def _standard_field(k, m, grid):
 def _random_points(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, 3))
-    return [SpherePoint(row) for row in v]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _pinned_points():
+    """Raw (unnormalized) points of norms 0.01 to 100 times a normal draw, and the poles."""
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal((20, 3)) * rng.uniform(0.01, 100.0, (20, 1))
+    return [*raw, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 7.0], [0.0, 0.0, -0.5]]
+
+
+# blake2b digests of the one-point entry points on _pinned_points() per degree k,
+# recorded when points were still SpherePoint objects, so plain 3-vectors must give
+# the same bits: eval_basis_row and ell_p_sum(., 4) at each point, and
+# projection_kernel at each point and the next one.
+_PINNED_DIGESTS = {
+    1: ("0784ceb3772fa92c", "2ad1cda84efbb1e6", "a76adc79b0cadc92"),
+    8: ("24cd117ed75b91e1", "cb8694252cc1e2f4", "86d7ff88b723bcce"),
+    64: ("7af46fefcf30a749", "3d7810c3eb350091", "23170bbe1663d1fd"),
+}
+
+
+def _digest(values):
+    return hashlib.blake2b(np.ascontiguousarray(values).tobytes(), digest_size=8).hexdigest()
 
 
 def test_sigma_exponent_branches():
@@ -50,9 +73,10 @@ def test_eval_ykm_matches_scipy_random_orders():
     for _ in range(200):
         k = int(rng.integers(0, 41))
         m = int(rng.integers(-k, k + 1))
-        x = SpherePoint(rng.standard_normal(3))
-        polar = math.acos(np.clip(x.xyz[2], -1, 1))
-        azimuth = math.atan2(x.xyz[1], x.xyz[0])
+        x = rng.standard_normal(3)
+        x /= np.linalg.norm(x)
+        polar = math.acos(np.clip(x[2], -1, 1))
+        azimuth = math.atan2(x[1], x[0])
         ref = complex(sph_harm_y(k, m, polar, azimuth))
         got = eval_basis_row(k, x)[m + k]
         worst = max(worst, abs(got - ref))
@@ -60,9 +84,9 @@ def test_eval_ykm_matches_scipy_random_orders():
 
 
 def test_eval_ykm_matches_scipy_high_degree():
-    x = SpherePoint([0.3, -0.5, 0.7])
-    polar = math.acos(np.clip(x.xyz[2], -1, 1))
-    azimuth = math.atan2(x.xyz[1], x.xyz[0])
+    x = np.array([0.3, -0.5, 0.7]) / math.sqrt(0.83)
+    polar = math.acos(np.clip(x[2], -1, 1))
+    azimuth = math.atan2(x[1], x[0])
     for k, m in ((100, 37), (100, -99), (200, 200), (300, 0)):
         ref = complex(sph_harm_y(k, m, polar, azimuth))
         got = eval_basis_row(k, x)[m + k]
@@ -74,21 +98,24 @@ def test_basis_row_and_table_consistency():
     for x in _random_points(10, 21):
         row = eval_basis_row(k, x)
         assert row.shape == (2 * k + 1,)
-        table = signed_order_table(k, np.array([x.xyz[2]]))
+        table = signed_order_table(k, np.array([x[2]]))
         assert np.allclose(np.abs(table[0]), np.abs(row), atol=1e-13)
-        phases = np.exp(1j * np.arange(-k, k + 1) * x.theta)
+        phases = np.exp(1j * np.arange(-k, k + 1) * math.atan2(x[1], x[0]))
         assert np.allclose(table[0] * phases, row, atol=1e-13)
+    # raw points and the poles keep the recorded bits
+    for k, (digest, _, _) in _PINNED_DIGESTS.items():
+        assert _digest([eval_basis_row(k, x) for x in _pinned_points()]) == digest, k
 
 
 def test_projection_kernel_diagonal_and_reproducing():
     k = 7
-    x = SpherePoint([0.1, 0.4, 0.9])
+    x = np.array([0.1, 0.4, 0.9]) / math.sqrt(0.98)
     assert projection_kernel(k, x, x) == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-13)
     # reproducing property: integrating the kernel against Y recovers Y(x)
     grid = build_grid(k)
     f = _standard_field(k, 3, grid)
     xyz = grid.points()
-    dots = xyz @ x.xyz
+    dots = xyz @ x
     from spherelab.legendre import legendre_p
 
     kern = (2 * k + 1) / (4 * math.pi) * legendre_p(k, np.clip(dots, -1, 1))
@@ -114,6 +141,9 @@ def test_ell_p_sum_rotation_and_parity():
         x = [s * math.cos(theta), s * math.sin(theta), t]
         assert ell_p_sum(k, x, 4) == pytest.approx(base, rel=1e-11)
     assert ell_p_sum(k, [-s, 0, -t], 4) == pytest.approx(base, rel=1e-11)
+    # raw points and the poles keep the recorded bits
+    for k, (_, digest, _) in _PINNED_DIGESTS.items():
+        assert _digest([ell_p_sum(k, x, 4) for x in _pinned_points()]) == digest, k
 
 
 def test_ell_p_profile_matches_pointwise():
@@ -133,13 +163,13 @@ def test_ell_p_profile_matches_pointwise():
 def test_theta_integral_identity_and_riemann_oracle():
     for k in (1, 6, 23):
         for x in _random_points(4, 300 + k):
-            val = theta_integral(k, x.xyz[2])
+            val = theta_integral(k, x[2])
             # closed relation against the quartic aggregate
             assert val == pytest.approx(2 * math.pi * ell_p_sum(k, x, 4) ** 4, rel=1e-11)
             # brute-force trapezoid on a finer uniform angle set
             n = 8 * k + 13
             theta = 2 * math.pi * np.arange(n) / n
-            c = x.xyz[2]
+            c = x[2]
             s2 = 1 - c * c
             cosd = s2 * np.cos(theta) + c * c
             from spherelab.legendre import legendre_p
@@ -189,7 +219,7 @@ def test_kernel_bound_ratio_restricted_band():
     rng = np.random.default_rng(11)
     sups = {}
     for k in (8, 32, 128):
-        x = SpherePoint([0, 0, 1])
+        x = [0.0, 0.0, 1.0]
         ds, ys = [], []
         for _ in range(400):
             d = rng.uniform(1.0 / k, 3.0)
@@ -207,9 +237,9 @@ def test_kernel_bound_ratio_restricted_band():
 def test_kernel_bound_ratio_antipodal_growth():
     # near the antipode the two-point weight cannot stay bounded: the
     # normalized ratio grows with k, which the restricted test above avoids
-    x = SpherePoint([0, 0, 1])
+    x = [0.0, 0.0, 1.0]
     d = math.pi - 0.01
-    y = SpherePoint([math.sin(d), 0, math.cos(d)])
+    y = [math.sin(d), 0.0, math.cos(d)]
     small = abs(projection_kernel(8, x, y)) * 8**-0.5 * (1.0 / 8 + d) ** 0.5
     large = abs(projection_kernel(64, x, y)) * 64**-0.5 * (1.0 / 64 + d) ** 0.5
     assert large > 2 * small
@@ -358,7 +388,7 @@ def test_projection_kernel_clips_the_dot_product_as_numpy_does():
         xs, ys, kernels = [], [], []
         for i, x in enumerate(points):
             for y in (x, -np.asarray(x), points[(i + 1) % len(points)]):
-                a, b = SpherePoint(x).xyz, SpherePoint(y).xyz
+                a, b = x / np.linalg.norm(x), np.asarray(y) / np.linalg.norm(y)
                 dot = float(np.clip(a @ b, -1.0, 1.0))
                 expected = float((2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dot))
                 assert projection_kernel(k, x, y) == expected
@@ -370,5 +400,26 @@ def test_projection_kernel_clips_the_dot_product_as_numpy_does():
         expected = np.array(kernels).tobytes()
         assert projection_kernel(k, xs, ys).tobytes() == expected
         assert projection_kernel(k, np.array(xs), np.array(ys)).tobytes() == expected
-        assert projection_kernel(k, [SpherePoint(x) for x in xs], ys).tobytes() == expected
+        assert projection_kernel(k, tuple(np.array(xs)), ys).tobytes() == expected
         assert projection_kernel(k, [], []).shape == (0,)
+    # raw points and the poles keep the recorded bits
+    points = _pinned_points()
+    for k, (_, _, digest) in _PINNED_DIGESTS.items():
+        assert _digest(projection_kernel(k, points, points[1:] + points[:1])) == digest, k
+
+
+def test_entry_points_refuse_anything_but_a_finite_nonzero_3_vector():
+    grid = build_grid(4)
+    pole = [0.0, 0.0, 1.0]
+    entry_points = (
+        lambda x: eval_basis_row(4, x),
+        lambda x: ell_p_sum(4, x, 4),
+        lambda x: projection_kernel(4, x, pole),
+        lambda y: projection_kernel(4, pole, y),
+        lambda x: arc_selections(grid, x, 0.3),
+    )
+    for call in entry_points:
+        call([0.0, 0.0, 2.0])
+        for bad in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [1.0, 0.0], [0.0, 0.0, 1.0, 0.0], 1.0):
+            with pytest.raises(ValueError):
+                call(bad)

@@ -37,6 +37,9 @@ RETIRED = (
     "write_csv",
     "write_json",
     "timed",
+    "SpherePoint",
+    "GreatCircle",
+    "_point",
 )
 
 
@@ -57,8 +60,6 @@ def test_package_surface():
 def test_retired_members_are_gone():
     members = {
         spherelab.QuadratureGrid: ("phi", "to_json"),
-        spherelab.SpherePoint: ("from_angles",),
-        spherelab.GreatCircle: ("point_at",),
         spherelab.HarmonicField: ("label", "k", "l2_norm"),
     }
     for cls, names in members.items():
@@ -71,7 +72,31 @@ def test_retired_members_are_gone():
     assert "label" not in inspect.signature(spherelab.coefficient_field).parameters
     assert list(inspect.signature(spherelab.HarmonicField).parameters) == ["grid", "values"]
     arc_parameters = inspect.signature(spherelab.arc_selections).parameters
-    assert list(arc_parameters) == ["grid", "circle", "width"]
+    assert list(arc_parameters) == ["grid", "axis", "width"]
+
+
+def _package_imports(source: str) -> set:
+    """Package modules that source imports by ``from .name import`` or ``from . import name``."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names] if node.module is None else [node.module]
+            imported |= {name.split(".")[0] for name in names}
+    return imported
+
+
+def test_package_import_rule_catches_what_it_should():
+    source = "import numpy\nfrom .sphere import _as_unit\nfrom . import legendre, beams\n"
+    assert _package_imports(source) == {"sphere", "legendre", "beams"}
+    assert _package_imports("from numpy.linalg import norm\nimport spherelab\n") == set()
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    # cli sits on top of the package and may import any of it
+    package = Path(spherelab.__file__).parent
+    for i, name in enumerate(MODULES):
+        above = _package_imports((package / f"{name}.py").read_text()) - set(MODULES[:i])
+        assert above == set(), f"{name} imports {sorted(above)}"
 
 
 def _unused_imports(source: str) -> list:

@@ -17,7 +17,7 @@ from spherelab.quadrature import (
     superlevel_measure,
 )
 from spherelab.harmonics import beam_field, ell_p_profile, ell_p_sum
-from spherelab.sphere import GreatCircle, fibonacci_axes
+from spherelab.sphere import _as_unit, circle_frame, fibonacci_axes
 
 
 def test_grid_sizes_and_certificate():
@@ -191,7 +191,7 @@ def _unit_constant_field(grid):
 def test_tube_mask_geometry():
     # the equatorial tube is the rings with |t| <= sin(width), every column of them
     g = build_grid(16)
-    ring, col, _ = arc_selections(g, GreatCircle([0, 0, 1]), 0.2)
+    ring, col, _ = arc_selections(g, [0, 0, 1], 0.2)
     mask = np.zeros(g.shape, dtype=bool)
     mask[ring, col] = True
     expect_rows = np.abs(g.t) <= math.sin(0.2)
@@ -202,9 +202,9 @@ def test_tube_mask_geometry():
         arc_selections(g, [0, 0, 1], 0.0)
 
 
-def node_mass(field, circle, width):
+def node_mass(field, axis, width):
     """The field's L2 mass on the tube's nodes, summed in arc_selections' C order."""
-    ring, col, _ = arc_selections(field.grid, circle, width)
+    ring, col, _ = arc_selections(field.grid, axis, width)
     return (field.grid.ring_weight[ring] * np.abs(field.values[ring, col]) ** 2).sum()
 
 
@@ -214,10 +214,10 @@ def test_tube_mass_of_uniform_density():
     g = build_grid(64)
     f = _unit_constant_field(g)
     for w in (0.3, 0.7):
-        mass = node_mass(f, GreatCircle([0, 0, 1]), w)
+        mass = node_mass(f, [0, 0, 1], w)
         assert mass == pytest.approx(math.sin(w), abs=2.5 / g.n_phi)
     # independent of the circle orientation for the uniform field
-    slanted = node_mass(f, GreatCircle([1, 1, 1]), 0.3)
+    slanted = node_mass(f, [1, 1, 1], 0.3)
     assert slanted == pytest.approx(math.sin(0.3), abs=0.02)
 
 
@@ -231,9 +231,9 @@ def test_arc_masses_cover_the_tube():
     # pi/8 < 1/2), so they cover the circle and their sum dominates the mass.
     g = build_grid(32)
     f = _unit_constant_field(g)
-    circle = GreatCircle([0.2, -0.4, 0.9])
-    mass = node_mass(f, circle, 0.25)
-    ring, col, ids = arc_selections(g, circle, 0.25)
+    axis = [0.2, -0.4, 0.9]
+    mass = node_mass(f, axis, 0.25)
+    ring, col, ids = arc_selections(g, axis, 0.25)
     dens = g.ring_weight[ring] / (4 * math.pi)
     arcs = np.array([dens[m].sum() for m in arc_members(ids)])
     assert arcs.shape == (8,)
@@ -246,7 +246,7 @@ def test_arc_masses_cover_the_tube():
 def dense_tube(grid, axis, width):
     """Node test |x . a| <= sin(width) over the whole grid; the whole sphere from pi/2 on."""
     threshold = 1.0 if width >= math.pi / 2 else math.sin(width)
-    return np.abs(grid.points() @ GreatCircle(axis).axis) <= threshold
+    return np.abs(grid.points() @ _as_unit(axis)) <= threshold
 
 
 def arc_masks(grid, ring, col, arcs):
@@ -258,9 +258,9 @@ def arc_masks(grid, ring, col, arcs):
 
 def dense_arc_masks(grid, axis, width, arc_length=1.0):
     """Arc masks of shape (8, n_phi, n_theta), every arc tested at every tube point."""
-    circle = GreatCircle(axis)
-    mask = dense_tube(grid, circle.axis, width)
-    u, v = circle.frame()
+    a = _as_unit(axis)
+    mask = dense_tube(grid, a, width)
+    u, v = circle_frame(a)
     xyz = grid.points()[mask]
     ang = np.arctan2(xyz @ v, xyz @ u)
     centers = 2.0 * np.pi * np.arange(8) / 8
@@ -272,9 +272,9 @@ def dense_arc_masks(grid, axis, width, arc_length=1.0):
 
 def test_arc_selections_lie_inside_the_tube():
     g = build_grid(24)
-    circle = GreatCircle([0.2, -0.4, 0.9])
-    tube = dense_tube(g, circle.axis, 0.25)
-    ring, col, arcs = arc_selections(g, circle, 0.25)
+    axis = [0.2, -0.4, 0.9]
+    tube = dense_tube(g, axis, 0.25)
+    ring, col, arcs = arc_selections(g, axis, 0.25)
     # the selection lists each tube node once, in C order, and nothing else
     assert np.all(np.diff(ring * g.n_theta + col) > 0)
     assert tube[ring, col].all() and ring.size == tube.sum()
@@ -320,7 +320,7 @@ def test_arc_selections_match_the_dense_oracle(k, oversample):
         assert np.array_equal(ring, expect_ring) and np.array_equal(col, expect_col)
         assert np.array_equal(arc_masks(g, ring, col, arcs), dense_arc_masks(g, axis, w))
         # the first id is the nearest center's arc, the second one an adjacent arc or none
-        u, v = GreatCircle(axis).frame()
+        u, v = circle_frame(_as_unit(axis))
         xyz = g.points()[ring, col]
         nearest = np.rint(np.arctan2(xyz @ v, xyz @ u) / (math.pi / 4)).astype(int)
         assert np.array_equal(arcs[0], nearest % 8)
@@ -337,31 +337,31 @@ def test_arc_ends_follow_the_wrap_distance(monkeypatch):
     n_arcs = quadrature._N_ARCS
     assert 2 * math.pi / n_arcs < quadrature._ARC_LENGTH < 4 * math.pi / n_arcs
     g = build_grid(8)
-    circle = GreatCircle([0.2, -0.4, 0.9])
-    u, v = circle.frame()
-    tube = dense_tube(g, circle.axis, 0.3)
+    axis = [0.2, -0.4, 0.9]
+    u, v = circle_frame(_as_unit(axis))
+    tube = dense_tube(g, axis, 0.3)
     xyz = g.points()[tube]
     ends = np.abs((np.arctan2(xyz @ v, xyz @ u) + math.pi) % (2.0 * math.pi) - math.pi)
     ends = ends[(math.pi / 8 < ends) & (ends < math.pi / 4)]
     assert ends.size == 17
     for end in ends:
         monkeypatch.setattr(quadrature, "_ARC_LENGTH", 2.0 * end)
-        ring, col, arcs = arc_selections(g, circle, 0.3)
-        expect = dense_arc_masks(g, circle.axis, 0.3, 2.0 * end)
+        ring, col, arcs = arc_selections(g, axis, 0.3)
+        expect = dense_arc_masks(g, axis, 0.3, 2.0 * end)
         assert np.array_equal(arc_masks(g, ring, col, arcs), expect)
 
 
 def test_tube_inputs_are_checked_by_name():
     g = build_grid(8)
     f = _unit_constant_field(g)
-    circle = GreatCircle([0.2, -0.4, 0.9])
+    axis = [0.2, -0.4, 0.9]
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="width"):
-            arc_selections(g, circle, bad)
+            arc_selections(g, axis, bad)
     # width >= pi/2, inf included, is the whole sphere
     for w in (math.pi / 2, math.inf):
-        assert node_mass(f, circle, w) == pytest.approx(1.0, rel=1e-13)
-        assert arc_selections(g, circle, w)[0].size == g.n_points
+        assert node_mass(f, axis, w) == pytest.approx(1.0, rel=1e-13)
+        assert arc_selections(g, axis, w)[0].size == g.n_points
 
 
 def test_superlevel_measure_constant():
