@@ -21,7 +21,7 @@ import numpy as np
 
 from .legendre import _degree, log_factorial
 from .random_bases import CoefficientBasis
-from .sphere import circle_angle, fibonacci_axes, rotation_to_pole
+from .sphere import fibonacci_axes, rotation_to_pole
 
 __all__ = [
     "PackingInfeasibleError",
@@ -74,8 +74,9 @@ def beam_coefficients(k: int, axis, grid=None) -> np.ndarray:
         xi = -a[2] / (2.0 * eta)
     up = np.arange(2 * k + 1)
     down = up[::-1]
+    log_up = log_factorial(up)
     log_mag = (
-        0.5 * (log_factorial(2 * k) - log_factorial(up) - log_factorial(down))
+        0.5 * (log_factorial(2 * k) - log_up - log_up[::-1])
         + _xlogy(up, abs(xi))
         + _xlogy(down, abs(eta))
     )
@@ -112,29 +113,14 @@ def packing_bound(delta: float) -> int:
 _CANONICAL_AXES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-def _greedy_select(candidates: np.ndarray, j: int, delta: float) -> np.ndarray:
-    chosen = []
-    for cand in candidates:
-        ok = True
-        for c in chosen:
-            if circle_angle(cand, c) < delta - 1e-12:
-                ok = False
-                break
-        if ok:
-            chosen.append(cand)
-            if len(chosen) == j:
-                break
-    return np.array(chosen)
-
-
-def place_separated_axes(j: int, delta: float, seed: int = 0) -> np.ndarray:
+def place_separated_axes(j: int, delta: float) -> np.ndarray:
     """J great-circle axes with pairwise circle-angle >= delta, shape (J, 3).
 
-    Deterministic given the seed: the candidate pool is the north pole, a
-    Fibonacci lattice folded to the upper hemisphere (axes +-a describe the
-    same circle), and the two canonical equator axes; greedy selection takes
-    the first J compatible candidates.  If the greedy pass falls short the
-    pool is re-drawn under seeded random rotations before giving up.
+    Deterministic: the candidate pool is the north pole, a Fibonacci lattice
+    folded to the upper hemisphere (axes +-a describe the same circle), and
+    the two canonical equator axes.  One greedy pass takes, in pool order,
+    each candidate whose circle angle to every axis already taken is at
+    least delta, i.e. |a . b| <= cos(delta) on unit axes, until J are taken.
     """
     j = int(j)
     if j < 1:
@@ -151,28 +137,19 @@ def place_separated_axes(j: int, delta: float, seed: int = 0) -> np.ndarray:
     lattice = lattice * np.where(lattice[:, 2] < 0.0, -1.0, 1.0)[:, None]
     order = np.argsort(-lattice[:, 2], kind="stable")
     pool = np.vstack([[[0.0, 0.0, 1.0]], lattice[order], _CANONICAL_AXES])
-    chosen = _greedy_select(pool, j, delta)
-    if chosen.shape[0] == j:
-        return chosen
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        rot = _random_rotation(rng)
-        chosen = _greedy_select(pool @ rot.T, j, delta)
-        if chosen.shape[0] == j:
-            return chosen
+    max_dot = math.cos(delta - 1e-12)
+    chosen = np.empty((j, 3))
+    n = 0
+    for cand in pool:
+        if np.all(np.abs(chosen[:n] @ cand) <= max_dot):
+            chosen[n] = cand
+            n += 1
+            if n == j:
+                return chosen
     raise PackingInfeasibleError(
         f"could not place {j} axes at separation {delta} "
         f"(packing bound {bound}; greedy search exhausted)"
     )
-
-
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation via QR of a Gaussian matrix, det fixed to +1."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diagonal(r))[None, :]
-    if np.linalg.det(q) < 0.0:
-        q[:, 2] = -q[:, 2]
-    return q
 
 
 def orthonormalize(k: int, rows, method: str = "symmetric"):

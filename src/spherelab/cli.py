@@ -246,7 +246,7 @@ def _run_random_onb(args):
           type=_finite_float, default=None),
     _flag("--method", "orthonormalization method",
           choices=("symmetric", "sequential"), default="symmetric"),
-    _flag("--seed", "axis placement seed", type=int, default=0),
+    _flag("--seed", "row label: delta number i reads seed + i", type=int, default=0),
 )
 def _run_beams(args):
     if args.k_min is not None:

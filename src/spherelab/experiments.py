@@ -546,8 +546,9 @@ def beam_experiment(
     on the band-k grid.  Row columns follow BEAM_EXPERIMENT_COLUMNS; sum_l4
     is the family total of fourth-power norms after orthonormalization, to
     be read against the k log k growth of the standard full basis.
-    ``seed`` is a non-negative int; at every degree, delta number i places
-    its axes with seed + i.  The one gate: every configuration
+    ``seed`` is a non-negative int that only labels rows: delta number i
+    reads seed + i in the seed column, and the deterministic axis placement
+    reads no seed.  The one gate: every configuration
     orthonormalized, with a finite Gram condition number and a positive
     minimum retention.
     """
@@ -571,9 +572,8 @@ def beam_experiment(
         else:
             j_req = max(1, math.isqrt(k))
         for idx, (delta, bound) in enumerate(zip(deltas, bounds)):
-            count = max(1, min(j_req, max(1, bound // 2)))
-            config_seed = int(seed) + idx
-            axes = place_separated_axes(count, delta, seed=config_seed)
+            count = min(j_req, max(1, bound // 2))
+            axes = place_separated_axes(count, delta)
             coefficients = np.array([beam_coefficients(k, axis) for axis in axes])
             if count == 1:
                 # One beam is already orthonormal; a 1 x 1 orthonormalization would only round.
@@ -591,7 +591,7 @@ def beam_experiment(
                     "J": count,
                     "delta": delta,
                     "method": method,
-                    "seed": config_seed,
+                    "seed": int(seed) + idx,
                     "min_ret": min_ret,
                     "mean_ret": mean_ret,
                     "gram_cond": gram_cond,

@@ -80,10 +80,15 @@ def projection_kernel(k: int, x, y):
     """Reproducing kernel of the degree-k eigenspace, ((2k+1)/4pi) P_k(x . y).
 
     At equal-length sequences of points x and y, the array of kernels at the
-    pairs: one ``legendre_p`` call on the clamped dots ``float(a @ b)``.
+    pairs: one ``legendre_p`` call on the clamped dots ``float(a @ b)``.  A
+    point against a sequence, or sequences of unequal length, is a ValueError.
     """
     single = np.ndim(x) < 2 and np.size(x) > 0
-    pairs = zip([x] if single else x, [y] if single else y, strict=True)
+    if single != (np.ndim(y) < 2 and np.size(y) > 0):
+        raise ValueError(f"need two points or two sequences, got {np.shape(x)} and {np.shape(y)}")
+    if not single and len(x) != len(y):
+        raise ValueError(f"need sequences of equal length, got lengths {len(x)} and {len(y)}")
+    pairs = zip([x], [y]) if single else zip(x, y)
     dots = [min(1.0, max(-1.0, float(_as_unit(a) @ _as_unit(b)))) for a, b in pairs]
     kernel = (2 * k + 1) / (4.0 * np.pi) * legendre_p(k, dots)
     return float(kernel[0]) if single else kernel

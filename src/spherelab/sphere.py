@@ -9,8 +9,6 @@ import numpy as np
 
 __all__ = [
     "circle_frame",
-    "geodesic_distance",
-    "circle_angle",
     "rotation_to_pole",
     "fibonacci_axes",
 ]
@@ -48,28 +46,6 @@ def circle_frame(axis):
     u = _cross(axis, helper)
     u /= np.linalg.norm(u)
     return u, _cross(axis, u)
-
-
-def geodesic_distance(x, y) -> float:
-    """Geodesic (angular) distance between two points, in [0, pi].
-
-    Uses the two-argument arctangent of cross and dot products, which stays
-    accurate for nearly equal and nearly antipodal points where arccos of the
-    dot product loses half the significant digits.
-    """
-    a = _as_unit(x)
-    b = _as_unit(y)
-    return float(np.arctan2(np.linalg.norm(_cross(a, b)), float(a @ b)))
-
-
-def circle_angle(axis_a, axis_b) -> float:
-    """Angle between two great circles: min(angle, pi - angle) of their axes.
-
-    An axis and its negation describe the same circle, so the metric is
-    folded to [0, pi/2].
-    """
-    d = geodesic_distance(axis_a, axis_b)
-    return float(min(d, np.pi - d))
 
 
 def rotation_to_pole(x) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from spherelab.harmonics import (
 )
 from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
 from spherelab.random_bases import quartic_norms
-from spherelab.sphere import circle_angle, rotation_to_pole
+from spherelab.sphere import rotation_to_pole
 
 
 def beam_overlap(k: int, axis1, axis2) -> complex:
@@ -224,19 +225,56 @@ def test_packing_bound_values():
             packing_bound(delta)
 
 
+def _circle_angles(axes) -> np.ndarray:
+    """Pairwise great-circle angles min(d, pi - d) of the axes' arctan2 geodesic distances d."""
+    axes = np.asarray(axes) / np.linalg.norm(axes, axis=1)[:, None]
+    sines = np.linalg.norm(np.cross(axes[:, None, :], axes[None, :, :]), axis=2)
+    d = np.arctan2(sines, axes @ axes.T)
+    return np.minimum(d, np.pi - d)
+
+
+# blake2b digests of place_separated_axes(j, delta), recorded while the placement still
+# measured circle angles pair by pair: the bench's beams settings (J = 8 and 11 at its
+# three separations) and the settings the tests place.
+_PLACEMENT_DIGESTS = {
+    (8, 0.5): "91384560ab83b9b7",
+    (8, 0.35): "ee40ff5c4a92d404",
+    (8, 0.25): "d14de132b264173a",
+    (11, 0.5): "3f576bc9c8c9efbe",
+    (11, 0.35): "9a9db29c66a482bf",
+    (11, 0.25): "22af2c373f80f3d2",
+    (6, 0.5): "3f14ce58951bcf83",
+    (5, 0.5): "994f3892ded67846",
+    (4, 0.6): "27f5cc4bbdb2c92c",
+    (3, 0.6): "30954b906052cceb",
+    (16, 0.5): "dac5ad65e2aa60e9",
+    (9, 0.35): "1ac1b33b5f392ab6",
+    (200, 0.1): "29d2af613ed0a288",
+}
+
+
 def test_place_separated_axes():
-    axes = place_separated_axes(6, 0.5)
-    assert axes.shape == (6, 3)
-    assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert circle_angle(axes[i], axes[j]) >= 0.5 - 1e-12
-    assert np.allclose(axes[0], [0, 0, 1])
+    assert _circle_angles([[0, 0, 1], [0, 0, -1]])[0, 1] == 0.0
+    for (j, delta), digest in _PLACEMENT_DIGESTS.items():
+        axes = place_separated_axes(j, delta)
+        assert axes.shape == (j, 3)
+        digest_of = hashlib.blake2b(axes.tobytes(), digest_size=8).hexdigest()
+        assert digest_of == digest, (j, delta)
+        assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
+        pairs = np.triu_indices(j, 1)
+        assert _circle_angles(axes)[pairs].min() >= delta - 1e-12
+        assert np.array_equal(axes[0], [0, 0, 1])
     assert np.allclose(place_separated_axes(1, 0.5), [[0, 0, 1]])
     with pytest.raises(PackingInfeasibleError):
         place_separated_axes(50, 1.4)
     with pytest.raises(ValueError):
         place_separated_axes(0, 0.5)
+    # Within the packing bound but beyond the greedy pass, as when the digests
+    # were recorded; (3, 1.5) is refused only because the pair test folds a
+    # negative dot product, as an axis and its negation give one circle.
+    for j, delta in ((3, 1.5), (40, 0.316)):
+        with pytest.raises(PackingInfeasibleError, match="greedy search exhausted"):
+            place_separated_axes(j, delta)
 
 
 def test_orthonormalize_symmetric_properties():

@@ -423,3 +423,9 @@ def test_entry_points_refuse_anything_but_a_finite_nonzero_3_vector():
         for bad in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [1.0, 0.0], [0.0, 0.0, 1.0, 0.0], 1.0):
             with pytest.raises(ValueError):
                 call(bad)
+    # a point against a sequence, either way round, and sequences of unequal length
+    mixed = (([pole], pole, r"\(1, 3\) and \(3,\)"), (pole, [pole], r"\(3,\) and \(1, 3\)"),
+             ([pole, pole], [pole], "lengths 2 and 1"))
+    for x, y, names in mixed:
+        with pytest.raises(ValueError, match=names):
+            projection_kernel(4, x, y)

@@ -40,6 +40,10 @@ RETIRED = (
     "SpherePoint",
     "GreatCircle",
     "_point",
+    "_random_rotation",
+    "_greedy_select",
+    "circle_angle",
+    "geodesic_distance",
 )
 
 
@@ -68,6 +72,7 @@ def test_retired_members_are_gone():
     assert "validate" not in inspect.signature(spherelab.CoefficientBasis).parameters
     assert "grid" not in inspect.signature(spherelab.orthonormalize).parameters
     assert "j_rule" not in inspect.signature(spherelab.beam_experiment).parameters
+    assert "seed" not in inspect.signature(spherelab.place_separated_axes).parameters
     assert "max_points" not in inspect.signature(spherelab.build_grid).parameters
     assert "label" not in inspect.signature(spherelab.coefficient_field).parameters
     assert list(inspect.signature(spherelab.HarmonicField).parameters) == ["grid", "values"]

@@ -7,10 +7,8 @@ from spherelab.harmonics import _polar
 from spherelab.sphere import (
     _as_unit,
     _cross,
-    circle_angle,
     circle_frame,
     fibonacci_axes,
-    geodesic_distance,
     rotation_to_pole,
 )
 
@@ -34,37 +32,6 @@ def test_colatitude_is_the_arccos_of_the_clipped_height_bitwise():
         height = (np.asarray(xyz) / np.linalg.norm(xyz))[2]
         expected = float(np.arccos(np.clip(height, -1.0, 1.0)))
         assert np.float64(_polar(xyz)[0]).tobytes() == np.float64(expected).tobytes()
-
-
-def test_geodesic_distance_known_values():
-    ex = [1.0, 0.0, 0.0]
-    ey = [0.0, 1.0, 0.0]
-    ez = [0.0, 0.0, 1.0]
-    assert geodesic_distance(ex, ex) == 0.0
-    assert geodesic_distance(ex, ey) == pytest.approx(math.pi / 2)
-    assert geodesic_distance(ez, [0, 0, -1]) == pytest.approx(math.pi)
-    # atan2 formulation keeps full accuracy near zero separation
-    near = [1.0, 1e-9, 0.0]
-    assert geodesic_distance(ex, near) == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_geodesic_distance_triangle_inequality():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        x, y, z = rng.standard_normal((3, 3))
-        dxy = geodesic_distance(x, y)
-        dyz = geodesic_distance(y, z)
-        dxz = geodesic_distance(x, z)
-        assert dxz <= dxy + dyz + 1e-12
-
-
-def test_circle_angle_folds_antipodes():
-    a = [0.0, 0.0, 1.0]
-    b = [math.sin(0.3), 0.0, math.cos(0.3)]
-    assert circle_angle(a, b) == pytest.approx(0.3, abs=1e-12)
-    assert circle_angle(a, [-v for v in b]) == pytest.approx(0.3, abs=1e-12)
-    assert circle_angle(a, a) == 0.0
-    assert 0.0 <= circle_angle(a, [1.0, 0.2, -0.3]) <= math.pi / 2
 
 
 def test_rotation_to_pole_properties():
