@@ -174,13 +174,13 @@ def beam_field(k: int, axis, grid: QuadratureGrid) -> HarmonicField:
     """Highest weight harmonic rebuilt around an arbitrary axis, evaluated directly.
 
     Evaluates c_k ((Rx)_1 + i (Rx)_2)^k with R the deterministic rotation
-    taking the axis to the pole; the modulus is axis-frame invariant, only a
-    global phase depends on R.  The power is taken in log space so large k
-    cannot underflow the profile.  This pointwise evaluation shares no code
-    with the closed-form ``beams.beam_coefficients``, so synthesizing those
-    coefficients and comparing against this field checks both.  The field is
-    filled block by block of whole rings, so the temporaries stay a block's
-    size whatever the grid.
+    taking the axis a to the pole; only a global phase depends on R, and
+    |f|^2 = c_k^2 (1 - (x . a)^2)^k is what ``tube-ratio`` reads, in closed
+    form.  The power is taken in log space so large k cannot underflow.  No
+    subcommand calls this: it shares no code with ``beams.beam_coefficients``,
+    so the bench and the tests synthesize those coefficients against it to
+    check both.  The field is filled block by block of whole rings, so the
+    temporaries stay a block's size whatever the grid.
     """
     k = int(k)
     rot = rotation_to_pole(axis)

@@ -1,13 +1,13 @@
-"""Product quadrature on the sphere, sampled fields, Lp norms, tube and superlevel measures.
+"""Product quadrature on the sphere, sampled fields, the L^q rule, tube and superlevel measures.
 
 The grid is Gauss-Legendre in t = cos(phi) crossed with uniform longitudes.
 With n_phi nodes and n_theta longitudes it integrates exactly any integrand
 that is a polynomial of degree <= 2*n_phi - 1 in cos(phi) times a
 trigonometric polynomial of degree <= n_theta - 1 in theta.  Every integral
 in the package weights the nodes by ``QuadratureGrid.ring_weight``, the one
-exactness certificate; ``integrate`` and ``integrate_profile`` reduce grids
-and per-ring profiles, while ``quartic_norms``, the identity Gram check, the
-tube masses and ``superlevel_measure`` reduce in their own orders.
+exactness certificate; ``integrate`` and ``integrate_profile`` reduce grid
+densities and per-ring profiles, while ``quartic_norms``, the identity Gram
+check, the tube masses and ``superlevel_measure`` reduce in their own orders.
 """
 
 import ctypes
@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureGrid",
     "build_grid",
     "HarmonicField",
-    "lp_norm",
     "profile_norm",
     "arc_selections",
     "superlevel_measure",
@@ -285,46 +284,26 @@ def _norm_exponent(q) -> float:
     return q
 
 
-def _lq_norm(values, q, integrate) -> float:
-    """(integrate(|values|^q))^(1/q), the one L^q rule; q = inf is the max of |values|.
-
-    An even q powers real values signed, because numpy's vectorized pow can
-    round x^q an ulp away from |x|^q and the frozen tube-ratio rows were
-    recorded with x^q; complex values always take |f|^q.  Nonzero values
-    whose integral of |f|^q is zero, subnormal or infinite have no
-    representable norm: that is a ValueError naming q.
-    """
-    q = _norm_exponent(q)
-    if q == np.inf:
-        return float(np.abs(values).max())
-    signed = q % 2.0 == 0.0 and not np.iscomplexobj(values)
-    with np.errstate(over="ignore"):
-        powers = values**q if signed else np.abs(values) ** q
-    integral = integrate(powers)
-    if not np.finfo(float).tiny <= integral < np.inf and values.any():
-        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |f|^q "
-                         f"is {integral:.3g}, outside the normal double range")
-    return float(integral ** (1.0 / q))
-
-
-def lp_norm(field: HarmonicField, p) -> float:
-    """(integral |f|^p dV)^(1/p); p = inf returns the max of |f| over the nodes.
-
-    The grid max under-estimates a true sup that falls between nodes, which is
-    fine for the slope experiments here (the offset is a constant factor), but
-    quote sup norms with that caveat.  p must be >= 1 or inf, and the integral
-    of |f|^p of a nonzero field must be a normal double; else a ValueError.
-    """
-    return _lq_norm(field.values, p, field.grid.integrate)
-
-
 def profile_norm(grid: QuadratureGrid, profile, q) -> float:
     """||f||_q of a longitude-independent f given per ring, such as one column N(k, m, t).
 
-    q = inf is the max of |profile| over the nodes, the exact node value.
-    Exponents and range follow ``lp_norm``.
+    The one L^q rule: q >= 1, or q = inf for the max of |profile| over the
+    nodes.  An even q powers the profile signed, because numpy's vectorized
+    pow can round x^q an ulp away from |x|^q and the frozen tube-ratio rows
+    were recorded with x^q.  A nonzero profile whose integral of |f|^q is zero,
+    subnormal or infinite has no representable norm: a ValueError naming q.
     """
-    return _lq_norm(np.asarray(profile, dtype=float), q, grid.integrate_profile)
+    profile = np.asarray(profile, dtype=float)
+    q = _norm_exponent(q)
+    if q == np.inf:
+        return float(np.abs(profile).max())
+    with np.errstate(over="ignore"):
+        powers = profile**q if q % 2.0 == 0.0 else np.abs(profile) ** q
+    integral = grid.integrate_profile(powers)
+    if not np.finfo(float).tiny <= integral < np.inf and profile.any():
+        raise ValueError(f"norm exponent q = {q:g} is out of range: the integral of |f|^q "
+                         f"is {integral:.3g}, outside the normal double range")
+    return float(integral ** (1.0 / q))
 
 
 # The tube-ratio sweep's geometry: each great circle is cut into _N_ARCS

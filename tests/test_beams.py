@@ -23,9 +23,10 @@ from spherelab.harmonics import (
     coefficient_field,
     signed_order_table,
 )
-from spherelab.quadrature import GridResolutionError, build_grid, lp_norm
+from spherelab.quadrature import GridResolutionError, build_grid
 from spherelab.random_bases import quartic_norms
 from spherelab.sphere import rotation_to_pole
+from test_quadrature import field_norm
 
 
 def beam_overlap(k: int, axis1, axis2) -> complex:
@@ -354,7 +355,7 @@ def test_beam_experiment_rows():
 
 def test_single_beam_experiment_matches_direct_norm():
     grid = build_grid(64)
-    q = lp_norm(beam_field(64, [0, 0, 1], grid), 4) ** 4
+    q = field_norm(beam_field(64, [0, 0, 1], grid), 4) ** 4
     rows = beam_experiment([64], deltas=(0.5,), j=1).rows
     assert rows[0]["J"] == 1
     assert rows[0]["sum_l4"] == pytest.approx(q, rel=1e-10)
@@ -377,8 +378,8 @@ def test_single_beam_l4_scaling_between_degrees():
     # compensated value agree to a few percent
     g64 = build_grid(64)
     g128 = build_grid(128)
-    v64 = lp_norm(beam_field(64, [0, 0, 1], g64), 4) ** 4 / math.sqrt(64)
-    v128 = lp_norm(beam_field(128, [0, 0, 1], g128), 4) ** 4 / math.sqrt(128)
+    v64 = field_norm(beam_field(64, [0, 0, 1], g64), 4) ** 4 / math.sqrt(64)
+    v128 = field_norm(beam_field(128, [0, 0, 1], g128), 4) ** 4 / math.sqrt(128)
     assert v128 == pytest.approx(v64, rel=0.03)
 
 

@@ -418,7 +418,13 @@ def test_every_subcommand_writes_a_json_record(tmp_path, capsys, argv, n_gates):
 # before and 0.4425326924449823 after.  The tube-ratio CSV and JSON digests were
 # re-recorded when the beam's arc masses became bincounts over the arc ids: the
 # one changed cell is the beam_tilted sup_arc_mass, 0.13732450135005494 (the
-# dense-mask pairwise sum) before and 0.13732450135005492 after.
+# dense-mask pairwise sum) before and 0.13732450135005492 after.  They were
+# re-recorded again when the beam became its closed-form density
+# c_k^2 (1 - (x . a)^2)^k; the three beam_tilted cells moved, l4
+# 0.6619872779856195 -> 0.6619872779856193, sup_arc_mass 0.13732450135005492
+# -> 0.1373245013500549 and ratio 0.31415384246873396 -> 0.31415384246873385,
+# toward the oracles test_tube_ratio_beam_l4_is_rotation_invariant and
+# test_tube_ratio_beam_density_matches_mpmath; stdout did not change.
 _GOLDEN = {
     "norms": (
         "e9549189a32e288a8982d45f129c8a75bb659a98508f2a7f4820e006b0c62b1a",
@@ -452,8 +458,8 @@ _GOLDEN = {
     ),
     "tube-ratio": (
         "d590b88f656476fda24f26ed31c51410490392c6588d272bf5fff1c9831b995d",
-        "41beb9d7798aa911636dfc9cf3bfab787f78bc8b92fc057dfb78fc75fa2fd6a3",
-        "08972e8fac7723d4e2e9d6fac1534a04963e5b47fee1bfeaad54467a5648ee37",
+        "432dc9959a309d4e08b95f68298a21b571bc8c76cdabfd19830ef4c97cc06fc5",
+        "4101b97457a72e5e03f8bab008439ade43079bb7b564b76d1ad433ce6e1c33a6",
     ),
     "superlevel": (
         "6d3d1165462f71e17a1f9bda34f959856a87aec210c869fc1beed5da47201460",

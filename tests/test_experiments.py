@@ -27,10 +27,10 @@ from spherelab.experiments import (
     tube_ratio_experiment,
 )
 from spherelab.harmonics import beam_field, coefficient_field
-from spherelab.legendre import _zonal_3j_squares, normalized_legendre_table
-from spherelab.quadrature import build_grid, lp_norm
+from spherelab.legendre import _sectoral_log, _zonal_3j_squares, normalized_legendre_table
+from spherelab.quadrature import QuadratureGrid, arc_selections, build_grid
 from spherelab.sphere import fibonacci_axes
-from test_quadrature import dense_arc_masks
+from test_quadrature import dense_arc_masks, field_norm
 
 
 def test_fit_power_law_exact_recovery():
@@ -228,7 +228,7 @@ def test_norms_rows_share_one_table_per_grid_bitwise():
     assert [(row["label"], row["q"], row["norm"].hex()) for row in res.rows] == frozen
     grid = build_grid(64)
     for row, m in zip(res.rows, (0, 64, 5)):
-        assert row["norm"] == lp_norm(coefficient_field(64, _one_hot(64, m), grid), 4.0)
+        assert row["norm"] == field_norm(coefficient_field(64, _one_hot(64, m), grid), 4.0)
     with pytest.raises(ValueError, match="order 65"):
         norms_experiment(64, (4.0,), 65)
 
@@ -247,7 +247,7 @@ def test_norms_sup_is_the_exact_node_max(k, m):
     grid = build_grid(k)
     sup = norms_experiment(k, (math.inf,), m).rows[-1]["norm"]
     assert sup == np.abs(normalized_legendre_table(k, grid.t)[:, abs(m)]).max()
-    assert sup <= lp_norm(coefficient_field(k, _one_hot(k, m), grid), math.inf)
+    assert sup <= field_norm(coefficient_field(k, _one_hot(k, m), grid), math.inf)
 
 
 def test_tube_ratio_arc_counts_match_the_dense_oracle(monkeypatch):
@@ -297,7 +297,16 @@ def test_tube_ratio_arc_masses_match_per_point_oracle():
 # (n_arcs, n_phi, n_theta) mask over the whole grid.  The beam_tilted
 # sup_arc_mass at k = 8 and 64 was re-recorded when the beam's arc masses
 # became bincounts over the arc ids: it moved by 2.0e-16 and 4.2e-16 relative
-# from those dense-mask pairwise sums, the last bit or two.
+# from those dense-mask pairwise sums, the last bit or two.  The twelve
+# beam_tilted cells were re-recorded when the beam became its closed-form
+# density c_k^2 (1 - (x . a)^2)^k instead of a sampled complex field; each
+# moved toward the two oracles test_tube_ratio_beam_l4_is_rotation_invariant
+# and test_tube_ratio_beam_density_matches_mpmath, by at most 4.2e-15 relative
+# (old -> new mantissa tails, exponents unchanged):
+#   k = 8:  l4 ...1f1a -> ...1f18, sup_arc_mass ...7694 -> ...7693, ratio ...387f -> ...387d
+#   k = 16: l4 ...e4b0 -> ...e4ac, sup_arc_mass ...3eaa -> ...3ea3, ratio ...e841 -> ...e83e
+#   k = 32: l4 ...20d0 -> ...20c7, sup_arc_mass ...8046 -> ...8043, ratio ...c8e5 -> ...c8dd
+#   k = 64: l4 ...7e7d -> ...7e70, sup_arc_mass ...a61b -> ...a607, ratio ...23cc -> ...23c1
 TUBE_RATIO_FROZEN = [
     (8, "m=0", "0x1.633d5f370f38bp-1", "0x1.33cf888a9b456p-3", "0x1.4fd579cd6514cp-2"),
     (8, "m=1", "0x1.47eedec3a529bp-1", "0x1.212f45b0921d0p-3", "0x1.36de910f7cea3p-2"),
@@ -308,7 +317,7 @@ TUBE_RATIO_FROZEN = [
     (8, "m=6", "0x1.3973c1907aa57p-1", "0x1.438d94d303a2ap-4", "0x1.30b737d68280ap-2"),
     (8, "m=7", "0x1.408c1ac8609aep-1", "0x1.78ed07c5124c7p-4", "0x1.3593638dd3c59p-2"),
     (8, "m=8", "0x1.52efff1aa1f18p-1", "0x1.2c1708426113fp-3", "0x1.40c7a6b821055p-2"),
-    (8, "beam_tilted", "0x1.52efff1aa1f1ap-1", "0x1.193d9691e7694p-3", "0x1.41b18b7d4387fp-2"),
+    (8, "beam_tilted", "0x1.52efff1aa1f18p-1", "0x1.193d9691e7693p-3", "0x1.41b18b7d4387dp-2"),
     (16, "m=0", "0x1.6f04f3af79c0bp-1", "0x1.fc653003d6385p-4", "0x1.4eb75027c246ep-2"),
     (16, "m=1", "0x1.5657c3c32177bp-1", "0x1.ea0348cd57aefp-4", "0x1.38bb97a76fed8p-2"),
     (16, "m=2", "0x1.4d1abc08145f0p-1", "0x1.e322bf8755f0cp-4", "0x1.307cf73372e0ep-2"),
@@ -326,7 +335,7 @@ TUBE_RATIO_FROZEN = [
     (16, "m=14", "0x1.4d3930732e706p-1", "0x1.1d14d277063fep-4", "0x1.37e1349be4d3dp-2"),
     (16, "m=15", "0x1.57e12ef5a085ep-1", "0x1.4d76f2834468ap-4", "0x1.3f9e0f81b54c3p-2"),
     (16, "m=16", "0x1.6e99f1c94e4aep-1", "0x1.133052f7cf1c0p-3", "0x1.4d21f209938c0p-2"),
-    (16, "beam_tilted", "0x1.6e99f1c94e4b0p-1", "0x1.0f48b0cab3eaap-3", "0x1.4d595e095e841p-2"),
+    (16, "beam_tilted", "0x1.6e99f1c94e4acp-1", "0x1.0f48b0cab3ea3p-3", "0x1.4d595e095e83ep-2"),
     (32, "m=0", "0x1.79f10ca854634p-1", "0x1.9752d60c4f6f0p-4", "0x1.4c48e51295f2fp-2"),
     (32, "m=1", "0x1.638815df2dbc9p-1", "0x1.94c4f024429e2p-4", "0x1.38ac7ce2f9ab2p-2"),
     (32, "m=2", "0x1.5b1cb1bb67c28p-1", "0x1.8edfdf244c226p-4", "0x1.317a73bc6a75cp-2"),
@@ -360,7 +369,7 @@ TUBE_RATIO_FROZEN = [
     (32, "m=30", "0x1.66edc8aae78d4p-1", "0x1.0c87710659db7p-4", "0x1.41b8a6902d4abp-2"),
     (32, "m=31", "0x1.73ed2ab092f38p-1", "0x1.438d416ee5594p-4", "0x1.4a842b2eb4a5ep-2"),
     (32, "m=32", "0x1.8e172e8b120c2p-1", "0x1.1469ec4078eb8p-3", "0x1.5903e176203b5p-2"),
-    (32, "beam_tilted", "0x1.8e172e8b120d0p-1", "0x1.0783be9698046p-3", "0x1.59cb41bf0c8e5p-2"),
+    (32, "beam_tilted", "0x1.8e172e8b120c7p-1", "0x1.0783be9698043p-3", "0x1.59cb41bf0c8ddp-2"),
     (64, "m=0", "0x1.8415b38ace1edp-1", "0x1.4307f3031eb0cp-4", "0x1.489153f0568f7p-2"),
     (64, "m=1", "0x1.6f90317126683p-1", "0x1.3ef60418854e2p-4", "0x1.37620ceeae67fp-2"),
     (64, "m=2", "0x1.67ea47eed6563p-1", "0x1.3f10f986b1b98p-4", "0x1.30e62870dfd89p-2"),
@@ -426,8 +435,51 @@ TUBE_RATIO_FROZEN = [
     (64, "m=62", "0x1.850a8eb1b29eep-1", "0x1.07199728154a1p-4", "0x1.4ca144ac171bbp-2"),
     (64, "m=63", "0x1.93ea55ea1b80ep-1", "0x1.40a1ed67295e3p-4", "0x1.5617cd4ac669cp-2"),
     (64, "m=64", "0x1.b12f626517e6dp-1", "0x1.108da1e01b5e8p-3", "0x1.658fc8905ee73p-2"),
-    (64, "beam_tilted", "0x1.b12f626517e7dp-1", "0x1.11847b04ca61bp-3", "0x1.657ff682523ccp-2"),
+    (64, "beam_tilted", "0x1.b12f626517e70p-1", "0x1.11847b04ca607p-3", "0x1.657ff682523c1p-2"),
 ]
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_tube_ratio_beam_l4_is_rotation_invariant(k):
+    # The tilted beam is Q_k turned to (1, 1, 1)/sqrt(3), so its L^4 norm is the
+    # m = k row's; one oracle of the beam_tilted re-pin.
+    rows = {row["label"]: row for row in tube_ratio_experiment([k]).rows}
+    assert abs(rows["beam_tilted"]["l4"] / rows[f"m={k}"]["l4"] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_tube_ratio_beam_density_matches_mpmath(k, monkeypatch):
+    # The other oracle of the beam_tilted re-pin: on the nodes of the sup arc
+    # the sweep's beam density is c_k^2 (1 - d^2)^k in mpmath, with the
+    # package's c_k and d the double x . a at each node (the rounding of d
+    # itself moves any evaluation by up to 2k|d| ulps, so it is left out).
+    # The sweep squares the density once, for the l4 integral, and sqrt of a
+    # rounded square is the double itself.
+    seen = []
+    integrate = QuadratureGrid.integrate
+
+    def spy(grid, values):
+        seen.append(np.sqrt(values))
+        return integrate(grid, values)
+
+    monkeypatch.setattr(QuadratureGrid, "integrate", spy)
+    row = tube_ratio_experiment([k]).rows[-1]
+    (dens,) = seen
+    grid = build_grid(k, 2.0)
+    dots = grid.points() @ (np.ones(3) / math.sqrt(3.0))
+    width = math.sqrt(k * (k + 1)) ** -0.5
+    weighted = dens * grid.ring_weight[:, None]
+    arcs = []
+    for axis in np.vstack([[[0.0, 0.0, 1.0]], fibonacci_axes(max(64, 4 * k))]):
+        ring, col, ids = arc_selections(grid, axis, width)
+        arcs += [(ring[on], col[on]) for on in ((ids == j).any(axis=0) for j in range(8))]
+    ring, col = max(arcs, key=lambda nodes: weighted[nodes].sum())
+    assert abs(weighted[ring, col].sum() / row["sup_arc_mass"] - 1.0) <= 1e-14
+    with mpmath.workdps(40):
+        c2 = mpmath.exp(2 * mpmath.mpf(_sectoral_log(k)))
+        for d, got in zip(dots[ring, col], dens[ring, col]):
+            exact = c2 * (1 - mpmath.mpf(float(d)) ** 2) ** k
+            assert abs(got - exact) <= 1e-15 * exact
 
 
 def test_tube_ratio_rows_are_frozen_bitwise():
@@ -476,11 +528,11 @@ def test_profile_experiments_build_no_full_grid_field(run):
 
 
 def test_tube_ratio_working_set_is_bounded():
-    # The tilted beam is built ring block by ring block and dropped once its
-    # density is taken, and the node tests reuse their buffers: 8.56 MB at
-    # k = 64 in a fresh process, with int8 arc ids as with the boolean
-    # (8, n_tube) membership before them, against 15.8 MB with a one-shot
-    # beam and out-of-place tests.
+    # The tilted beam's real density is built in place in one grid array, and
+    # the node tests reuse their buffers: 8.27 MB at k = 64 in a fresh
+    # process, against 8.53 MB with the beam a sampled complex field built
+    # ring block by ring block, and 15.8 MB with a one-shot complex beam and
+    # out-of-place node tests.
     assert _traced_peak(lambda: tube_ratio_experiment([64])) < 11_000_000
 
 

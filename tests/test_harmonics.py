@@ -20,9 +20,10 @@ from spherelab.harmonics import (
     theta_integral,
 )
 from spherelab.legendre import _sectoral_log, legendre_p
-from spherelab.quadrature import arc_selections, build_grid, lp_norm
+from spherelab.quadrature import arc_selections, build_grid
 from spherelab.random_bases import sample_haar_unitary
 from spherelab.sphere import rotation_to_pole
+from test_quadrature import field_norm
 
 
 def _standard_field(k, m, grid):
@@ -248,7 +249,7 @@ def test_kernel_bound_ratio_antipodal_growth():
 def test_standard_field_normalization():
     grid = build_grid(6)
     for m in (0, 6, -4):
-        assert lp_norm(_standard_field(6, m, grid), 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert field_norm(_standard_field(6, m, grid), 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beam_field_at_pole_matches_highest_weight():
@@ -265,7 +266,7 @@ def test_beam_field_at_pole_matches_highest_weight():
 def test_beam_field_tilted_is_normalized():
     grid = build_grid(16)
     b = beam_field(16, [1.0, -2.0, 0.5], grid)
-    assert lp_norm(b, 2.0) == pytest.approx(1.0, rel=1e-10)
+    assert field_norm(b, 2.0) == pytest.approx(1.0, rel=1e-10)
     # concentration on the great circle orthogonal to the axis
     axis = np.array([1.0, -2.0, 0.5])
     axis /= np.linalg.norm(axis)
@@ -359,8 +360,8 @@ def test_low_degree_l4_closed_forms():
     grid = build_grid(1)
     q1 = _standard_field(1, 1, grid)
     z1 = _standard_field(1, 0, grid)
-    assert lp_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13)
-    assert lp_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13)
+    assert field_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13)
+    assert field_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13)
 
 
 def test_signed_orders_match_the_sign_vector_product_bitwise():

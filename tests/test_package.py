@@ -44,6 +44,8 @@ RETIRED = (
     "_greedy_select",
     "circle_angle",
     "geodesic_distance",
+    "lp_norm",
+    "_lq_norm",
 )
 
 
@@ -193,9 +195,9 @@ def test_every_public_knob_has_a_caller():
     assert _unset_knobs(functions, sources) == list(UNSET_KNOB_EXCEPTIONS)
 
 
-# Public names no code in the package uses: bench/worker.py calls both until
+# Public names no code in the package uses: bench/worker.py calls all three until
 # the bench keeps its own round-trip oracle and Gaussian-limit check.
-UNCALLED_PUBLIC_EXCEPTIONS = ("coefficient_field", "gaussian_limit_check")
+UNCALLED_PUBLIC_EXCEPTIONS = ("beam_field", "coefficient_field", "gaussian_limit_check")
 
 
 def _uncalled(names, sources) -> list:

@@ -12,7 +12,6 @@ from spherelab.quadrature import (
     QuadratureGrid,
     arc_selections,
     build_grid,
-    lp_norm,
     profile_norm,
     superlevel_measure,
 )
@@ -157,13 +156,11 @@ def test_points_are_unit_vectors():
     assert xyz is g.points()  # cached
 
 
-def test_lp_norm_constant_field():
-    g = build_grid(8)
-    c = 0.7 - 0.2j
-    f = HarmonicField(g, np.full(g.shape, c))
-    for p in (1.0, 2.0, 4.0):
-        assert lp_norm(f, p) == pytest.approx(abs(c) * (4 * math.pi) ** (1 / p), rel=1e-13)
-    assert lp_norm(f, np.inf) == pytest.approx(abs(c))
+def field_norm(field, q):
+    """||f||_q of a sampled field by the grid rule; q = inf is the max of |f| over the nodes."""
+    if q == math.inf:
+        return float(np.abs(field.values).max())
+    return field.grid.integrate(np.abs(field.values) ** q) ** (1 / q)
 
 
 def test_norm_interpolation_bound_on_random_field():
@@ -171,9 +168,9 @@ def test_norm_interpolation_bound_on_random_field():
     rng = np.random.default_rng(8)
     g = build_grid(10)
     f = HarmonicField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    n4 = lp_norm(f, 4.0)
-    n2 = lp_norm(f, 2.0)
-    ninf = lp_norm(f, np.inf)
+    n4 = field_norm(f, 4.0)
+    n2 = field_norm(f, 2.0)
+    ninf = field_norm(f, np.inf)
     assert n4**4 <= ninf**2 * n2**2 * (1 + 1e-12)
     assert n2 <= ninf * math.sqrt(4 * math.pi) * (1 + 1e-12)
 
@@ -392,36 +389,31 @@ def test_profile_norm_of_a_constant_profile():
     for q in (1.0, 2.0, 4.0, 7.5):
         expect = abs(c) * (4 * math.pi) ** (1 / q)
         assert profile_norm(g, profile, q) == pytest.approx(expect, rel=1e-13)
-        field = HarmonicField(g, np.full(g.shape, c))
-        assert profile_norm(g, profile, q) == pytest.approx(lp_norm(field, q), rel=1e-14)
+        field = HarmonicField(g, np.full(g.shape, c * (0.6 - 0.8j)))  # |field| = |c|
+        assert profile_norm(g, profile, q) == pytest.approx(field_norm(field, q), rel=1e-14)
     assert profile_norm(g, profile, np.inf) == abs(c)
 
 
 def test_profile_norm_refuses_an_unrepresentable_integral():
     # |c|^q underflows to zero or a subnormal, or overflows, for a nonzero
-    # profile; the zero profile keeps its zero norm.  lp_norm of the same
-    # constant field refuses alike, the unit field at q = 1e308 included.
+    # profile, the unit profile at q = 1e308 included; the zero profile keeps
+    # its zero norm.
     g = build_grid(8)
     cases = ((0.28, 1000.0), (0.28, 560.0), (0.5, 1073.0), (1e10, 40.0), (1e10, 31.5),
              (1.0 / math.sqrt(4 * math.pi), 1e308))
     for c, q in cases:
-        for norm in (lambda: profile_norm(g, np.full(g.n_phi, c), q),
-                     lambda: lp_norm(HarmonicField(g, np.full(g.shape, c)), q)):
-            with pytest.raises(ValueError, match=re.escape(f"q = {q:g} is out of range")):
-                norm()
+        with pytest.raises(ValueError, match=re.escape(f"q = {q:g} is out of range")):
+            profile_norm(g, np.full(g.n_phi, c), q)
     assert profile_norm(g, np.zeros(g.n_phi), 1000.0) == 0.0
-    assert lp_norm(HarmonicField(g, np.zeros(g.shape)), 1000.0) == 0.0
     assert profile_norm(g, np.full(g.n_phi, 0.28), 500.0) > 0.0
 
 
 @pytest.mark.parametrize("q", [0.5, 0.0, -1.0, -math.inf, math.nan])
 def test_every_norm_reader_refuses_an_exponent_below_one_alike(q):
-    # lp_norm, profile_norm and the pointwise ell^p sums share one exponent rule
+    # profile_norm and the pointwise ell^p sums share one exponent rule
     g = build_grid(4)
-    field = _unit_constant_field(g)
     message = re.escape(f"norm exponent q must be >= 1, got {q:g}") + "$"
     calls = {
-        "lp_norm": lambda: lp_norm(field, q),
         "profile_norm": lambda: profile_norm(g, np.full(g.n_phi, 0.5), q),
         "ell_p_sum": lambda: ell_p_sum(4, [0.0, 0.6, 0.8], q),
         "ell_p_profile": lambda: ell_p_profile(4, g.t, q),
