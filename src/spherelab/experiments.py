@@ -688,6 +688,8 @@ def tube_ratio_experiment(ks, oversample: float = 2.0) -> ExperimentRun:
             beam_mass += np.bincount(second[both], tube_dens[both], _N_ARCS)
             masses = np.column_stack([(grid.ring_weight * counts) @ profiles, beam_mass])
             np.maximum(sup_mass, masses.max(axis=0), out=sup_mass)
+            # Free this axis's tube before the next one is selected.
+            del ring, col, near, second, both, counts, tube_dens
         for label, l4, mass in zip(labels, l4_norms, sup_mass):
             denom = lam**0.125 * mass ** (1.0 / 12.0) + 1.0
             ratio = float(l4 / denom)

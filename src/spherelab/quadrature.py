@@ -179,12 +179,15 @@ def _gauss_legendre(n: int):
     dense ``eigvalsh`` of the tridiagonal companion matrix (Golub-Welsch) is
     LAPACK's dsytrd, which leaves that matrix as it is, then dsterf, so here
     dsterf runs on the two diagonals alone, followed by ``leggauss``'s lines.
-    Where numpy's OpenBLAS exports no int64 dsterf, ``leggauss`` runs.
+    Its Newton step evaluates through ``_legval``, ``legval``'s Clenshaw lines,
+    and takes the derivative series of P_n in closed form, so numpy.polynomial
+    is not imported.  Where numpy's OpenBLAS exports no int64 dsterf,
+    ``leggauss`` runs.
     """
-    from numpy.polynomial.legendre import legder, leggauss, legval  # loaded lazily by numpy
-
     dsterf = _openblas()[2]
     if dsterf is None:
+        from numpy.polynomial.legendre import leggauss
+
         x, w = leggauss(n)
     else:
         # legcompanion's off-diagonal; its diagonal is zero.
@@ -195,11 +198,11 @@ def _gauss_legendre(n: int):
         dsterf(ctypes.byref(ctypes.c_int64(n)), x, e, ctypes.byref(info))
         if info.value:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        c = np.array([0] * n + [1])
-        dy = legval(x, c)
-        df = legval(x, legder(c))
+        c = np.array([0.0] * n + [1.0])
+        dy = _legval(x, c)
+        df = _legval(x, _legder_basis(n))
         x -= dy / df
-        fm = legval(x, c[1:])
+        fm = _legval(x, c[1:])
         fm /= np.abs(fm).max()
         df /= np.abs(df).max()
         w = 1 / (fm * df)
@@ -209,6 +212,24 @@ def _gauss_legendre(n: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _legder_basis(n: int) -> np.ndarray:
+    """``legder`` of P_n's coefficients: P_n' is the sum of (2j + 1) P_j over j = n - 1, n - 3, ..."""
+    j = np.arange(n)
+    return np.where((n - 1 - j) % 2 == 0, 2.0 * j + 1.0, 0.0)
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's ``legval(x, c)`` for 1-D float x and c: its Clenshaw operations, in its order."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 # Thread-count setter and getter pairs, tried in this order: scipy-openblas
@@ -339,6 +360,9 @@ def arc_selections(grid: QuadratureGrid, axis, width: float):
     and pi/4 away and is the only one tested; every other center is at
     least pi/4 > 1/2 away.  Memberships are those of the wrap distance
     |((s - c + pi) mod 2 pi) - pi| tested at every center, bit for bit.
+
+    Beyond ``grid.points()`` it holds one band of dots, then a few n_tube arrays,
+    updated in place or freed as it goes; ring and column are split off last.
     """
     a = _as_unit(axis)
     width = float(width)
@@ -358,26 +382,30 @@ def arc_selections(grid: QuadratureGrid, axis, width: float):
     np.abs(dots, out=dots)
     tube = np.flatnonzero(dots <= sin_width) + lo * grid.n_theta
     del dots
-    ring = tube // grid.n_theta
-    col = tube - ring * grid.n_theta
     u, v = circle_frame(a)
     xyz = np.take(grid.points().reshape(-1, 3), tube, axis=0)
     ang = np.arctan2(xyz @ v, xyz @ u)
-    del xyz, tube
+    del xyz
     half = 0.5 * _ARC_LENGTH
     step = 2.0 * np.pi / _N_ARCS
     # x is each point's offset from its nearest center, in steps; the next center
     # on its side is step * (1 - |x|) away.  That distance differs from the wrap
     # expression only by rounding, far below _ARC_TIE, so the wrap expression
     # decides just the points within _ARC_TIE of the second arc's end.
-    near = np.rint(ang / step)
-    x = ang / step - near
-    arcs = np.array([near, near + np.sign(x)], dtype=np.int8) & (_N_ARCS - 1)  # mod _N_ARCS
-    x = np.abs(x) - (1.0 - half / step)  # how far the second arc reaches past the point
+    x = ang / step
+    near = np.rint(x)
+    x -= near
+    side = np.sign(x)
+    side += near
+    arcs = np.array([near, side], dtype=np.int8) & (_N_ARCS - 1)  # mod _N_ARCS
+    del near, side
+    np.abs(x, out=x)
+    x -= 1.0 - half / step  # how far the second arc reaches past the point
     tie = np.flatnonzero(np.abs(x) <= _ARC_TIE / step)
     wrap = (ang[tie] - 2.0 * np.pi * arcs[1, tie] / _N_ARCS + np.pi) % (2.0 * np.pi) - np.pi
     x[tie] = half - np.abs(wrap)  # the same reach, in radians: only its sign is read
     np.putmask(arcs[1], x < 0.0, -1)
+    ring, col = np.divmod(tube, grid.n_theta)
     return ring, col, arcs
 
 

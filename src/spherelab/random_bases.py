@@ -11,6 +11,10 @@ benchmark "2(2k+1)" for the Haar average is stated for the unit-mass
 normalization of the sphere; converting to the geometric element divides it
 by 4 pi, so the comparison value used by ``experiments.monte_carlo_lambda4``
 is (2k+1) / (2 pi).
+
+numpy.random is named only inside calls and in quoted annotations, so with
+numpy >= 2, which loads that submodule on first attribute access, importing
+this module leaves it unloaded until the first draw.
 """
 
 import math
@@ -43,7 +47,7 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+def trial_rng(master_seed: int, trial: int) -> "np.random.Generator":
     """Independent generator for one trial, stable under any execution order.
 
     Derives the stream from (master seed, trial index) so parallel or
@@ -56,7 +60,7 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(trial),)))
 
 
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_haar_unitary(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-distributed n x n unitary from QR of a complex Ginibre matrix drawn from rng.
 
     The raw QR factor is only unitary up to a diagonal phase ambiguity; the

@@ -86,16 +86,16 @@ def _wallis_by_recursion(n):
 def test_criterion_2_closed_form_norms():
     # oracle values first, straight from the recursion
     w5 = _wallis_by_recursion(5)
-    assert w5 == pytest.approx(wallis_integral(5), rel=1e-14)
+    assert w5 == pytest.approx(wallis_integral(5), rel=1e-14, abs=0)
     c1 = math.exp(_sectoral_log(1))  # amplitude of the degree-1 sectoral element
     q1_oracle = 2 * math.pi * c1**4 * w5
-    assert q1_oracle == pytest.approx(3 / (10 * math.pi), rel=1e-14)
+    assert q1_oracle == pytest.approx(3 / (10 * math.pi), rel=1e-14, abs=0)
     # cos^4 sin = (1 - sin^2)^2 sin expands to odd Wallis integrals
     cos4_moment = (
         _wallis_by_recursion(1) - 2 * _wallis_by_recursion(3) + _wallis_by_recursion(5)
     )
     z1_oracle = 2 * math.pi * (3 / (4 * math.pi)) ** 2 * cos4_moment
-    assert z1_oracle == pytest.approx(9 / (20 * math.pi), rel=1e-13)
+    assert z1_oracle == pytest.approx(9 / (20 * math.pi), rel=1e-13, abs=0)
 
     grid = build_grid(1)
     z1, q1 = (row["norm"] ** 4 for row in norms_experiment(1, (4.0,)).rows)

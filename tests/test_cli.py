@@ -257,15 +257,53 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert captured.err == "error: seed must be a non-negative int, got -1\n"
 
 
+# A fresh process's modules of scipy, numpy.random and numpy.polynomial beyond
+# those that `import numpy` alone loads (numpy 1.x loads the latter two itself).
+_LOADED_SINCE_NUMPY = """
+import contextlib, io, json, sys
+import numpy
+bare = set(sys.modules)
+def loaded():
+    new = set(sys.modules) - bare
+    return sorted(m for m in new if m.split(".")[0] == "scipy"
+                  or m.startswith(("numpy.random", "numpy.polynomial")))
+"""
+
+
+def _fresh_process(script):
+    """What script prints on its last line, as JSON, run in a new interpreter on this path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; importing it would cost every command
-    # about 0.2 s and 20 MB of start-up.
-    probe = ("import sys, spherelab, spherelab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "[]"
+    # about 0.2 s and 20 MB of start-up.  numpy.random (6 MB with the libcrypto
+    # its seeding loads) waits for a command's first draw, and numpy.polynomial
+    # for a grid built where numpy's OpenBLAS has no int64 dsterf.
+    script = _LOADED_SINCE_NUMPY + "import spherelab, spherelab.cli\nprint(json.dumps(loaded()))"
+    assert _fresh_process(script) == []
+
+
+def test_numpy_random_loads_only_for_commands_that_draw():
+    script = _LOADED_SINCE_NUMPY + """
+import spherelab.cli as cli
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+seen = {}
+for argv in (["tube-ratio", "--k-min", "8", "--k-max", "8"], ["beams", "--k-min", "8", "--k-max", "8"],
+             ["norms", "--k", "8"]):
+    seen[argv[0]] = [run(*argv), [m for m in loaded() if m.startswith("numpy.random")]]
+# The probe can see numpy.random load: a Haar trial draws.
+seen["random-onb"] = [run("random-onb", "--k", "8", "--trials", "4"), "numpy.random" in sys.modules]
+print(json.dumps(seen))
+"""
+    assert _fresh_process(script) == {
+        "tube-ratio": [0, []], "beams": [0, []], "norms": [0, []], "random-onb": [0, True],
+    }
 
 
 def test_library_refusals_are_the_one_usage_error_type():

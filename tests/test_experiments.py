@@ -112,7 +112,7 @@ def test_average_l4_degree_one_closed_form():
     # (||Y_10||_4^4 + 2 ||Y_11||_4^4) / 3 with the elementary degree-1 values
     expect = (9 / (20 * math.pi) + 2 * 3 / (10 * math.pi)) / 3
     assert res.rows[0]["a_k"] == pytest.approx(expect, rel=1e-12)
-    assert expect == pytest.approx(7 / (20 * math.pi), rel=1e-15)
+    assert expect == pytest.approx(7 / (20 * math.pi), rel=1e-15, abs=0)
     assert math.isnan(res.rows[0]["a_k_over_log_k"])
 
 
@@ -528,12 +528,13 @@ def test_profile_experiments_build_no_full_grid_field(run):
 
 
 def test_tube_ratio_working_set_is_bounded():
-    # The tilted beam's real density is built in place in one grid array, and
-    # the node tests reuse their buffers: 8.27 MB at k = 64 in a fresh
-    # process, against 8.53 MB with the beam a sampled complex field built
-    # ring block by ring block, and 15.8 MB with a one-shot complex beam and
-    # out-of-place node tests.
-    assert _traced_peak(lambda: tube_ratio_experiment([64])) < 11_000_000
+    # The tilted beam's real density is built in place in one grid array, the
+    # node tests reuse their buffers, and each axis's tube is freed before the
+    # next is selected: 6.27 MB at k = 64 in a fresh process, against 8.27 MB
+    # with the last axis's tube held during the next selection, 8.53 MB with
+    # the beam a sampled complex field built ring block by ring block, and
+    # 15.8 MB with a one-shot complex beam and out-of-place node tests.
+    assert _traced_peak(lambda: tube_ratio_experiment([64])) < 6_500_000
 
 
 def test_pointwise_envelope_holds_one_legendre_table():

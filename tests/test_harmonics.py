@@ -111,7 +111,7 @@ def test_basis_row_and_table_consistency():
 def test_projection_kernel_diagonal_and_reproducing():
     k = 7
     x = np.array([0.1, 0.4, 0.9]) / math.sqrt(0.98)
-    assert projection_kernel(k, x, x) == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-13)
+    assert projection_kernel(k, x, x) == pytest.approx((2 * k + 1) / (4 * math.pi), rel=1e-13, abs=0)
     # reproducing property: integrating the kernel against Y recovers Y(x)
     grid = build_grid(k)
     f = _standard_field(k, 3, grid)
@@ -360,8 +360,8 @@ def test_low_degree_l4_closed_forms():
     grid = build_grid(1)
     q1 = _standard_field(1, 1, grid)
     z1 = _standard_field(1, 0, grid)
-    assert field_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13)
-    assert field_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13)
+    assert field_norm(q1, 4) ** 4 == pytest.approx(3 / (10 * math.pi), rel=1e-13, abs=0)
+    assert field_norm(z1, 4) ** 4 == pytest.approx(9 / (20 * math.pi), rel=1e-13, abs=0)
 
 
 def test_signed_orders_match_the_sign_vector_product_bitwise():

@@ -36,9 +36,9 @@ def test_grid_sizes_and_certificate():
 def test_weights_sum_to_sphere_area():
     for k in (0, 3, 32):
         g = build_grid(k)
-        assert (g.ring_weight * g.n_theta).sum() == pytest.approx(4 * math.pi, rel=1e-14)
+        assert (g.ring_weight * g.n_theta).sum() == pytest.approx(4 * math.pi, rel=1e-14, abs=0)
         const = np.full(g.shape, 2.5)
-        assert g.integrate(const) == pytest.approx(10 * math.pi, rel=1e-13)
+        assert g.integrate(const) == pytest.approx(10 * math.pi, rel=1e-13, abs=0)
 
 
 def test_polynomial_times_trig_exactness():
@@ -114,6 +114,29 @@ def test_gauss_legendre_rule_without_dsterf_is_leggauss(monkeypatch):
     expected_nodes, expected_weights = np.polynomial.legendre.leggauss(129)
     assert np.array_equal(nodes, expected_nodes) and not nodes.flags.writeable
     assert np.array_equal(weights, expected_weights) and not weights.flags.writeable
+
+
+def test_newton_step_series_are_numpy_polynomial_bitwise():
+    # The dsterf rule's Newton step runs without numpy.polynomial: P_n's derivative
+    # series in closed form, and legval's Clenshaw lines in _legval.
+    legder, legval = np.polynomial.legendre.legder, np.polynomial.legendre.legval
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, 257)
+    for n in range(1, 301):
+        unit = np.array([0] * n + [1])
+        derivative = quadrature._legder_basis(n)
+        assert np.array_equal(derivative, legder(unit)) and derivative.dtype == np.float64
+        for c in (unit.astype(float), derivative, rng.standard_normal(n)):
+            assert np.array_equal(quadrature._legval(x, c), legval(x, c))
+
+
+def test_one_node_rule_is_leggauss_one():
+    # build_grid(0) has one ring, which reaches _legval's one-coefficient case.
+    g = build_grid(0)
+    node, weight = np.polynomial.legendre.leggauss(1)
+    assert g.n_phi == 1 and np.array_equal(g.t, node)
+    assert np.array_equal(quadrature._gauss_legendre(1)[1], weight)
+    assert np.array_equal(g.ring_weight, weight * (2.0 * np.pi / g.n_theta))
 
 
 def test_gauss_legendre_rule_needs_no_dense_matrix():
@@ -357,7 +380,7 @@ def test_tube_inputs_are_checked_by_name():
             arc_selections(g, axis, bad)
     # width >= pi/2, inf included, is the whole sphere
     for w in (math.pi / 2, math.inf):
-        assert node_mass(f, axis, w) == pytest.approx(1.0, rel=1e-13)
+        assert node_mass(f, axis, w) == pytest.approx(1.0, rel=1e-13, abs=0)
         assert arc_selections(g, axis, w)[0].size == g.n_points
 
 
@@ -365,7 +388,7 @@ def test_superlevel_measure_constant():
     g = build_grid(8)
     level = 1.0 / math.sqrt(4 * math.pi)
     profile = np.full(g.n_phi, level)
-    assert superlevel_measure(g, profile, 0.5 * level) == pytest.approx(4 * math.pi, rel=1e-13)
+    assert superlevel_measure(g, profile, 0.5 * level) == pytest.approx(4 * math.pi, rel=1e-13, abs=0)
     assert superlevel_measure(g, profile, 2.0 * level) == 0.0
     with pytest.raises(ValueError):
         superlevel_measure(g, profile, -1.0)
@@ -388,9 +411,9 @@ def test_profile_norm_of_a_constant_profile():
     profile = np.full(g.n_phi, c)
     for q in (1.0, 2.0, 4.0, 7.5):
         expect = abs(c) * (4 * math.pi) ** (1 / q)
-        assert profile_norm(g, profile, q) == pytest.approx(expect, rel=1e-13)
+        assert profile_norm(g, profile, q) == pytest.approx(expect, rel=1e-13, abs=0)
         field = HarmonicField(g, np.full(g.shape, c * (0.6 - 0.8j)))  # |field| = |c|
-        assert profile_norm(g, profile, q) == pytest.approx(field_norm(field, q), rel=1e-14)
+        assert profile_norm(g, profile, q) == pytest.approx(field_norm(field, q), rel=1e-14, abs=0)
     assert profile_norm(g, profile, np.inf) == abs(c)
 
 

@@ -284,7 +284,7 @@ def test_monte_carlo_reproducible_and_subset_consistent():
     assert r1.rows == r2.rows
     r5 = monte_carlo_lambda4(8, trials=5, seed=42)
     assert r5.rows == r1.rows[:5]
-    assert r1.outputs["benchmark"] == pytest.approx((2 * 8 + 1) / (2 * math.pi), rel=1e-15)
+    assert r1.outputs["benchmark"] == pytest.approx((2 * 8 + 1) / (2 * math.pi), rel=1e-15, abs=0)
     assert 0.9 <= r1.outputs["ratio"] <= 1.1
     values = [row["lambda4"] for row in r1.rows]
     assert r1.outputs["mean"] == np.mean(values)
@@ -419,11 +419,11 @@ def test_entry_moments_share_one_first_row_sampler():
     # The (1,1) moments of one seed read the same sampled unitaries.
     a2 = _first_row_moduli(3, 50, 5)
     u11 = [abs(sample_haar_unitary(3, trial_rng(5, i))[0, 0]) ** 2 for i in range(50)]
-    assert a2.mean() == pytest.approx(np.mean(u11), rel=1e-14)
-    assert np.mean(a2 * a2) == pytest.approx(np.mean(np.square(u11)), rel=1e-14)
+    assert a2.mean() == pytest.approx(np.mean(u11), rel=1e-14, abs=0)
+    assert np.mean(a2 * a2) == pytest.approx(np.mean(np.square(u11)), rel=1e-14, abs=0)
     # A 1x1 unitary is a phase: |u_11|^2 = 1 with zero spread.
     mean, stderr = _mean_stderr(_first_row_moduli(1, 5, 0))
-    assert mean == pytest.approx(1.0, rel=1e-14) and stderr < 1e-15
+    assert mean == pytest.approx(1.0, rel=1e-14, abs=0) and stderr < 1e-15
     with pytest.raises(ValueError):
         gaussian_limit_check(8, samples=1, seed=0)
 
