@@ -5,7 +5,7 @@ Layers, bottom up, each importing only the ones before it: ``legendre``
 rotations), ``quadrature`` (band-exact grids and field norms), ``harmonics``
 (basis evaluation and the kernel identities), ``random_bases`` (Haar
 unitaries and quartic norms), ``beams`` (separated beam families),
-``experiments`` (every experiment the command line runs, fits, file output),
+``experiments`` (every experiment the command line runs, and fits),
 ``cli`` (the command line tool).
 
 Each module's ``__all__`` is the one list of its public names; the package

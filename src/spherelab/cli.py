@@ -34,8 +34,11 @@ _PRINT_LIMIT = 24
 
 
 def _parse_q(text: str) -> float:
-    """argparse type for norm exponents: 'inf' is allowed, nan is a usage error."""
-    value = float(text)
+    """argparse type for norm exponents: 'inf' is allowed; nan or a non-number is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
     return value

@@ -15,21 +15,17 @@ Each experiment's row columns, and each gate threshold, are module constants
 defined beside it; the acceptance tests pin the thresholds to their literal
 values.
 
-Thread count.  ``exact_identity_suite``, ``monte_carlo_lambda4``,
-``beam_experiment`` and ``tube_ratio_experiment`` run on one OpenBLAS thread,
-grid builds included (``@_one_blas_thread()``).  Their products are too small
-for a second thread, whose idle worker spins while Python runs between
-them, and OpenBLAS rounds some (the QR and the ring products at k = 64)
-differently at different counts, so one thread makes the rows the same on
-every core count.  The other experiments keep the BLAS's own count and
-make no large BLAS call: their grids' Gauss-Legendre rule calls LAPACK's
-dsterf, which runs on one thread (``quadrature._gauss_legendre``).
+Thread count.  Every experiment here runs on one OpenBLAS thread, grid builds
+included (``@_one_blas_thread()``).  Their products are too small for a
+second thread, whose idle worker spins while Python runs between them, and
+OpenBLAS rounds some (the QR and the ring products at k = 64) differently at
+different counts, so one thread makes the rows the same on every core count.
 """
 
 import contextlib
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +74,6 @@ from .random_bases import (
 from .sphere import fibonacci_axes
 
 __all__ = [
-    "PowerLawFit",
     "ExperimentRun",
     "fit_power_law",
     "scaling_target",
@@ -133,21 +128,6 @@ SCALING_MAX_RESIDUAL_RMS = 0.05
 
 
 @dataclass
-class PowerLawFit:
-    """OLS fit of log(value) against log(k), with the lambda-variable refit alongside."""
-
-    exponent: float
-    intercept: float
-    residual_rms: float
-    k_range: tuple
-    exponent_lambda: float
-    residual_rms_lambda: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class ExperimentRun:
     """The result shape of every experiment the command line runs."""
 
@@ -168,12 +148,15 @@ def _ols_loglog(x, y):
     return float(slope), float(intercept), rms
 
 
-def fit_power_law(ks, values) -> PowerLawFit:
+def fit_power_law(ks, values) -> dict:
     """Least-squares power law through (k, value) pairs, fitted in log-log.
 
-    Also refits against lambda = sqrt(k(k+1)); for k >= 8 the two exponents
-    differ by less than the gate tolerances, and both are reported because
-    the growth laws are quoted in either variable depending on context.
+    Returns a plain dict: ``exponent``, ``intercept``, ``residual_rms``,
+    ``k_range`` (the lowest and highest degree), ``exponent_lambda`` and
+    ``residual_rms_lambda``, the last two from a refit against lambda =
+    sqrt(k(k+1)).  For k >= 8 the two exponents differ by less than the gate
+    tolerances; both are reported because the growth laws are quoted in
+    either variable depending on context.
     """
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -186,14 +169,9 @@ def fit_power_law(ks, values) -> PowerLawFit:
     slope, intercept, rms = _ols_loglog(ks, values)
     lams = np.sqrt(ks * (ks + 1.0))
     slope_lam, _, rms_lam = _ols_loglog(lams, values)
-    return PowerLawFit(
-        exponent=slope,
-        intercept=intercept,
-        residual_rms=rms,
-        k_range=(int(ks.min()), int(ks.max())),
-        exponent_lambda=slope_lam,
-        residual_rms_lambda=rms_lam,
-    )
+    return {"exponent": slope, "intercept": intercept, "residual_rms": rms,
+            "k_range": (int(ks.min()), int(ks.max())), "exponent_lambda": slope_lam,
+            "residual_rms_lambda": rms_lam}
 
 
 _SCALING_FAMILIES = ("zonal", "highest_weight")
@@ -240,6 +218,7 @@ def _check_q(q, band, oversample, log_sup, label):
 SCALING_COLUMNS = ("k", "band", "norm")
 
 
+@_one_blas_thread()
 def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> ExperimentRun:
     """Fit the growth exponent of ||family_k||_q against its predicted branch.
 
@@ -250,7 +229,7 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     family's Legendre column on the band-ceil(q k / 4) grid (band k for
     q = inf), which makes the integral exact for even q, through
     ``profile_norm``.  The rows are the norm table; the outputs are the fit,
-    q, the target exponent and the certificate.
+    q, the target exponent and the certificate.  Runs on one OpenBLAS thread.
     """
     if family not in _SCALING_FAMILIES:
         raise ValueError(f"family must be one of {_SCALING_FAMILIES}")
@@ -282,7 +261,7 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     }
     fit = fit_power_law(ks, [row["norm"] for row in rows])
     target = scaling_target(family, q)
-    miss, rms = abs(fit.exponent - target), fit.residual_rms
+    miss, rms = abs(fit["exponent"] - target), fit["residual_rms"]
     gates = [
         (miss <= SCALING_EXPONENT_TOLERANCE,
          f"|exponent - target| = {miss:.4f} <= {SCALING_EXPONENT_TOLERANCE:g}"),
@@ -290,16 +269,17 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
          f"log-log residual rms {rms:.2e} <= {SCALING_MAX_RESIDUAL_RMS:g}"),
     ]
     summary = (
-        f"fit: exponent {fit.exponent:.6f} (target {target:.6f}), "
-        f"residual rms {rms:.2e}, lambda-variable exponent {fit.exponent_lambda:.6f}",
+        f"fit: exponent {fit['exponent']:.6f} (target {target:.6f}), "
+        f"residual rms {rms:.2e}, lambda-variable exponent {fit['exponent_lambda']:.6f}",
     )
-    outputs = {**fit.to_dict(), "q": q, "target": target, "certificate": certificate}
+    outputs = {**fit, "q": q, "target": target, "certificate": certificate}
     return ExperimentRun(rows, certificate, outputs, gates, summary)
 
 
 NORM_COLUMNS = ("label", "q", "band", "norm")
 
 
+@_one_blas_thread()
 def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) -> ExperimentRun:
     """L^q norms of Z_k, Q_k and, when ``m`` is given, Y_km, for each exponent q.
 
@@ -308,7 +288,8 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
     reads a grid at band max(k, ceil(q k / 4)), which makes the integral
     exact for even q; q = inf is the max over the band-k grid's nodes of
     |N(k, m, t_i)|.  One table per grid serves every order on it.  The
-    certificate lists the bands used.  There is no gate.
+    certificate lists the bands used.  There is no gate.  Runs on one
+    OpenBLAS thread.
     """
     k = int(k)
     orders = [(0, f"Z_{k}"), (k, f"Q_{k}")]
@@ -345,6 +326,7 @@ AVERAGE_L4_COLUMNS = ("k", "a_k", "a_k_over_log_k")
 AVERAGE_L4_MAX_DEGREE = 2**20
 
 
+@_one_blas_thread()
 def average_l4_experiment(ks) -> ExperimentRun:
     """A_k = (2k+1)^(-1) sum_m ||Y_km||_4^4 for each k, with A_k / log k.
 
@@ -358,7 +340,8 @@ def average_l4_experiment(ks) -> ExperimentRun:
     sums for k up to 1024.  Degrees lie in 0..AVERAGE_L4_MAX_DEGREE; any
     other degree is a ValueError before the sweep starts.  The log ratio is
     reported for k >= 2; the outputs hold its band [min, max], the band's
-    spread max/min and whether A_k strictly increases across the sweep.
+    spread max/min and whether A_k strictly increases across the sweep.  Runs
+    on one OpenBLAS thread.
     """
     ks = [int(k) for k in ks]
     for k in ks:
@@ -408,6 +391,7 @@ ENVELOPE_COLUMNS = ("k", "sup_ratio", "argmax_r", "pole_ratio")
 _ENVELOPE_COLATITUDES = 400
 
 
+@_one_blas_thread()
 def pointwise_envelope_experiment(ks) -> ExperimentRun:
     """Scan the envelope constant over polar distances for each degree.
 
@@ -417,7 +401,7 @@ def pointwise_envelope_experiment(ks) -> ExperimentRun:
     sharpness evidence for the envelope.  The outputs hold the spread
     max/min of the per-k sups.  A degree whose (402, k+1) Legendre table
     would hold more than MAX_GRID_POINTS entries is a ValueError before any
-    table is built.
+    table is built.  Runs on one OpenBLAS thread.
     """
     ks = [int(k) for k in ks]
     for k in ks:
@@ -727,6 +711,7 @@ SUPERLEVEL_MAX_SCALED = 1.0
 SUPERLEVEL_COLUMNS = ("k", "c", "threshold", "measure", "scaled_measure")
 
 
+@_one_blas_thread()
 def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) -> ExperimentRun:
     """Measure of {x : ell^4 sum >= C lam^(1/2)} scaled by lam^(1/2), per (k, C).
 
@@ -734,8 +719,13 @@ def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) 
     the ring profile ``ell_p_profile(k, grid.t, 4)``.  The measure of a level
     set is a discretization, not a band-limited integral, so the certificate
     records the grid resolution instead of an exactness claim; the
-    boundedness gate, on the largest C, tolerates the ring-width error.
+    boundedness gate, on the largest C, tolerates the ring-width error.  A
+    negative C is a ValueError before any grid is built.  Runs on one
+    OpenBLAS thread.
     """
+    c_grid = [float(c) for c in c_grid]
+    if min(c_grid, default=0.0) < 0.0:
+        raise ValueError(f"threshold constant C must be >= 0, got {min(c_grid):g}")
     rows = []
     grids = {}
     for k in ks:
@@ -745,7 +735,6 @@ def superlevel_experiment(ks, c_grid=(0.25, 0.5, 1.0), oversample: float = 1.0) 
         profile = ell_p_profile(k, grid.t, 4.0)
         sqrt_lam = math.sqrt(math.sqrt(k * (k + 1)))  # lam^(1/2), lam = sqrt(k(k+1))
         for c in c_grid:
-            c = float(c)
             threshold = c * sqrt_lam
             measure = superlevel_measure(grid, profile, threshold)
             rows.append(

@@ -30,7 +30,7 @@ def test_parse_q():
     assert _parse_q("4") == 4.0
     assert _parse_q("inf") == math.inf
     assert _parse_q("Infinity") == math.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="got 'two'"):
         _parse_q("two")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_q("nan")

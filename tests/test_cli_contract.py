@@ -220,6 +220,37 @@ def test_scaling_exponent_contract(capsys, family, q):
         assert "--q" in captured.err
 
 
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@_CONTRACT
+@given(command=st.sampled_from(["norms", "scaling"]),
+       text=st.text(max_size=6).filter(_not_a_number))
+@example(command="norms", text="abc")
+@example(command="scaling", text="two")
+@example(command="norms", text="")
+@example(command="scaling", text="-x")
+def test_non_numeric_q_contract(capsys, command, text):
+    # argparse refuses it: exit 2, its usage, then one error: line naming --q
+    argv = [command, f"--q={text}"] + (["--k", "4"] if command == "norms" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.rstrip("\n").split("\n")
+    assert lines[0].startswith(f"usage: spherelab {command} ")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1] == (f"spherelab {command}: error: argument --q: "
+                         f"expected a number or 'inf', got {text!r}")
+    assert "_parse_q" not in captured.err
+
+
 def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
     # 40 beams are within the clamp packing_bound(0.316) // 2 = 40, but the
     # greedy placement cannot reach them
@@ -325,9 +356,23 @@ def test_avg_l4_refusal_counts_the_digits_of_a_long_degree(capsys):
 @example(cs=[-1e-300, 1.0])
 def test_superlevel_threshold_contract(capsys, cs):
     argv = ["superlevel", "--k-min", "4", "--k-max", "8"] + [f"--c={c!r}" for c in cs]
-    code = main(argv)
-    _check_contract(code, capsys.readouterr())
+    built = []
+    build_grid = experiments.build_grid
+
+    def spy(band, oversample):
+        built.append(band)
+        return build_grid(band, oversample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_grid", spy)
+        code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
     assert (code == 2) == (min(cs) < 0.0)
+    if code == 2:
+        # a negative C is refused by name before any grid is built
+        assert built == []
+        assert captured.err == f"error: threshold constant C must be >= 0, got {min(cs):g}\n"
 
 
 @_CONTRACT

@@ -37,15 +37,15 @@ def test_fit_power_law_exact_recovery():
     ks = np.array([4, 8, 16, 32, 64])
     values = 3.0 * ks**0.7
     fit = fit_power_law(ks, values)
-    assert fit.exponent == pytest.approx(0.7, abs=1e-12)
-    assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-12)
-    assert fit.residual_rms < 1e-12
-    assert fit.k_range == (4, 64)
+    assert list(fit) == ["exponent", "intercept", "residual_rms", "k_range",
+                         "exponent_lambda", "residual_rms_lambda"]
+    assert fit["exponent"] == pytest.approx(0.7, abs=1e-12)
+    assert math.exp(fit["intercept"]) == pytest.approx(3.0, rel=1e-12)
+    assert fit["residual_rms"] < 1e-12
+    assert fit["k_range"] == (4, 64)
     # the lambda = sqrt(k(k+1)) refit shifts the exponent a little at low k
-    assert fit.exponent_lambda == pytest.approx(0.7, abs=0.05)
-    assert fit.residual_rms_lambda < 0.01
-    d = fit.to_dict()
-    assert d["exponent"] == fit.exponent
+    assert fit["exponent_lambda"] == pytest.approx(0.7, abs=0.05)
+    assert fit["residual_rms_lambda"] < 0.01
     with pytest.raises(ValueError):
         fit_power_law([4], [1.0])
 

@@ -46,6 +46,7 @@ RETIRED = (
     "geodesic_distance",
     "lp_norm",
     "_lq_norm",
+    "PowerLawFit",
 )
 
 

@@ -330,6 +330,9 @@ _ONE_THREAD_RUNS = {
     "beams": ["beams", "--k", "8", "--delta", "0.5"],
     "tube-ratio": ["tube-ratio", "--k-min", "8", "--k-max", "8"],
     "random-onb": ["random-onb", "--k", "8", "--trials", "2"],
+    "norms": ["norms", "--k", "8", "--q", "4", "--q", "inf"],
+    "scaling": ["scaling", "--k-min", "4", "--k-max", "32"],
+    "superlevel": ["superlevel", "--k-min", "4", "--k-max", "8"],
 }
 
 
@@ -353,6 +356,35 @@ def test_one_thread_subcommands_build_their_grids_on_one_thread(command):
         assert get_threads() == 2
     finally:
         set_threads(original)
+
+
+# Each experiment the command line runs, at a tiny size.
+_TINY_RUNS = {
+    "scaling_experiment": lambda: experiments.scaling_experiment("highest_weight", 4.0, [2, 4, 8, 16]),
+    "norms_experiment": lambda: experiments.norms_experiment(4, (4.0, math.inf), 2),
+    "average_l4_experiment": lambda: experiments.average_l4_experiment([2, 4]),
+    "pointwise_envelope_experiment": lambda: experiments.pointwise_envelope_experiment([2, 4]),
+    "monte_carlo_lambda4": lambda: experiments.monte_carlo_lambda4(2, 2, 0),
+    "beam_experiment": lambda: experiments.beam_experiment([4], [0.5]),
+    "tube_ratio_experiment": lambda: experiments.tube_ratio_experiment([2]),
+    "superlevel_experiment": lambda: experiments.superlevel_experiment([2, 4]),
+    "exact_identity_suite": lambda: experiments.exact_identity_suite(2, 2, 0),
+}
+
+
+def test_every_experiment_runs_on_one_blas_thread(monkeypatch):
+    # A fake thread control records each count it is set to, so the rule
+    # holds, and is checked, whichever BLAS numpy has.
+    runs = [name for name in experiments.__all__
+            if getattr(getattr(experiments, name), "__annotations__", {}).get("return")
+            is experiments.ExperimentRun]
+    assert sorted(runs) == sorted(_TINY_RUNS)
+    for name in runs:
+        threads = [3]
+        monkeypatch.setattr(experiments, "_openblas",
+                            lambda: (threads.append, lambda: threads[-1], None))
+        assert isinstance(_TINY_RUNS[name](), experiments.ExperimentRun)
+        assert threads == [3, 1, 3], name
 
 
 def test_cli_import_does_no_blas_lookup():
