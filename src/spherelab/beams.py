@@ -152,6 +152,12 @@ def place_separated_axes(j: int, delta: float) -> np.ndarray:
     )
 
 
+def _check_method(method: str) -> None:
+    """Refuse any orthonormalization method but "symmetric" and "sequential"."""
+    if method not in ("symmetric", "sequential"):
+        raise ValueError("method must be 'symmetric' or 'sequential'")
+
+
 def orthonormalize(k: int, rows, method: str = "symmetric"):
     """Orthonormalize (J, 2k+1) coefficient rows; returns (basis, gram_condition).
 
@@ -165,8 +171,7 @@ def orthonormalize(k: int, rows, method: str = "symmetric"):
     Gram condition number is too large for the result to be orthonormal to
     1e-9.
     """
-    if method not in ("symmetric", "sequential"):
-        raise ValueError("method must be 'symmetric' or 'sequential'")
+    _check_method(method)
     m = np.asarray(rows, dtype=complex)
     n = 2 * int(k) + 1
     if m.ndim != 2 or m.shape[1] != n:

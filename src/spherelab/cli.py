@@ -240,24 +240,18 @@ def _run_random_onb(args):
 @_subcommand(
     "beams", "separated-beam families and orthonormalization retention",
     xp.BEAM_EXPERIMENT_COLUMNS,
-    _flag("--k", "degree when no sweep range is given", type=int, default=64),
-    _flag("--k-min", "sweep start (doubling)", type=int, default=None),
-    _flag("--k-max", "sweep end", type=int, default=None),
+    _flag("--k-min", "lowest degree (default 64)", type=int, default=64),
+    _flag("--k-max", "highest degree, by doubling (default --k-min)", type=int, default=None),
     _flag("--delta", "separation angle, repeatable", action="append", type=_finite_float),
     _flag("--j", "fixed beam count request", type=int, default=None),
-    _flag("--exponent", "beam-count rule J = k^(1 - exponent) instead of a fixed count",
+    _flag("--exponent", "beam-count rule J = k^(1 - exponent), default 0.5, in place of --j",
           type=_finite_float, default=None),
     _flag("--method", "orthonormalization method",
           choices=("symmetric", "sequential"), default="symmetric"),
     _flag("--seed", "row label: delta number i reads seed + i", type=int, default=0),
 )
 def _run_beams(args):
-    if args.k_min is not None:
-        ks = _doubling_ks(args.k_min, args.k_max if args.k_max is not None else args.k_min)
-    elif args.k_max is not None:
-        raise ValueError("--k-max needs --k-min; use --k for a single degree")
-    else:
-        ks = [args.k]
+    ks = _doubling_ks(args.k_min, args.k_max if args.k_max is not None else args.k_min)
     deltas = args.delta or [0.5, 0.35, 0.25]
     run = xp.beam_experiment(ks, deltas, j=args.j, exponent=args.exponent,
                              method=args.method, seed=args.seed)

@@ -50,12 +50,14 @@ from .legendre import (
     normalized_legendre_table,
     zonal_sup_coefficient,
 )
-from .beams import beam_coefficients, orthonormalize, packing_bound, place_separated_axes
+from .beams import (_check_method, beam_coefficients, orthonormalize, packing_bound,
+                    place_separated_axes)
 from .quadrature import (
     _ARC_LENGTH,
     _N_ARCS,
     MAX_GRID_POINTS,
     _grid_size,
+    _norm_exponent,
     _openblas,
     arc_selections,
     build_grid,
@@ -231,11 +233,10 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
     ``profile_norm``.  The rows are the norm table; the outputs are the fit,
     q, the target exponent and the certificate.  Runs on one OpenBLAS thread.
     """
-    if family not in _SCALING_FAMILIES:
-        raise ValueError(f"family must be one of {_SCALING_FAMILIES}")
     q = float(q)
     if q < 2.0:
         raise ValueError("q must be >= 2")
+    target = scaling_target(family, q)
     if family == "zonal" and not (math.isinf(q) or q >= 8.0):
         raise ValueError("zonal fits need q >= 8 or q = inf (kink at q = 6)")
     ks = [int(k) for k in ks]
@@ -260,7 +261,6 @@ def scaling_experiment(family: str, q, ks, oversample: float = 1.0) -> Experimen
         "note": "sup norms read the grid max, a lower bound on the true sup",
     }
     fit = fit_power_law(ks, [row["norm"] for row in rows])
-    target = scaling_target(family, q)
     miss, rms = abs(fit["exponent"] - target), fit["residual_rms"]
     gates = [
         (miss <= SCALING_EXPONENT_TOLERANCE,
@@ -300,6 +300,7 @@ def norms_experiment(k: int, qs=(4.0,), m: int = None, oversample: float = 1.0) 
         orders.append((m, f"Y_{k}_{m}"))
     # Every q is checked with the Q_k row's sup, e^_sectoral_log(k), before any grid.
     for q in qs:
+        q = _norm_exponent(q)
         _check_q(q, max(k, _exact_band(k, q)), oversample, _sectoral_log(k), f"Q_{k}")
     rows = []
     grids = {}
@@ -515,10 +516,11 @@ def beam_experiment(
 ) -> ExperimentRun:
     """Retention sweep over degrees and separation values; one row per (k, delta).
 
-    The beam count is ``j`` when given (a fixed count, >= 1), floor(k^(1 -
-    exponent)) clamped to at least 1 when ``exponent`` in [0, 1] is given,
-    and sqrt(k) otherwise; giving both is a ValueError, raised before any
-    grid is built, as is a separation outside ``packing_bound``'s range.
+    The beam count is ``j`` when given (a fixed count, >= 1), else the
+    exponent rule floor(k^(1 - exponent)) clamped to at least 1, with
+    ``exponent`` in [0, 1] and 1/2 when not given; giving both is a
+    ValueError, raised before any grid is built, as is an unknown ``method``
+    or a separation outside ``packing_bound``'s range.
     Requested counts are clamped to packing_bound(delta) // 2, which the
     greedy axis placement cannot always reach: J = 40 at delta =
     0.316 (so the default count from k = 1600 at that delta) raises
@@ -535,11 +537,13 @@ def beam_experiment(
     minimum retention.
     """
     _check_seed(seed)
+    _check_method(method)
     if j is not None and exponent is not None:
         raise ValueError("give a fixed beam count j or a count exponent, not both")
     if j is not None and int(j) < 1:
         raise ValueError(f"a fixed beam count must be >= 1, got {int(j)}")
-    if exponent is not None and not 0.0 <= float(exponent) <= 1.0:
+    exponent = 0.5 if exponent is None else float(exponent)
+    if not 0.0 <= exponent <= 1.0:
         raise ValueError("beam-count exponent must lie in [0, 1]")
     deltas = [float(delta) for delta in deltas]
     bounds = [packing_bound(delta) for delta in deltas]
@@ -547,12 +551,7 @@ def beam_experiment(
     for k in ks:
         k = int(k)
         grid = build_grid(k)
-        if j is not None:
-            j_req = int(j)
-        elif exponent is not None:
-            j_req = max(1, int(math.floor(k ** (1.0 - float(exponent)))))
-        else:
-            j_req = max(1, math.isqrt(k))
+        j_req = int(j) if j is not None else max(1, int(math.floor(k ** (1.0 - exponent))))
         for idx, (delta, bound) in enumerate(zip(deltas, bounds)):
             count = min(j_req, max(1, bound // 2))
             axes = place_separated_axes(count, delta)

@@ -338,6 +338,34 @@ def test_beam_count_rule():
         beam_experiment([16], deltas=(0.3,), exponent=-0.1)
 
 
+def test_default_beam_count_is_isqrt_clamped_to_the_packing_bound():
+    # the default count is the exponent rule at 1/2; at perfect squares and
+    # their neighbours floor(k^(1/2)) is isqrt(k), clamped to packing_bound // 2
+    ks = [1, 3, 4, 8, 15, 16, 24, 63, 64]
+    deltas = (1.2, 0.5)  # clamps at 2 and at 16
+    rows = beam_experiment(ks, deltas).rows
+    assert [(row["k"], row["delta"], row["J"]) for row in rows] == [
+        (k, delta, min(math.isqrt(k), packing_bound(delta) // 2)) for k in ks for delta in deltas
+    ]
+    assert beam_experiment(ks, deltas, exponent=0.5).rows == rows
+
+
+@pytest.mark.parametrize("j", [1, None], ids=["one beam", "default count"])
+def test_beam_experiment_refuses_an_unknown_method_before_any_grid(monkeypatch, j):
+    # with one beam per family orthonormalize never runs, so the experiment checks the method
+    built = []
+    build_grid = experiments.build_grid
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build_grid(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_grid", spy)
+    with pytest.raises(ValueError, match="^method must be 'symmetric' or 'sequential'$"):
+        beam_experiment([16], [0.5], j=j, method="bogus")
+    assert built == []
+
+
 def test_beam_experiment_rows():
     run = beam_experiment([16], deltas=(0.5, 0.35), seed=3)
     rows = run.rows

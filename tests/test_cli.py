@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -247,7 +248,7 @@ def test_random_onb_negative_seed_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--k-max", "2", "--points", "2", "--seed", "-1"],
-    ["beams", "--seed", "-1", "--k", "8", "--delta", "0.5", "--j", "2"],
+    ["beams", "--seed", "-1", "--k-min", "8", "--delta", "0.5", "--j", "2"],
 ], ids=["verify", "beams"])
 def test_negative_seed_is_usage_error(capsys, argv):
     code = main(argv)
@@ -373,24 +374,37 @@ def test_superlevel_gate_failure(capsys):
 
 
 def test_beams_flag_conflict(capsys):
-    code = main(["beams", "--k", "8", "--j", "2", "--exponent", "0.5"])
+    code = main(["beams", "--k-min", "8", "--j", "2", "--exponent", "0.5"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_beams_small_run(capsys):
-    code = main(["beams", "--k", "8", "--delta", "0.5", "--j", "2"])
+    code = main(["beams", "--k-min", "8", "--delta", "0.5", "--j", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out
 
 
-def test_beams_k_max_without_k_min_is_usage_error(capsys):
-    code = main(["beams", "--k-max", "128"])
+def test_beams_k_max_alone_sweeps_from_the_default_k_min(capsys):
+    code = main(["beams", "--k-max", "128", "--delta", "0.5", "--j", "1"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == ",".join(xp.BEAM_EXPERIMENT_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:3]] == ["64", "128"]
+    assert lines[3].startswith("[PASS]")
+
+
+def test_beams_retired_k_flag_is_usage_error(capsys):
+    # --k is now a prefix of --k-min and --k-max, which argparse refuses as ambiguous
+    with pytest.raises(SystemExit) as exc:
+        main(["beams", "--k", "8"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "--k-min" in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["spherelab beams: error: ambiguous option: --k could match --k-min, --k-max"]
 
 
 
@@ -403,7 +417,7 @@ def test_beams_fixed_count_below_one_is_usage_error(capsys, monkeypatch, j):
 
     monkeypatch.setattr(experiments, "build_grid", no_beam_work)
     monkeypatch.setattr(experiments, "place_separated_axes", no_beam_work)
-    code = main(["beams", "--k", "8", "--j", j])
+    code = main(["beams", "--k-min", "8", "--j", j])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -417,7 +431,7 @@ _EVERY_SUBCOMMAND = [
     (["scaling", "--k-min", "16", "--k-max", "128"], 2),
     (["pointwise", "--k-min", "8", "--k-max", "32"], 1),
     (["random-onb", "--k", "8", "--trials", "6", "--seed", "11"], 1),
-    (["beams", "--k", "8", "--delta", "0.5", "--j", "2"], 1),
+    (["beams", "--k-min", "8", "--delta", "0.5", "--j", "2"], 1),
     (["tube-ratio", "--k-min", "8", "--k-max", "8"], 1),
     (["superlevel", "--k-min", "16", "--k-max", "16"], 1),
     (["verify", "--k-max", "4", "--points", "10"], 4),
@@ -536,6 +550,19 @@ def test_every_subcommand_is_in_the_json_record_test():
     assert sorted(_SUBCOMMANDS) == sorted(argv[0] for argv, _ in _EVERY_SUBCOMMAND)
 
 
+def test_readme_commands_parse():
+    # every `spherelab ...` line of README.md's sh blocks parses, so a flag
+    # retired from the command line cannot survive in the README's examples
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]
+    lines = [line for block in blocks if block.startswith("sh\n") for line in block.splitlines()]
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("spherelab ")]
+    assert sorted({argv[0] for argv in argvs}) == sorted(_SUBCOMMANDS)
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["norms"])  # missing required --k
@@ -549,8 +576,8 @@ def test_argparse_usage_errors():
 def test_non_finite_float_flags_are_usage_errors(capsys, value):
     argvs = [
         ["norms", "--k", "2", "--oversample", value],
-        ["beams", "--k", "8", "--delta", value],
-        ["beams", "--k", "8", f"--exponent={value}"],
+        ["beams", "--k-min", "8", "--delta", value],
+        ["beams", "--k-min", "8", f"--exponent={value}"],
         ["superlevel", "--k-min", "16", "--k-max", "16", f"--c={value}"],
     ]
     for argv in argvs:

@@ -205,6 +205,38 @@ def test_norms_order_and_exponent_contract(capsys, k, m, q):
 
 
 @_CONTRACT
+@given(k=st.integers(0, 2048), q=st.floats(max_value=1.0, exclude_max=True), first=st.booleans())
+@example(k=2048, q=0.5, first=False)  # once refused only after the grid and Legendre table
+@example(k=2048, q=-math.inf, first=True)
+@example(k=8, q=0.0, first=True)
+def test_norms_refuses_q_below_one_before_any_grid(capsys, k, q, first):
+    argv = ["norms", "--k", str(k)] + (["--q", "4"] if first else []) + [f"--q={q!r}"]
+    built = []
+    build_grid = experiments.build_grid
+
+    def spy(band, oversample):
+        built.append(band)
+        return build_grid(band, oversample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_grid", spy)
+        code = main(argv)
+    captured = capsys.readouterr()
+    _check_contract(code, captured)
+    assert code == 2 and built == []
+    assert captured.err == f"error: norm exponent q must be >= 1, got {q:g}\n"
+
+
+def test_norms_library_refuses_a_nan_q_before_any_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(experiments, "build_grid", refuse)
+    with pytest.raises(ValueError, match="^norm exponent q must be >= 1, got nan$"):
+        experiments.norms_experiment(8, [4.0, math.nan])
+
+
+@_CONTRACT
 @given(family=st.sampled_from(["zonal", "highest-weight"]), q=_EXPONENTS)
 @example(family="highest-weight", q=1e308)
 @example(family="zonal", q=math.inf)
@@ -254,7 +286,7 @@ def test_non_numeric_q_contract(capsys, command, text):
 def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
     # 40 beams are within the clamp packing_bound(0.316) // 2 = 40, but the
     # greedy placement cannot reach them
-    code = main(["beams", "--k", "64", "--delta", "0.316", "--j", "40"])
+    code = main(["beams", "--k-min", "64", "--delta", "0.316", "--j", "40"])
     captured = capsys.readouterr()
     _check_contract(code, captured)
     assert code == 2
@@ -271,7 +303,8 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
 )
 @example(k=16, j=None, exponent=None, delta=0.5, method="symmetric")
 @example(k=8, j=16, exponent=None, delta=0.5, method="symmetric")  # ill-conditioned
-@example(k=0, j=5, exponent=None, delta=0.25, method="sequential")  # rank one
+@example(k=0, j=5, exponent=None, delta=0.25, method="sequential")  # below the lowest degree
+@example(k=1, j=5, exponent=None, delta=0.25, method="sequential")  # five rows of length 3
 @example(k=16, j=None, exponent=0.0, delta=0.25, method="symmetric")
 @example(k=4, j=2, exponent=0.5, delta=1.0, method="symmetric")
 @example(k=4, j=None, exponent=1.5, delta=1.0, method="symmetric")
@@ -281,13 +314,15 @@ def test_beams_greedy_placement_short_of_the_clamp_is_usage_error(capsys):
 @example(k=4, j=None, exponent=None, delta=1e-300, method="symmetric")
 @example(k=4, j=None, exponent=None, delta=1.6, method="symmetric")  # above pi/2
 def test_beams_flag_contract(capsys, k, j, exponent, delta, method):
-    argv = ["beams", "--k", str(k), f"--delta={delta!r}", "--method", method]
+    argv = ["beams", "--k-min", str(k), f"--delta={delta!r}", "--method", method]
     argv += [] if j is None else ["--j", str(j)]
     argv += [] if exponent is None else [f"--exponent={exponent!r}"]
     code = main(argv)
     captured = capsys.readouterr()
     _check_contract(code, captured)
-    if j is not None and exponent is not None:
+    if k < 1:
+        assert code == 2 and captured.err == "error: --k-min must be >= 1\n"
+    elif j is not None and exponent is not None:
         assert code == 2 and "not both" in captured.err
     elif j is not None and j < 1:
         assert code == 2 and "beam count" in captured.err
@@ -414,7 +449,8 @@ def test_superlevel_degree_range_contract(capsys, k_min, k_max):
     seed=st.one_of(st.integers(-2, 2), st.integers(2**62, 2**70)),
 )
 @example(k_min=1, k_max=4, seed=-1)
-@example(k_min=None, k_max=4, seed=0)  # a range end without its start
+@example(k_min=None, k_max=4, seed=0)  # a range end below the default start
+@example(k_min=None, k_max=64, seed=0)  # a range end alone, at the default start
 @example(k_min=2, k_max=1, seed=0)
 @example(k_min=1, k_max=64, seed=0)
 def test_beams_degree_range_and_seed_contract(capsys, k_min, k_max, seed):
@@ -423,10 +459,8 @@ def test_beams_degree_range_and_seed_contract(capsys, k_min, k_max, seed):
     argv += [] if k_max is None else ["--k-max", str(k_max)]
     code = main(argv)
     _check_contract(code, capsys.readouterr())
-    if k_min is None:
-        valid = k_max is None  # the default single degree
-    else:
-        valid = 1 <= k_min <= (k_min if k_max is None else k_max)
+    k_min = 64 if k_min is None else k_min  # the default lowest degree
+    valid = 1 <= k_min <= (k_min if k_max is None else k_max)
     assert (code == 2) == (not valid or seed < 0)
 
 
@@ -465,7 +499,7 @@ _OVERFLOW_RUNS = {
     "norms": ["norms", "--k", _HUGE_DEGREE],
     "tube-ratio": ["tube-ratio", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
     "random-onb": ["random-onb", "--k", _HUGE_DEGREE],
-    "beams": ["beams", "--k", _HUGE_DEGREE],
+    "beams": ["beams", "--k-min", _HUGE_DEGREE],
     "superlevel": ["superlevel", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
     "pointwise": ["pointwise", "--k-min", _HUGE_DEGREE, "--k-max", _HUGE_DEGREE],
 }
@@ -494,8 +528,8 @@ def test_tube_ratio_refuses_the_grid_before_lambda_overflows(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["beams", "--k", "8", "--j", "16", "--delta", "0.5"],
-        ["beams", "--k", "4", "--j", "9", "--delta", "0.35"],
+        ["beams", "--k-min", "8", "--j", "16", "--delta", "0.5"],
+        ["beams", "--k-min", "4", "--j", "9", "--delta", "0.35"],
     ],
 )
 def test_ill_conditioned_beam_family_names_the_gram_condition(capsys, argv):
@@ -608,11 +642,15 @@ def test_scaling_refuses_a_hopeless_q_before_any_grid(capsys, family, q, reason)
     assert reason in captured.err
 
 
-@pytest.mark.parametrize("command", ["norms", "beams", "random-onb"])
-def test_negative_degree_names_the_flag(capsys, command):
-    code = main([command, "--k", "-1"])
+@pytest.mark.parametrize(
+    "command, flag, lowest",
+    [("norms", "--k", 0), ("beams", "--k-min", 1), ("random-onb", "--k", 0)],
+    ids=["norms", "beams", "random-onb"],
+)
+def test_negative_degree_names_the_flag(capsys, command, flag, lowest):
+    code = main([command, flag, "-1"])
     captured = capsys.readouterr()
     _check_contract(code, captured)
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: --k must be >= 0\n"
+    assert captured.err == f"error: {flag} must be >= {lowest}\n"

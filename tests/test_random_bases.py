@@ -327,7 +327,7 @@ def test_one_blas_thread_sets_one_thread_and_restores_the_count():
 # Small runs of the subcommands whose experiments run on one OpenBLAS thread.
 _ONE_THREAD_RUNS = {
     "verify": ["verify", "--k-max", "2", "--points", "2"],
-    "beams": ["beams", "--k", "8", "--delta", "0.5"],
+    "beams": ["beams", "--k-min", "8", "--delta", "0.5"],
     "tube-ratio": ["tube-ratio", "--k-min", "8", "--k-max", "8"],
     "random-onb": ["random-onb", "--k", "8", "--trials", "2"],
     "norms": ["norms", "--k", "8", "--q", "4", "--q", "inf"],
